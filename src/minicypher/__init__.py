@@ -4,7 +4,8 @@ The package is layered bottom-up: values and graphs, tables (bags of
 records), the AST, a parser with a canonical unparser, a three-valued
 expression evaluator, the pattern matcher, the clause/query engine, and a
 brute-force reference implementation with a random case generator for
-differential testing.
+differential testing; the reference side also holds the satisfaction
+relation and rigid expansion, which the engine never runs.
 """
 
 from .ast import free_vars
@@ -24,8 +25,17 @@ from .errors import (
 )
 from .evaluator import eq_values, eval_expr, is_true
 from .graph import PropertyGraph, load_graph
-from .matcher import match_tuple, rigid_patterns, satisfies_node, satisfies_path
-from .oracle import GenConfig, differential_case, gen_case, oracle_match, oracle_output
+from .matcher import match_tuple
+from .oracle import (
+    GenConfig,
+    differential_case,
+    gen_case,
+    oracle_match,
+    oracle_output,
+    rigid_patterns,
+    satisfies_node,
+    satisfies_path,
+)
 from .parser import (
     parse_expr,
     parse_pattern,

@@ -229,20 +229,6 @@ def range_of(rel: RelPattern) -> tuple[int, Optional[int]]:
     return (1 if lo is None else lo, hi)
 
 
-def binds_single_rel(rel: RelPattern) -> bool:
-    """True when a name on this pattern binds the relationship id itself."""
-    return rel.range_ is None
-
-
-def is_rigid(pat: Union[RelPattern, PathPattern, PatternTuple]) -> bool:
-    if isinstance(pat, RelPattern):
-        lo, hi = range_of(pat)
-        return hi is not None and lo == hi
-    if isinstance(pat, PathPattern):
-        return all(is_rigid(r) for r in pat.rel_patterns())
-    return all(is_rigid(p) for p in pat.paths)
-
-
 def free_vars(pat: Union[NodePattern, RelPattern, PathPattern, PatternTuple]) -> frozenset[str]:
     """All non-nil names of the pattern, including path names."""
     if isinstance(pat, (NodePattern, RelPattern)):

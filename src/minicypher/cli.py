@@ -10,9 +10,10 @@ Two modes:
     and report disagreements (serializing them for replay).
 
 Exit codes: 0 success, 1 parse error, 2 evaluation error, 3 graph load
-error, 4 oracle disagreement, 64 usage error.  Output is deterministic:
-columns are in lexicographic order, rows are sorted by their rendered
-encoding, and JSON is emitted with sorted keys.
+error, 4 oracle disagreement, 64 usage error, 70 internal error (any other
+exception, reported on one line without a traceback).  Output is
+deterministic: columns are in lexicographic order, rows are sorted by their
+rendered encoding, and JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_EVAL = 2
 EXIT_GRAPH = 3
 EXIT_DISAGREE = 4
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse raises SystemExit for --help (code 0) and usage errors.
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except Exception as exc:  # CypherErrors are all handled in _run and _gen
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

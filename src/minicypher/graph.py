@@ -8,7 +8,7 @@ to share between threads.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import DanglingEndpoint, DuplicateId, SchemaError, UnknownId
 from .values import Map, NodeId, RelId, Value
@@ -244,10 +244,3 @@ def load_graph(document: dict) -> PropertyGraph:
                 props[(raw_id, k)] = v
 
     return PropertyGraph(tuple(nodes), tuple(rels), src, tgt, labels, types, props)
-
-
-def graph_ids(g: PropertyGraph) -> Iterable[str]:
-    for n in g.nodes:
-        yield n.key
-    for r in g.rels:
-        yield r.key

@@ -1,4 +1,4 @@
-"""Pattern matching: the satisfaction relation and the match bag.
+"""Pattern matching: the match bag.
 
 The heart of the module is :func:`match_tuple`, which computes the bag of
 binding extensions for a pattern tuple.  The multiplicity of each extension
@@ -22,11 +22,11 @@ that is not trilean true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from . import ast
-from .ast import NodePattern, PathPattern, PatternTuple, RelPattern, free_vars, range_of
+from .ast import NodePattern, PathPattern, PatternTuple, free_vars, range_of
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
 from .tables import Record, Table
@@ -51,12 +51,6 @@ def _next_node(g: PropertyGraph, r: RelId, cur: NodeId, direction: str) -> NodeI
     if direction == ast.LEFT:
         return g.src(r)
     return g.other_end(r, cur)
-
-
-def _incident(g: PropertyGraph, cur: NodeId, direction: str) -> tuple[RelId, ...]:
-    # ast direction constants coincide with the graph adjacency directions:
-    # -> outgoing, <- incoming, -- either side.
-    return g.incident(cur, direction)
 
 
 def _checks_pass(
@@ -160,7 +154,8 @@ def _expand_path(
             return
         if len(used) >= len(g.rels):  # no unused relationship can extend the walk
             return
-        for r in _incident(g, cur, el.direction):
+        # ast directions coincide with the adjacency directions (->, <-, --)
+        for r in g.incident(cur, el.direction):
             if r in used:
                 continue
             if el.types and g.rel_type(r) not in el.types:
@@ -236,157 +231,4 @@ def match_tuple(
             if stats is not None:
                 stats.witnesses += 1
             out.add({f: b[f] for f in new_fields})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The satisfaction relation on concrete paths
-# ---------------------------------------------------------------------------
-
-
-def satisfies_node(
-    n: NodeId,
-    chi: NodePattern,
-    g: PropertyGraph,
-    u: Record,
-    functions: FunctionRegistry | None = None,
-) -> bool:
-    """(n, g, u) satisfies the node pattern chi.
-
-    The name condition requires u to bind the name to exactly n (an unbound
-    name fails — callers check satisfaction under a complete assignment).
-    Property checks must come out trilean true; null fails.
-    """
-    if chi.name is not None:
-        if chi.name not in u or not same_value(u[chi.name], n):
-            return False
-    if chi.labels and not chi.labels <= g.labels(n):
-        return False
-    for key, expr in chi.props:
-        if eq_values(g.prop(n, key), eval_expr(expr, g, u, functions)) is not True:
-            return False
-    return True
-
-
-def _segmentations(rel_pats: tuple[RelPattern, ...], total: int) -> Iterator[tuple[int, ...]]:
-    """All per-slot hop counts within each slot's range summing to total."""
-
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == len(rel_pats):
-            if remaining == 0:
-                yield ()
-            return
-        lo, hi = range_of(rel_pats[i])
-        top = remaining if hi is None else min(hi, remaining)
-        for m in range(lo, top + 1):
-            for rest in rec(i + 1, remaining - m):
-                yield (m, *rest)
-
-    yield from rec(0, total)
-
-
-def _hops_oriented_ok(
-    g: PropertyGraph, r: RelId, a: NodeId, b: NodeId, direction: str
-) -> bool:
-    if direction == ast.RIGHT:
-        return g.src(r) == a and g.tgt(r) == b
-    if direction == ast.LEFT:
-        return g.src(r) == b and g.tgt(r) == a
-    return (g.src(r) == a and g.tgt(r) == b) or (g.src(r) == b and g.tgt(r) == a)
-
-
-def _rigid_path_ok(
-    p: Path,
-    pat: PathPattern,
-    seg: tuple[int, ...],
-    g: PropertyGraph,
-    u: Record,
-    functions: FunctionRegistry | None,
-) -> bool:
-    node_pats = pat.node_patterns()
-    rel_pats = pat.rel_patterns()
-    checks: list[_Check] = []
-    pos = 0
-    for i, chi in enumerate(node_pats):
-        n = p.nodes[pos]
-        if chi.name is not None:
-            if chi.name not in u or not same_value(u[chi.name], n):
-                return False
-        if chi.labels and not chi.labels <= g.labels(n):
-            return False
-        if chi.props:
-            checks.append((n, chi.props))
-        if i == len(rel_pats):
-            break
-        rho = rel_pats[i]
-        m = seg[i]
-        seg_rels = p.rels[pos:pos + m]
-        for j in range(m):
-            r = p.rels[pos + j]
-            if not _hops_oriented_ok(g, r, p.nodes[pos + j], p.nodes[pos + j + 1], rho.direction):
-                return False
-            if rho.types and g.rel_type(r) not in rho.types:
-                return False
-        if rho.name is not None:
-            value = seg_rels[0] if rho.range_ is None else tuple(seg_rels)
-            if rho.name not in u or not same_value(u[rho.name], value):
-                return False
-        if rho.props:
-            for r in seg_rels:
-                checks.append((r, rho.props))
-        pos += m
-    return _checks_pass(checks, g, u, functions)
-
-
-def satisfies_path(
-    p: Path,
-    pat: PathPattern,
-    g: PropertyGraph,
-    u: Record,
-    functions: FunctionRegistry | None = None,
-) -> bool:
-    """(p, g, u) satisfies pat: relationships pairwise distinct and some
-    segmentation of p into the pattern's slots obeys all slot rules."""
-    if len(set(p.rels)) != len(p.rels):
-        return False
-    if pat.name is not None:
-        if pat.name not in u or not same_value(u[pat.name], p):
-            return False
-    for seg in _segmentations(pat.rel_patterns(), len(p.rels)):
-        if _rigid_path_ok(p, pat, seg, g, u, functions):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Rigid expansions
-# ---------------------------------------------------------------------------
-
-
-def make_rigid(pat: PathPattern, seg: tuple[int, ...]) -> PathPattern:
-    """The rigid pattern of pat choosing seg[i] hops for slot i.
-
-    Slots written without a length keep range None (they bind the single
-    relationship, and are rigid already); ranged slots become (m, m).
-    """
-    elements = list(pat.elements)
-    si = 0
-    for i in range(1, len(elements), 2):
-        rho = elements[i]
-        if rho.range_ is not None:
-            elements[i] = replace(rho, range_=(seg[si], seg[si]))
-        si += 1
-    return replace(pat, elements=tuple(elements))
-
-
-def rigid_patterns(pat: PathPattern, max_total_hops: int) -> list[PathPattern]:
-    """All rigid patterns subsumed by pat with total hops <= the bound.
-
-    For fully bounded ranges this is the complete (finite) rigid set as
-    soon as the bound is at least the sum of the upper bounds.
-    """
-    out = []
-    for total in range(0, max_total_hops + 1):
-        for seg in _segmentations(pat.rel_patterns(), total):
-            out.append(make_rigid(pat, seg))
     return out

@@ -15,6 +15,11 @@ deriving the unique candidate assignment from each witness pair, it tries
 every assignment built from path components and counts satisfaction.  It
 exists to cross-check the derivation logic and is exponential.
 
+The satisfaction relation on concrete paths (`satisfies_path`,
+`satisfies_node`) and rigid expansion (`rigid_patterns`) live here too,
+composed from the same rule-by-rule helpers as `oracle_match`, so each
+slot rule is stated once and none is borrowed from the matcher.
+
 `gen_case` produces deterministic pseudo-random (graph, query) cases. The
 generator is biased toward the sharp corners: zero-length ranges, repeated
 variables, undirected slots, anonymous patterns, nulls, and the occasional
@@ -27,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path as FsPath
 from typing import Callable, Iterator, Optional
 
@@ -227,6 +232,68 @@ def _eval_checks(
             if eq_values(g.prop(ident, key), eval_expr(expr, g, assignment, functions)) is not True:
                 return False
     return True
+
+
+def satisfies_path(
+    p: Path,
+    pat: ast.PathPattern,
+    g: PropertyGraph,
+    u: Record,
+    functions: FunctionRegistry | None = None,
+) -> bool:
+    """(p, g, u) satisfies pat: relationships pairwise distinct and some
+    segmentation of p into the slots obeys every rule under the complete
+    assignment u.  Property checks run last, per segmentation in order."""
+    if len(set(p.rels)) != len(p.rels):
+        return False
+    for seg in _seg_choices(pat.rel_patterns(), len(p.rels)):
+        if sum(seg) != len(p.rels):
+            continue
+        if (_names_ok(pat, seg, p.nodes, p.rels, u)
+                and _struct_ok(pat, seg, p.nodes, p.rels, g)
+                and _eval_checks(_prop_check_list(pat, seg, p.nodes, p.rels), g, u, functions)):
+            return True
+    return False
+
+
+def satisfies_node(
+    n: NodeId,
+    chi: ast.NodePattern,
+    g: PropertyGraph,
+    u: Record,
+    functions: FunctionRegistry | None = None,
+) -> bool:
+    """(n, g, u) satisfies the node pattern chi: the zero-hop path case."""
+    return satisfies_path(Path((n,)), ast.PathPattern((chi,)), g, u, functions)
+
+
+def is_rigid(pat: ast.PathPattern) -> bool:
+    """Every slot of pat admits exactly one hop count."""
+    return all(lo == hi for lo, hi in map(_slot_range, pat.rel_patterns()))
+
+
+def make_rigid(pat: ast.PathPattern, seg: tuple[int, ...]) -> ast.PathPattern:
+    """The rigid pattern of pat choosing seg[i] hops for slot i.
+
+    Slots written without a length keep range None (they bind the single
+    relationship, and are rigid already); ranged slots become (m, m).
+    """
+    elements = list(pat.elements)
+    si = 0
+    for i in range(1, len(elements), 2):
+        rho = elements[i]
+        if rho.range_ is not None:
+            elements[i] = replace(rho, range_=(seg[si], seg[si]))
+        si += 1
+    return replace(pat, elements=tuple(elements))
+
+
+def rigid_patterns(pat: ast.PathPattern, max_total_hops: int) -> list[ast.PathPattern]:
+    """All rigid patterns subsumed by pat with total hops <= the bound, by
+    total hops.  For fully bounded ranges this is the complete (finite)
+    rigid set once the bound reaches the sum of the upper bounds."""
+    segs = sorted(_seg_choices(pat.rel_patterns(), max_total_hops), key=sum)
+    return [make_rigid(pat, seg) for seg in segs]
 
 
 # ---------------------------------------------------------------------------

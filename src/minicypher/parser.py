@@ -754,8 +754,3 @@ def unparse_query(q: ast.Query) -> str:
         op = "UNION ALL" if q.all else "UNION"
         return f"{unparse_query(q.left)} {op} {unparse_query(q.right)}"
     raise TypeError(f"not a query: {q!r}")
-
-
-def alias_of(e: ast.Expr) -> str:
-    """The injective alias function: canonical unparse of the expression."""
-    return unparse_expr(e)

@@ -23,12 +23,14 @@ from minicypher.evaluator import (
     tri_xor,
 )
 from minicypher.graph import load_graph
-from minicypher.matcher import MatchStats, match_tuple, rigid_patterns
+from minicypher.matcher import MatchStats, match_tuple
 from minicypher.oracle import (
     GenConfig,
     differential_case,
     gen_case,
+    is_rigid,
     oracle_run_query,
+    rigid_patterns,
 )
 from minicypher.parser import (
     parse_expr,
@@ -129,7 +131,7 @@ def test_criterion_3(capsys, teachers):
             ((1, 1), (1, 1)), ((1, 1), (2, 2)),
             ((2, 2), (1, 1)), ((2, 2), (2, 2)),
         }
-        assert all(ast.is_rigid(p) for p in rigid)
+        assert all(is_rigid(p) for p in rigid)
 
 
 # ---------------------------------------------------------------------------

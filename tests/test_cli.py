@@ -113,6 +113,18 @@ def test_alias_clash_exits_2(capsys):
     assert "evaluation error" in err
 
 
+def test_recursion_exhaustion_exits_70_without_traceback(capsys):
+    # a 1500-term AND chain exhausts Python's recursion limit: that is an
+    # internal error, not a parse error, and must not dump a traceback
+    q = "RETURN " + " AND ".join(["true"] * 1500) + " AS x"
+    rc, out, err = run(capsys, "--query", q)
+    assert rc == 70
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: RecursionError: ")
+    assert "Traceback" not in err
+
+
 def test_missing_graph_file_exits_3(capsys, tmp_path):
     rc, _, err = run(capsys, "--graph", str(tmp_path / "nope.json"),
                      "--query", "RETURN 1 AS one")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from minicypher.graph import load_graph
+from minicypher.graph import BOTH, load_graph
 from minicypher.matcher import match_tuple
 from minicypher.oracle import (
     GenConfig,
@@ -15,10 +15,12 @@ from minicypher.oracle import (
     load_case,
     oracle_match,
     oracle_output,
+    rigid_patterns,
+    satisfies_path,
     save_failure,
 )
 from minicypher.parser import parse_pattern_tuple, parse_query, unparse_query
-from minicypher.values import NodeId
+from minicypher.values import NodeId, Path
 
 PATTERNS = [
     "(x)",
@@ -97,6 +99,59 @@ def test_oracle_agrees_on_generated_graphs():
             pats = parse_pattern_tuple(source)
             assert oracle_match(pats, g, {}) == match_tuple(pats, g, {}), (
                 seed, source)
+
+
+# ---------------------------------------------------------------------------
+# the match bag against the satisfaction relation
+# ---------------------------------------------------------------------------
+
+
+def every_path(g):
+    """Every path of g: each relationship at most once, either orientation."""
+    out = []
+
+    def extend(nodes, rels):
+        out.append(Path(tuple(nodes), tuple(rels)))
+        cur = nodes[-1]
+        for r in g.incident(cur, BOTH):
+            if r not in rels:
+                nodes.append(g.other_end(r, cur))
+                rels.append(r)
+                extend(nodes, rels)
+                nodes.pop()
+                rels.pop()
+
+    for n in g.nodes:
+        extend([n], [])
+    return out
+
+
+SINGLE_PATH_PATTERNS = [
+    "(x)-[*]->(y)",
+    "(x:Teacher)-[:KNOWS*1..2]->()-[:KNOWS*1..2]->(y:Teacher)",
+    "p = (x)-[r*0..2]-(y)",
+    "(x {name: 'Elin'})-[q*1..2]-(y)",
+    "(x {k: 1})-[*0..1]-(y)",
+]
+
+
+@pytest.mark.parametrize("source", SINGLE_PATH_PATTERNS)
+def test_match_bag_counts_satisfying_pairs(source, teachers, citation):
+    # The match bag's definition: the multiplicity of u is the number of
+    # pairs (rigid pattern, path) with the path satisfying the rigid
+    # pattern under u.
+    pats = parse_pattern_tuple(source)
+    graphs = [teachers, citation] + [gen_case(GenConfig(seed=1000 + s))[0] for s in range(4)]
+    for g in graphs:
+        bag = match_tuple(pats, g, {})
+        rigid = rigid_patterns(pats.paths[0], len(g.rels))
+        paths = every_path(g)
+        total = 0
+        for u, count in bag.rows():
+            pairs = sum(1 for rp in rigid for p in paths if satisfies_path(p, rp, g, u))
+            assert pairs == count, (source, u)
+            total += pairs
+        assert total == bag.total_rows(), source
 
 
 # ---------------------------------------------------------------------------
