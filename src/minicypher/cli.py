@@ -252,12 +252,21 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         result = output(q, g)
-    except EvalError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        sys.stderr.write(_caret_diagnostic(text, exc.span))
-        return EXIT_EVAL
     except CypherError as exc:
-        print(f"evaluation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.oracle:
+            try:
+                oracle_output(q, g)
+            except CypherError:
+                pass  # both sides raise: they agree
+            else:
+                print("oracle disagreement: the reference produced a table but the "
+                      f"engine raised {type(exc).__name__}: {exc}", file=sys.stderr)
+                return EXIT_DISAGREE
+        if isinstance(exc, EvalError):
+            print(f"evaluation error: {exc}", file=sys.stderr)
+            sys.stderr.write(_caret_diagnostic(text, exc.span))
+        else:
+            print(f"evaluation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
     if args.oracle:

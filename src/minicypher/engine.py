@@ -15,7 +15,7 @@ from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
 from .matcher import match_tuple
 from .parser import unparse_expr
-from .tables import Record, Table, bag_union, distinct, unit_table
+from .tables import Table, bag_union, distinct, unit_table
 from .values import FunctionRegistry, canon
 
 

@@ -48,12 +48,8 @@ class UnknownId(CypherError):
     """An id was queried that does not belong to the graph."""
 
 
-class ConcatMismatch(CypherError):
-    """Path concatenation where the endpoint nodes do not agree."""
-
-
 class NameClash(CypherError):
-    """Record concatenation (or clause output) with overlapping names."""
+    """A clause would bind a name that is already a field of its input."""
 
 
 class FieldMismatch(CypherError):

@@ -14,6 +14,7 @@ The trilean domain is {True, False, None}; None doubles as the null value.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from typing import Optional
 
 from . import ast
@@ -119,29 +120,17 @@ def eq_values(a: Value, b: Value) -> Trilean:
     if ta == "list":
         if len(a) != len(b):
             return False
-        saw_false = saw_null = False
-        for x, y in zip(a, b):
-            t = eq_values(x, y)
-            if t is False:
-                saw_false = True
-            elif t is None:
-                saw_null = True
-        if saw_false:
-            return False
-        return None if saw_null else True
+        return _all_true([eq_values(x, y) for x, y in zip(a, b)])
     # maps
     if a.keys != b.keys:  # covers different key counts too
         return False
-    saw_false = saw_null = False
-    for k in sorted(a.keys):
-        t = eq_values(a.get(k), b.get(k))
-        if t is False:
-            saw_false = True
-        elif t is None:
-            saw_null = True
-    if saw_false:
-        return False
-    return None if saw_null else True
+    return _all_true([eq_values(a.get(k), b.get(k)) for k in sorted(a.keys)])
+
+
+def _all_true(ts: list[Trilean]) -> Trilean:
+    """The AND-fold of element-wise results.  Callers compare every pair
+    first, so a type error in any pair raises even after a false one."""
+    return reduce(tri_and, ts, True)
 
 
 _ORDER_OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
@@ -184,6 +173,10 @@ def _need_int(v: Value, what: str, span) -> int:
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise type_mismatch(f"{what} expects an integer, got {_tag(v)}", span)
+
+
+# Each binary connective: its keyword (for type errors) and its truth table.
+_CONNECTIVES = {ast.Or: ("OR", tri_or), ast.Xor: ("XOR", tri_xor), ast.And: ("AND", tri_and)}
 
 
 def eval_expr(
@@ -257,21 +250,13 @@ def eval_expr(
         container = eval_expr(e.container, g, u, functions)
         if not isinstance(container, tuple):
             raise type_mismatch(f"IN expects a list, got {_tag(container)}", e.span)
-        saw_true = saw_null = False
-        for w in container:
-            try:
-                t = eq_values(item, w)
-            except EvalError as exc:
-                if exc.span is None:
-                    exc.span = e.span
-                raise
-            if t is True:
-                saw_true = True
-            elif t is None:
-                saw_null = True
-        if saw_true:
-            return True
-        return None if saw_null else False
+        try:
+            ts = [eq_values(item, w) for w in container]
+        except EvalError as exc:
+            if exc.span is None:
+                exc.span = e.span
+            raise
+        return reduce(tri_or, ts, False)  # the OR-fold: false on the empty list
 
     if isinstance(e, ast.StrOp):
         left = eval_expr(e.left, g, u, functions)
@@ -287,20 +272,11 @@ def eval_expr(
             return left.endswith(right)
         return right in left  # CONTAINS
 
-    if isinstance(e, ast.Or):
-        a = _as_trilean(eval_expr(e.left, g, u, functions), "OR", e.span)
-        b = _as_trilean(eval_expr(e.right, g, u, functions), "OR", e.span)
-        return tri_or(a, b)
-
-    if isinstance(e, ast.And):
-        a = _as_trilean(eval_expr(e.left, g, u, functions), "AND", e.span)
-        b = _as_trilean(eval_expr(e.right, g, u, functions), "AND", e.span)
-        return tri_and(a, b)
-
-    if isinstance(e, ast.Xor):
-        a = _as_trilean(eval_expr(e.left, g, u, functions), "XOR", e.span)
-        b = _as_trilean(eval_expr(e.right, g, u, functions), "XOR", e.span)
-        return tri_xor(a, b)
+    if type(e) in _CONNECTIVES:
+        word, table = _CONNECTIVES[type(e)]
+        a = _as_trilean(eval_expr(e.left, g, u, functions), word, e.span)
+        b = _as_trilean(eval_expr(e.right, g, u, functions), word, e.span)
+        return table(a, b)
 
     if isinstance(e, ast.Not):
         return tri_not(_as_trilean(eval_expr(e.expr, g, u, functions), "NOT", e.span))

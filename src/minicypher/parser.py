@@ -8,11 +8,11 @@ The parser is layered by operator precedence, tightest first:
   3. IS NULL / IS NOT NULL
   4. string operators (STARTS WITH, ENDS WITH, CONTAINS) and IN
   5. NOT
-  6. AND
-  7. XOR
-  8. OR
+  6-8. the connectives AND, XOR, OR (the ``CONNECTIVES`` table, which the
+     unparser reads too)
 
-Parenthesized expressions are accepted as grouping.  Keywords are
+Parenthesized expressions are accepted as grouping; at most
+``MAX_NESTING`` levels of sub-expressions and NOTs may nest.  Keywords are
 case-insensitive and reserved; names, labels, relationship types and
 property keys are case-sensitive identifiers.
 
@@ -27,9 +27,12 @@ alias function for un-aliased RETURN items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from . import ast
 from .errors import ParseError
+
+T = TypeVar("T")
 
 KEYWORDS = {
     "MATCH", "OPTIONAL", "WHERE", "WITH", "UNWIND", "RETURN", "AS",
@@ -41,6 +44,18 @@ _PUNCT2 = ("<=", ">=", "<>", "..")
 _PUNCT1 = "()[]{},:.|=<>-*"
 
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
+
+# The boolean connectives, loosest first.  Parsing and unparsing both take
+# the precedence of OR, XOR and AND from this one table.
+CONNECTIVES = (("OR", ast.Or), ("XOR", ast.Xor), ("AND", ast.And))
+
+_STRING_IN = ("IN", "STARTS", "ENDS", "CONTAINS")
+
+# Nesting levels below a top-level expression: each sub-expression parsed
+# whole (in parentheses, a list, a map, call arguments, an index) and each
+# NOT opens one.  The bound keeps recursive descent, and the recursive
+# evaluator and unparser after it, far from Python's recursion limit.
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,7 @@ class Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = -1  # open nesting levels; -1 outside any expression
 
     # -- cursor helpers -----------------------------------------------------
 
@@ -169,73 +185,57 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+        """One whole expression; inside another one it opens a nesting level."""
+        self._open_level(self.tokens[self.pos - 1])
+        e = self._parse_connective(0)
+        self.depth -= 1
+        return e
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_xor()
-        while self.at_kw("OR"):
-            start = left.span[0] if left.span else self.peek().start
-            self.advance()
-            right = self._parse_xor()
-            left = ast.Or(left, right, span=self._span_from(start))
-        return left
+    def _open_level(self, opener: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested too deeply (more than {MAX_NESTING} levels)",
+                             (opener.start, opener.end))
 
-    def _parse_xor(self) -> ast.Expr:
-        left = self._parse_and()
-        while self.at_kw("XOR"):
-            start = left.span[0] if left.span else self.peek().start
+    def _parse_connective(self, i: int) -> ast.Expr:
+        word, node = CONNECTIVES[i]
+        tighter = i + 1 < len(CONNECTIVES)
+        left = self._parse_connective(i + 1) if tighter else self._parse_not()
+        while self.at_kw(word):
             self.advance()
-            right = self._parse_and()
-            left = ast.Xor(left, right, span=self._span_from(start))
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self.at_kw("AND"):
-            start = left.span[0] if left.span else self.peek().start
-            self.advance()
-            right = self._parse_not()
-            left = ast.And(left, right, span=self._span_from(start))
+            right = self._parse_connective(i + 1) if tighter else self._parse_not()
+            left = node(left, right, span=self._span_from(left.span[0]))
         return left
 
     def _parse_not(self) -> ast.Expr:
         if self.at_kw("NOT"):
-            start = self.peek().start
-            self.advance()
+            tok = self.advance()
+            self._open_level(tok)
             operand = self._parse_not()
-            return ast.Not(operand, span=self._span_from(start))
+            self.depth -= 1
+            return ast.Not(operand, span=self._span_from(tok.start))
         return self._parse_string_in()
 
     def _parse_string_in(self) -> ast.Expr:
         left = self._parse_is_null()
-        while True:
-            if self.at_kw("IN"):
-                start = left.span[0] if left.span else self.peek().start
-                self.advance()
-                right = self._parse_is_null()
-                left = ast.InList(left, right, span=self._span_from(start))
-            elif self.at_kw("STARTS") or self.at_kw("ENDS"):
-                start = left.span[0] if left.span else self.peek().start
-                word = self.advance().value.upper()
+        while self.at("IDENT") and (op := self.peek().value.upper()) in _STRING_IN:
+            self.advance()
+            if op in ("STARTS", "ENDS"):
                 self.expect_kw("WITH")
-                right = self._parse_is_null()
-                left = ast.StrOp(f"{word} WITH", left, right, span=self._span_from(start))
-            elif self.at_kw("CONTAINS"):
-                start = left.span[0] if left.span else self.peek().start
-                self.advance()
-                right = self._parse_is_null()
-                left = ast.StrOp("CONTAINS", left, right, span=self._span_from(start))
-            else:
-                return left
+                op += " WITH"
+            right = self._parse_is_null()
+            span = self._span_from(left.span[0])
+            left = (ast.InList(left, right, span=span) if op == "IN"
+                    else ast.StrOp(op, left, right, span=span))
+        return left
 
     def _parse_is_null(self) -> ast.Expr:
         e = self._parse_comparison()
         while self.at_kw("IS"):
-            start = e.span[0] if e.span else self.peek().start
             self.advance()
             negated = self.take_kw("NOT")
             self.expect_kw("NULL")
-            e = ast.IsNull(e, negated, span=self._span_from(start))
+            e = ast.IsNull(e, negated, span=self._span_from(e.span[0]))
         return e
 
     def _parse_comparison(self) -> ast.Expr:
@@ -250,52 +250,37 @@ class Parser:
         comparisons: list[ast.Expr] = []
         left = first
         for op, right in chain:
-            span = _join_spans(left.span, right.span)
-            comparisons.append(ast.Cmp(op, left, right, span=span))
+            comparisons.append(ast.Cmp(op, left, right, span=(left.span[0], right.span[1])))
             left = right
         out = comparisons[0]
         for cmp_ in comparisons[1:]:
-            out = ast.And(out, cmp_, span=_join_spans(out.span, cmp_.span))
+            out = ast.And(out, cmp_, span=(out.span[0], cmp_.span[1]))
         return out
 
     def _parse_postfix(self) -> ast.Expr:
         e = self._parse_primary()
-        while True:
-            if self.at("."):
-                start = e.span[0] if e.span else self.peek().start
+        while self.at(".") or self.at("["):
+            start = e.span[0]
+            if self.advance().kind == ".":
+                e = ast.Prop(e, self.expect_name().value, span=self._span_from(start))
+                continue
+            lo = None if self.at("..") else self.parse_expr()
+            if lo is not None and self.at("]"):
                 self.advance()
-                key = self.expect_name().value
-                e = ast.Prop(e, key, span=self._span_from(start))
-            elif self.at("["):
-                start = e.span[0] if e.span else self.peek().start
-                self.advance()
-                if self.at(".."):
-                    self.advance()
-                    hi = self.parse_expr()
-                    self.expect("]")
-                    e = ast.Slice(e, None, hi, span=self._span_from(start))
-                    continue
-                first = self.parse_expr()
-                if self.at("]"):
-                    self.advance()
-                    e = ast.Index(e, first, span=self._span_from(start))
-                elif self.at(".."):
-                    self.advance()
-                    if self.at("]"):
-                        self.advance()
-                        e = ast.Slice(e, first, None, span=self._span_from(start))
-                    else:
-                        hi = self.parse_expr()
-                        self.expect("]")
-                        e = ast.Slice(e, first, hi, span=self._span_from(start))
-                else:
-                    tok = self.peek()
-                    raise ParseError(
-                        f"unexpected {self._describe(tok)} in index", (tok.start, tok.end),
-                        expected="] or ..",
-                    )
-            else:
-                return e
+                e = ast.Index(e, lo, span=self._span_from(start))
+                continue
+            if not self.at(".."):
+                tok = self.peek()
+                raise ParseError(
+                    f"unexpected {self._describe(tok)} in index", (tok.start, tok.end),
+                    expected="] or ..",
+                )
+            self.advance()
+            # a slice needs at least one bound: `e[..]` is rejected
+            hi = None if lo is not None and self.at("]") else self.parse_expr()
+            self.expect("]")
+            e = ast.Slice(e, lo, hi, span=self._span_from(start))
+        return e
 
     def _parse_primary(self) -> ast.Expr:
         tok = self.peek()
@@ -475,11 +460,10 @@ class Parser:
     def parse_query(self) -> ast.Query:
         query: ast.Query = self._parse_clause_query()
         while self.at_kw("UNION"):
-            start = query.span[0] if query.span else self.peek().start
             self.advance()
             all_ = self.take_kw("ALL")
             right = self._parse_clause_query()
-            query = ast.UnionQuery(query, right, all_, span=self._span_from(start))
+            query = ast.UnionQuery(query, right, all_, span=self._span_from(query.span[0]))
         return query
 
     def _parse_clause_query(self) -> ast.ClauseQuery:
@@ -545,65 +529,49 @@ class Parser:
             return star, tuple(items)
 
 
-def _join_spans(a: ast.Span | None, b: ast.Span | None) -> ast.Span | None:
-    if a is None or b is None:
-        return a or b
-    return (a[0], b[1])
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 
-def parse_query(text: str) -> ast.Query:
+def _parse_whole(text: str, rule: Callable[[Parser], T]) -> T:
+    """Apply one parser rule to all of ``text``; leftover tokens are an error."""
     p = Parser(text)
-    q = p.parse_query()
+    result = rule(p)
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError(f"trailing input {p._describe(tok)}", (tok.start, tok.end))
-    return q
+    return result
+
+
+def parse_query(text: str) -> ast.Query:
+    return _parse_whole(text, Parser.parse_query)
 
 
 def parse_pattern(text: str) -> ast.PathPattern:
-    p = Parser(text)
-    pat = p.parse_pattern()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {p._describe(tok)}", (tok.start, tok.end))
-    return pat
+    return _parse_whole(text, Parser.parse_pattern)
 
 
 def parse_pattern_tuple(text: str) -> ast.PatternTuple:
-    p = Parser(text)
-    pats = p.parse_pattern_tuple()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {p._describe(tok)}", (tok.start, tok.end))
-    return pats
+    return _parse_whole(text, Parser.parse_pattern_tuple)
 
 
 def parse_expr(text: str) -> ast.Expr:
-    p = Parser(text)
-    e = p.parse_expr()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {p._describe(tok)}", (tok.start, tok.end))
-    return e
+    return _parse_whole(text, Parser.parse_expr)
 
 
 # ---------------------------------------------------------------------------
 # Unparsing (canonical text; also the alias function for RETURN items)
 # ---------------------------------------------------------------------------
 
-_LEVEL_OR = 1
-_LEVEL_XOR = 2
-_LEVEL_AND = 3
-_LEVEL_NOT = 4
-_LEVEL_STR_IN = 5
-_LEVEL_IS_NULL = 6
-_LEVEL_CMP = 7
-_LEVEL_POSTFIX = 8
+# Unparse levels: the connectives take 1.. in CONNECTIVES order, then the
+# tighter operators follow.
+_CONNECTIVE_LEVEL = {node: (word, level) for level, (word, node) in enumerate(CONNECTIVES, 1)}
+_LEVEL_NOT = len(CONNECTIVES) + 1
+_LEVEL_STR_IN = _LEVEL_NOT + 1
+_LEVEL_IS_NULL = _LEVEL_NOT + 2
+_LEVEL_CMP = _LEVEL_NOT + 3
+_LEVEL_POSTFIX = _LEVEL_NOT + 4
 
 
 def _string_lit(s: str) -> str:
@@ -657,15 +625,10 @@ def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
         return wrap(text, _LEVEL_STR_IN)
     if isinstance(e, ast.Not):
         return wrap(f"NOT {unparse_expr(e.expr, _LEVEL_NOT)}", _LEVEL_NOT)
-    if isinstance(e, ast.And):
-        text = f"{unparse_expr(e.left, _LEVEL_AND)} AND {unparse_expr(e.right, _LEVEL_AND + 1)}"
-        return wrap(text, _LEVEL_AND)
-    if isinstance(e, ast.Xor):
-        text = f"{unparse_expr(e.left, _LEVEL_XOR)} XOR {unparse_expr(e.right, _LEVEL_XOR + 1)}"
-        return wrap(text, _LEVEL_XOR)
-    if isinstance(e, ast.Or):
-        text = f"{unparse_expr(e.left, _LEVEL_OR)} OR {unparse_expr(e.right, _LEVEL_OR + 1)}"
-        return wrap(text, _LEVEL_OR)
+    if type(e) in _CONNECTIVE_LEVEL:
+        word, level = _CONNECTIVE_LEVEL[type(e)]
+        text = f"{unparse_expr(e.left, level)} {word} {unparse_expr(e.right, level + 1)}"
+        return wrap(text, level)
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -14,20 +14,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import FieldMismatch, NameClash
+from .errors import FieldMismatch
 from .values import Value, canon
 
 Record = dict[str, Value]
-
-
-def record_concat(u: Record, u2: Record) -> Record:
-    """Union of two records with disjoint domains."""
-    overlap = u.keys() & u2.keys()
-    if overlap:
-        raise NameClash(f"records share names {sorted(overlap)}")
-    out = dict(u)
-    out.update(u2)
-    return out
 
 
 def _row_key(fields: tuple[str, ...], u: Record) -> tuple:
@@ -92,9 +82,6 @@ class Table:
             k: c for k, (_, c) in self._rows.items()
         } == {k: c for k, (_, c) in other._rows.items()}
 
-    def __hash__(self) -> int:  # pragma: no cover - tables are not dict keys
-        raise TypeError("tables are not hashable")
-
     def __repr__(self) -> str:
         return f"Table(fields={list(self.fields)}, rows={self.total_rows()})"
 
@@ -102,10 +89,6 @@ class Table:
 def unit_table() -> Table:
     """The table with no fields containing a single empty record."""
     return Table((), [{}])
-
-
-def empty_table(fields: Iterable[str]) -> Table:
-    return Table(fields)
 
 
 def bag_union(t1: Table, t2: Table) -> Table:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import ConcatMismatch, EvalError, type_mismatch
+from .errors import EvalError, type_mismatch
 
 
 @dataclass(frozen=True)
@@ -166,28 +166,6 @@ def same_value(a: Value, b: Value) -> bool:
     return canon(a) == canon(b)
 
 
-def is_composite(v: Value) -> bool:
-    return isinstance(v, (tuple, Map, Path))
-
-
-def single_node_path(n: NodeId) -> Path:
-    return Path((n,))
-
-
-def path_concat(p1: Path, p2: Path) -> Path:
-    """Join two paths at their shared endpoint node.
-
-    The last node of ``p1`` must equal the first node of ``p2``; the shared
-    node appears once in the result.
-    """
-    if p1.nodes[-1] != p2.nodes[0]:
-        raise ConcatMismatch(
-            f"cannot concatenate: {p1!r} ends at {p1.nodes[-1].key}, "
-            f"{p2!r} starts at {p2.nodes[0].key}"
-        )
-    return Path(p1.nodes + p2.nodes[1:], p1.rels + p2.rels)
-
-
 # ---------------------------------------------------------------------------
 # Base function registry
 # ---------------------------------------------------------------------------
@@ -217,20 +195,15 @@ def _size(v: Value) -> Value:
     raise type_mismatch(f"size() expects a list or string, got {v!r}")
 
 
-def _to_upper(v: Value) -> Value:
-    if v is None:
-        return None
-    if isinstance(v, str):
-        return v.upper()
-    raise type_mismatch(f"toUpper() expects a string, got {v!r}")
+def _string_fn(name: str, op: Callable[[str], str]) -> Callable[..., Value]:
+    def fn(v: Value) -> Value:
+        if v is None:
+            return None
+        if isinstance(v, str):
+            return op(v)
+        raise type_mismatch(f"{name}() expects a string, got {v!r}")
 
-
-def _to_lower(v: Value) -> Value:
-    if v is None:
-        return None
-    if isinstance(v, str):
-        return v.lower()
-    raise type_mismatch(f"toLower() expects a string, got {v!r}")
+    return fn
 
 
 BASE_FUNCTIONS: FunctionRegistry = {
@@ -238,8 +211,8 @@ BASE_FUNCTIONS: FunctionRegistry = {
     ("minus", 2): _arith("minus", lambda a, b: a - b),
     ("mult", 2): _arith("mult", lambda a, b: a * b),
     ("size", 1): _size,
-    ("toUpper", 1): _to_upper,
-    ("toLower", 1): _to_lower,
+    ("toUpper", 1): _string_fn("toUpper", str.upper),
+    ("toLower", 1): _string_fn("toLower", str.lower),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from minicypher.cli import main, table_from_counted_json
 from minicypher.engine import output
+from minicypher.errors import EvalError
 from minicypher.graph import load_graph
 from minicypher.parser import parse_query
 
@@ -125,6 +126,16 @@ def test_recursion_exhaustion_exits_70_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_deep_nesting_exits_1_with_caret(capsys):
+    q = "RETURN " + "(" * 120 + "1" + ")" * 120 + " AS x"
+    rc, out, err = run(capsys, "--query", q)
+    assert rc == 1
+    assert out == ""
+    assert "parse error: expression nested too deeply" in err
+    assert "^" in err
+    assert "Traceback" not in err
+
+
 def test_missing_graph_file_exits_3(capsys, tmp_path):
     rc, _, err = run(capsys, "--graph", str(tmp_path / "nope.json"),
                      "--query", "RETURN 1 AS one")
@@ -197,6 +208,24 @@ def test_oracle_flag_checks_and_passes(capsys):
     checked = run(capsys, "--graph", CITATION, "--query", AUTHORS, "--oracle")
     assert checked[0] == 0
     assert checked[1] == plain[1]
+
+
+def test_oracle_flag_reports_engine_error_the_reference_lacks(capsys, monkeypatch):
+    def failing_output(q, g):
+        raise EvalError("TypeMismatch", "planted")
+
+    monkeypatch.setattr("minicypher.cli.output", failing_output)
+    rc, out, err = run(capsys, "--graph", CITATION, "--query", AUTHORS, "--oracle")
+    assert rc == 4
+    assert out == ""
+    assert "oracle disagreement" in err
+
+
+def test_oracle_flag_keeps_exit_2_when_both_sides_raise(capsys):
+    rc, out, err = run(capsys, "--query", "RETURN 1 < 'a'", "--oracle")
+    assert rc == 2
+    assert out == ""
+    assert "evaluation error" in err
 
 
 def test_gen_subcommand_agrees(capsys, tmp_path):

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from minicypher import ast
 from minicypher.errors import EvalError
 from minicypher.evaluator import (
     compare_values,
@@ -17,7 +18,7 @@ from minicypher.evaluator import (
     tri_or,
     tri_xor,
 )
-from minicypher.parser import parse_expr
+from minicypher.parser import parse_expr, unparse_expr
 from minicypher.values import Map, NodeId, Path, RelId, canon
 
 from expr_cases import CASES, Err, build_env, build_graph
@@ -88,6 +89,35 @@ def test_xor_differs_from_or_and_composition_on_null():
     assert tri_and(tri_or(T, N), tri_not(tri_and(T, N))) is N  # happens to agree here
     assert tri_xor(F, N) is N
     assert tri_and(tri_or(F, N), tri_not(tri_and(F, N))) is N
+
+
+# Every pair of binary connectives, nested on the left and on the right.
+# Precedence, loosest first, is OR < XOR < AND.
+_CONNECTIVES = {ast.Or: (0, OR_TABLE), ast.Xor: (1, XOR_TABLE), ast.And: (2, AND_TABLE)}
+
+
+@pytest.mark.parametrize("outer,inner", list(itertools.product(_CONNECTIVES, repeat=2)),
+                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_connective_nesting_round_trips_and_evaluates(outer, inner, side):
+    (outer_level, outer_table), (inner_level, inner_table) = _CONNECTIVES[outer], _CONNECTIVES[inner]
+    a, b, c = ast.Name("a"), ast.Name("b"), ast.Name("c")
+    if side == "left":
+        tree = outer(inner(a, b), c)
+        needs_parens = inner_level < outer_level
+    else:
+        tree = outer(a, inner(b, c))
+        needs_parens = inner_level <= outer_level
+    text = unparse_expr(tree)
+    assert parse_expr(text) == tree, text
+    assert ("(" in text) == needs_parens, text
+    g = build_graph()
+    for va, vb, vc in itertools.product((T, F, N), repeat=3):
+        if side == "left":
+            want = outer_table[inner_table[va, vb], vc]
+        else:
+            want = outer_table[va, inner_table[vb, vc]]
+        assert eval_expr(parse_expr(text), g, {"a": va, "b": vb, "c": vc}) is want, (text, va, vb, vc)
 
 
 # ---------------------------------------------------------------------------

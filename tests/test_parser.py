@@ -80,6 +80,27 @@ def test_precedence(src, expected):
     assert parse_expr(src) == expected
 
 
+@pytest.mark.parametrize("opener,closer,token", [
+    ("(", ")", "("),
+    ("[", "]", "["),
+    ("NOT ", "", "NOT"),
+    ("{k: ", "}", ":"),
+    ("size(", ")", "("),
+    ("x[", "]", "["),
+])
+def test_nesting_is_bounded_at_64_levels(opener, closer, token):
+    def nested(n):
+        return opener * n + "1" + closer * n
+
+    parse_expr(nested(64))
+    with pytest.raises(ParseError) as exc:
+        parse_expr(nested(65))
+    assert "nested too deeply" in exc.value.message
+    # the caret sits on the token that opens the 65th level
+    start = 64 * len(opener) + opener.index(token)
+    assert exc.value.span == (start, start + len(token))
+
+
 def test_comparison_chain_desugars_to_conjunction():
     got = parse_expr("1 < 2 <= 3")
     assert got == ast.And(

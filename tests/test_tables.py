@@ -1,7 +1,7 @@
 import pytest
 
-from minicypher.errors import FieldMismatch, NameClash
-from minicypher.tables import Table, bag_union, distinct, empty_table, record_concat, unit_table
+from minicypher.errors import FieldMismatch
+from minicypher.tables import Table, bag_union, distinct, unit_table
 from minicypher.values import NodeId
 
 
@@ -39,7 +39,7 @@ def test_unit_and_empty():
     assert u.fields == ()
     assert u.total_rows() == 1
     assert list(u.records()) == [{}]
-    e = empty_table(["x"])
+    e = Table(["x"])
     assert e.is_empty()
     assert not u.is_empty()
 
@@ -81,12 +81,6 @@ def test_distinct_collapses_counts():
     assert d.multiplicity({"a": 1}) == 1
     assert d.multiplicity({"a": 2}) == 1
     assert distinct(d) == d  # idempotent
-
-
-def test_record_concat_disjoint():
-    assert record_concat({"a": 1}, {"b": 2}) == {"a": 1, "b": 2}
-    with pytest.raises(NameClash):
-        record_concat({"a": 1}, {"a": 2})
 
 
 def test_records_expand_multiplicity():

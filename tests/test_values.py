@@ -1,6 +1,6 @@
 import pytest
 
-from minicypher.errors import ConcatMismatch, EvalError
+from minicypher.errors import EvalError
 from minicypher.values import (
     BASE_FUNCTIONS,
     Map,
@@ -9,10 +9,7 @@ from minicypher.values import (
     RelId,
     apply_base_fn,
     canon,
-    is_composite,
-    path_concat,
     same_value,
-    single_node_path,
 )
 
 
@@ -27,7 +24,7 @@ def test_canon_distinguishes_bool_from_int():
 
 
 def test_canon_distinguishes_kinds():
-    values = [None, False, 0, "", NodeId("a"), RelId("a"), (), Map(()), single_node_path(NodeId("a"))]
+    values = [None, False, 0, "", NodeId("a"), RelId("a"), (), Map(()), Path((NodeId("a"),))]
     encodings = [canon(v) for v in values]
     assert len(set(encodings)) == len(values)
 
@@ -60,29 +57,6 @@ def test_path_shape_is_validated():
         Path((n1,), (RelId("r1"),))
     p = Path((n1, n2), (RelId("r1"),))
     assert p.nodes == (n1, n2)
-
-
-def test_path_concat_requires_shared_endpoint():
-    n1, n2, n3 = NodeId("n1"), NodeId("n2"), NodeId("n3")
-    r1, r2 = RelId("r1"), RelId("r2")
-    p = path_concat(Path((n1, n2), (r1,)), Path((n2, n3), (r2,)))
-    assert p == Path((n1, n2, n3), (r1, r2))
-    with pytest.raises(ConcatMismatch):
-        path_concat(Path((n1, n2), (r1,)), Path((n3, n2), (r2,)))
-
-
-def test_single_node_path():
-    p = single_node_path(NodeId("n9"))
-    assert p.nodes == (NodeId("n9"),)
-    assert p.rels == ()
-
-
-def test_is_composite():
-    assert is_composite(())
-    assert is_composite(Map(()))
-    assert is_composite(single_node_path(NodeId("n")))
-    for v in (None, True, 3, "s", NodeId("n"), RelId("r")):
-        assert not is_composite(v)
 
 
 def test_apply_base_fn_unknown_and_arity():
