@@ -133,44 +133,47 @@ Expr = Union[
 ]
 
 
+# The operators the parser chains left-deep without nesting (a AND b AND c,
+# m.k.k, x[0][1], a IN b IN c, x IS NULL IS NULL), each with the field that
+# holds its left operand.  The evaluator and unparser walk such chains
+# iteratively.
+LEFT_OPERAND = {
+    Prop: "base", Index: "base", Slice: "base", IsNull: "expr",
+    StrOp: "left", InList: "item", Or: "left", Xor: "left", And: "left",
+}
+
+
 def expr_names(e: Expr) -> frozenset[str]:
     """The set of names an expression reads from the assignment."""
-    if isinstance(e, Name):
-        return frozenset((e.name,))
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, FnCall):
-        return frozenset().union(*(expr_names(a) for a in e.args)) if e.args else frozenset()
-    if isinstance(e, Prop):
-        return expr_names(e.base)
-    if isinstance(e, MapLit):
-        out: frozenset[str] = frozenset()
-        for _, sub in e.entries:
-            out |= expr_names(sub)
-        return out
-    if isinstance(e, ListLit):
-        out = frozenset()
-        for sub in e.items:
-            out |= expr_names(sub)
-        return out
-    if isinstance(e, Index):
-        return expr_names(e.base) | expr_names(e.index)
-    if isinstance(e, Slice):
-        out = expr_names(e.base)
-        if e.lo is not None:
-            out |= expr_names(e.lo)
-        if e.hi is not None:
-            out |= expr_names(e.hi)
-        return out
-    if isinstance(e, InList):
-        return expr_names(e.item) | expr_names(e.container)
-    if isinstance(e, (StrOp, Or, And, Xor, Cmp)):
-        return expr_names(e.left) | expr_names(e.right)
-    if isinstance(e, Not):
-        return expr_names(e.expr)
-    if isinstance(e, IsNull):
-        return expr_names(e.expr)
-    raise TypeError(f"not an expression: {e!r}")
+    names: set[str] = set()
+    todo = [e]
+    while todo:  # a worklist, so long chains need no recursion
+        e = todo.pop()
+        if isinstance(e, Name):
+            names.add(e.name)
+        elif isinstance(e, Lit):
+            pass
+        elif isinstance(e, FnCall):
+            todo.extend(e.args)
+        elif isinstance(e, Prop):
+            todo.append(e.base)
+        elif isinstance(e, (Not, IsNull)):
+            todo.append(e.expr)
+        elif isinstance(e, MapLit):
+            todo.extend(sub for _, sub in e.entries)
+        elif isinstance(e, ListLit):
+            todo.extend(e.items)
+        elif isinstance(e, Index):
+            todo += (e.base, e.index)
+        elif isinstance(e, Slice):
+            todo.extend(x for x in (e.base, e.lo, e.hi) if x is not None)
+        elif isinstance(e, InList):
+            todo += (e.item, e.container)
+        elif isinstance(e, (StrOp, Or, And, Xor, Cmp)):
+            todo += (e.left, e.right)
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

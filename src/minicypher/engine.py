@@ -126,11 +126,17 @@ def run_query(
     functions: FunctionRegistry | None = None,
 ) -> Table:
     if isinstance(q, ast.UnionQuery):
-        # Both branches transform the same incoming table.
-        left = run_query(q.left, g, t, functions)
-        right = run_query(q.right, g, t, functions)
-        combined = bag_union(left, right)
-        return combined if q.all else distinct(combined)
+        # Every branch transforms the same incoming table.  A left-deep
+        # chain of UNIONs is folded left to right, one branch at a time.
+        chain = []
+        while isinstance(q, ast.UnionQuery):
+            chain.append(q)
+            q = q.left
+        out = run_query(q, g, t, functions)
+        for union in reversed(chain):
+            combined = bag_union(out, run_query(union.right, g, t, functions))
+            out = combined if union.all else distinct(combined)
+        return out
     if isinstance(q, ast.ClauseQuery):
         cur = t
         for c in q.clauses:

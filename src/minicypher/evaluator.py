@@ -185,6 +185,9 @@ def eval_expr(
     u: Record,
     functions: FunctionRegistry | None = None,
 ) -> Value:
+    if type(e) in _CHAIN_RULES:
+        return _eval_chain(e, g, u, functions)
+
     if isinstance(e, ast.Lit):
         return e.value
 
@@ -202,16 +205,6 @@ def eval_expr(
                 exc.span = e.span
             raise
 
-    if isinstance(e, ast.Prop):
-        base = eval_expr(e.base, g, u, functions)
-        if base is None:
-            return None
-        if isinstance(base, (NodeId, RelId)):
-            return g.prop(base, e.key)
-        if isinstance(base, Map):
-            return base.get(e.key)  # null when the key is absent
-        raise type_mismatch(f"cannot read property `{e.key}` of a {_tag(base)}", e.span)
-
     if isinstance(e, ast.MapLit):
         # Evaluate every entry (so errors in shadowed entries still surface),
         # then keep only the last occurrence of each key.
@@ -224,66 +217,8 @@ def eval_expr(
     if isinstance(e, ast.ListLit):
         return tuple(eval_expr(sub, g, u, functions) for sub in e.items)
 
-    if isinstance(e, ast.Index):
-        base = _need_list(eval_expr(e.base, g, u, functions), "indexing", e.span)
-        i = _need_int(eval_expr(e.index, g, u, functions), "indexing", e.span)
-        m = len(base)
-        if 0 <= i < m:
-            return base[i]
-        if -m <= i < 0:
-            return base[m + i]
-        return None  # out of range (and every index into an empty list)
-
-    if isinstance(e, ast.Slice):
-        base = _need_list(eval_expr(e.base, g, u, functions), "slicing", e.span)
-        m = len(base)
-        lo = 0 if e.lo is None else _need_int(eval_expr(e.lo, g, u, functions), "slicing", e.span)
-        hi = m if e.hi is None else _need_int(eval_expr(e.hi, g, u, functions), "slicing", e.span)
-        i = lo if lo >= 0 else m + lo
-        j = hi if hi >= 0 else m + hi
-        if i <= j and i < m and j > 0:
-            return base[max(0, i):min(m, j)]
-        return ()
-
-    if isinstance(e, ast.InList):
-        item = eval_expr(e.item, g, u, functions)
-        container = eval_expr(e.container, g, u, functions)
-        if not isinstance(container, tuple):
-            raise type_mismatch(f"IN expects a list, got {_tag(container)}", e.span)
-        try:
-            ts = [eq_values(item, w) for w in container]
-        except EvalError as exc:
-            if exc.span is None:
-                exc.span = e.span
-            raise
-        return reduce(tri_or, ts, False)  # the OR-fold: false on the empty list
-
-    if isinstance(e, ast.StrOp):
-        left = eval_expr(e.left, g, u, functions)
-        right = eval_expr(e.right, g, u, functions)
-        for v in (left, right):
-            if v is not None and not isinstance(v, str):
-                raise type_mismatch(f"{e.op} expects strings, got {_tag(v)}", e.span)
-        if left is None or right is None:
-            return None
-        if e.op == "STARTS WITH":
-            return left.startswith(right)
-        if e.op == "ENDS WITH":
-            return left.endswith(right)
-        return right in left  # CONTAINS
-
-    if type(e) in _CONNECTIVES:
-        word, table = _CONNECTIVES[type(e)]
-        a = _as_trilean(eval_expr(e.left, g, u, functions), word, e.span)
-        b = _as_trilean(eval_expr(e.right, g, u, functions), word, e.span)
-        return table(a, b)
-
     if isinstance(e, ast.Not):
         return tri_not(_as_trilean(eval_expr(e.expr, g, u, functions), "NOT", e.span))
-
-    if isinstance(e, ast.IsNull):
-        v = eval_expr(e.expr, g, u, functions)
-        return (v is not None) if e.negated else (v is None)
 
     if isinstance(e, ast.Cmp):
         left = eval_expr(e.left, g, u, functions)
@@ -300,3 +235,98 @@ def eval_expr(
             raise
 
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _eval_chain(e: ast.Expr, g: PropertyGraph, u: Record, functions: FunctionRegistry | None) -> Value:
+    """A left-deep chain (``a AND b AND c``, ``m.k.k``, ``x[0][1]``, ``a IN
+    b IN c`` …), walked iteratively: only its right operands recurse, so
+    its length is unbounded."""
+    chain = []
+    while type(e) in _CHAIN_RULES:
+        chain.append(e)
+        e = getattr(e, ast.LEFT_OPERAND[type(e)])
+    v = eval_expr(e, g, u, functions)
+    for node in reversed(chain):
+        v = _CHAIN_RULES[type(node)](node, v, g, u, functions)
+    return v
+
+
+# The rules of the chained operators, each given the value of its left operand.
+
+
+def _prop(e: ast.Prop, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    if base is None:
+        return None
+    if isinstance(base, (NodeId, RelId)):
+        return g.prop(base, e.key)
+    if isinstance(base, Map):
+        return base.get(e.key)  # null when the key is absent
+    raise type_mismatch(f"cannot read property `{e.key}` of a {_tag(base)}", e.span)
+
+
+def _index(e: ast.Index, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    base = _need_list(base, "indexing", e.span)
+    i = _need_int(eval_expr(e.index, g, u, functions), "indexing", e.span)
+    m = len(base)
+    if 0 <= i < m:
+        return base[i]
+    if -m <= i < 0:
+        return base[m + i]
+    return None  # out of range (and every index into an empty list)
+
+
+def _slice(e: ast.Slice, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    base = _need_list(base, "slicing", e.span)
+    m = len(base)
+    lo = 0 if e.lo is None else _need_int(eval_expr(e.lo, g, u, functions), "slicing", e.span)
+    hi = m if e.hi is None else _need_int(eval_expr(e.hi, g, u, functions), "slicing", e.span)
+    i = lo if lo >= 0 else m + lo
+    j = hi if hi >= 0 else m + hi
+    if i <= j and i < m and j > 0:
+        return base[max(0, i):min(m, j)]
+    return ()
+
+
+def _in_list(e: ast.InList, item: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    container = eval_expr(e.container, g, u, functions)
+    if not isinstance(container, tuple):
+        raise type_mismatch(f"IN expects a list, got {_tag(container)}", e.span)
+    try:
+        ts = [eq_values(item, w) for w in container]
+    except EvalError as exc:
+        if exc.span is None:
+            exc.span = e.span
+        raise
+    return reduce(tri_or, ts, False)  # the OR-fold: false on the empty list
+
+
+def _str_op(e: ast.StrOp, left: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    right = eval_expr(e.right, g, u, functions)
+    for v in (left, right):
+        if v is not None and not isinstance(v, str):
+            raise type_mismatch(f"{e.op} expects strings, got {_tag(v)}", e.span)
+    if left is None or right is None:
+        return None
+    if e.op == "STARTS WITH":
+        return left.startswith(right)
+    if e.op == "ENDS WITH":
+        return left.endswith(right)
+    return right in left  # CONTAINS
+
+
+def _connective(e, left: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    word, table = _CONNECTIVES[type(e)]
+    a = _as_trilean(left, word, e.span)
+    b = _as_trilean(eval_expr(e.right, g, u, functions), word, e.span)
+    return table(a, b)
+
+
+def _is_null(e: ast.IsNull, v: Value, g: PropertyGraph, u: Record, functions) -> Value:
+    return (v is not None) if e.negated else (v is None)
+
+
+# Each chained operator's rule (see ast.LEFT_OPERAND).
+_CHAIN_RULES = {
+    ast.Prop: _prop, ast.Index: _index, ast.Slice: _slice, ast.InList: _in_list,
+    ast.StrOp: _str_op, ast.IsNull: _is_null, **{node: _connective for node in _CONNECTIVES},
+}

@@ -50,7 +50,7 @@ class PropertyGraph:
 
     __slots__ = (
         "nodes", "rels", "_src", "_tgt", "_labels", "_types", "_props",
-        "_out", "_in", "__weakref__",
+        "_out", "_in", "_by_label", "__weakref__",
     )
 
     def __init__(
@@ -78,6 +78,12 @@ class PropertyGraph:
             inc[tgt[r]].append(r)
         self._out = {n: tuple(v) for n, v in out.items()}
         self._in = {n: tuple(v) for n, v in inc.items()}
+        # Label index: label -> the nodes carrying it, in document order.
+        by_label: dict[str, list[NodeId]] = {}
+        for n in nodes:
+            for label in labels[n]:
+                by_label.setdefault(label, []).append(n)
+        self._by_label = {label: tuple(v) for label, v in by_label.items()}
 
     # -- lookups ----------------------------------------------------------
 
@@ -98,6 +104,16 @@ class PropertyGraph:
         if n not in self._labels:
             raise UnknownId(f"unknown node id {n.key}")
         return self._labels[n]
+
+    def nodes_with_labels(self, labels: frozenset[str]) -> tuple[NodeId, ...]:
+        """The nodes carrying every label in ``labels``, in document order
+        (all nodes when ``labels`` is empty)."""
+        if not labels:
+            return self.nodes
+        candidates = min((self._by_label.get(label, ()) for label in labels), key=len)
+        if len(labels) == 1:
+            return candidates
+        return tuple(n for n in candidates if labels <= self._labels[n])
 
     def rel_type(self, r: RelId) -> str:
         self._check_rel(r)

@@ -10,30 +10,53 @@ variable-length slot as its own witness.
 Enumeration never revisits a relationship: the set of used relationship
 ids is shared along the current path *and* across the paths of the tuple,
 which both enforces the distinctness precondition and bounds every walk by
-|R| hops, making the search finite.
+|R| hops, making the search finite.  The search keeps its frames on an
+explicit stack, so Python's recursion depth does not grow with path length.
 
 Name conditions, labels, relationship types and endpoint orientation are
 checked during the walk (they are error-free and prune the search).
-Property-map checks are deferred until the whole tuple is structurally
-placed, because a property expression may read names bound by a later
-slot; they then run in pattern order and short-circuit on the first check
-that is not trilean true.
+Anchors that carry labels draw their candidates from the graph's label
+index.  A path whose last node is bound (by the incoming record or an
+earlier path of the tuple) while its first is not, or whose last node alone
+carries labels or properties, is walked from its last node with every
+direction flipped; names, relationship lists and path values are still
+bound in pattern order, so each reversed walk is one forward witness.
+
+Property-map checks form one list in pattern order (per hop for a ranged
+slot), and the first check that is not trilean true decides a witness.
+After each placement the checks run in that order from the first one not
+yet run, stopping at the first whose slot is not placed yet or that reads
+a name not bound yet:
+
+* a check that comes out false, null or any non-true value prunes the
+  prefix, since every completion would fail on it;
+* a check that raises is held, every later check is left alone, and the
+  error is raised at the first structural completion below the prefix
+  (no completion, no error);
+* the checks still waiting run on each completed witness.
+
+Walked forward, the witnesses, their order and the error raised are those
+of a search that runs every check on the completed witness.  Walked from
+the far end, the order changes, so *which* error is raised may differ, but
+never *whether* one is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from . import ast
-from .ast import NodePattern, PathPattern, PatternTuple, free_vars, range_of
+from .ast import PathPattern, PatternTuple, RelPattern, expr_names, free_vars, range_of
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
 from .tables import Record, Table
 from .values import FunctionRegistry, NodeId, Path, RelId, same_value
 
-# A deferred property check: (matched id, property map of the pattern slot).
-_Check = tuple[Union[NodeId, RelId], tuple]
+_FLIP = {ast.RIGHT: ast.LEFT, ast.LEFT: ast.RIGHT, ast.UNDIRECTED: ast.UNDIRECTED}
+
+# A frame of the search: a generator that yields the frames continuing it.
+_Frame = Iterator["_Frame"]
 
 
 @dataclass
@@ -53,159 +76,257 @@ def _next_node(g: PropertyGraph, r: RelId, cur: NodeId, direction: str) -> NodeI
     return g.other_end(r, cur)
 
 
-def _checks_pass(
-    checks: list[_Check],
-    g: PropertyGraph,
-    assignment: Record,
-    functions: FunctionRegistry | None,
-) -> bool:
-    for ident, props in checks:
-        for key, expr in props:
-            stored = g.prop(ident, key)
-            wanted = eval_expr(expr, g, assignment, functions)
-            if eq_values(stored, wanted) is not True:
-                return False
-    return True
+def _far_end_first(pat: PathPattern, bound: set[str]) -> bool:
+    """Whether to walk pat from its last node: that end is bound and the
+    first is not, or neither is and only the last has labels or properties."""
+    first, last = pat.elements[0], pat.elements[-1]
+    if first is last:
+        return False
+    first_bound, last_bound = first.name in bound, last.name in bound
+    if first_bound or last_bound:
+        return last_bound and not first_bound
+    return bool(last.labels or last.props) and not (first.labels or first.props)
 
 
-def _expand_path(
-    pat: PathPattern,
-    g: PropertyGraph,
-    b: dict,
-    used: set[RelId],
-    checks: list[_Check],
-    nodes: list[NodeId],
-    rels: list[RelId],
-    idx: int,
-    stats: Optional[MatchStats],
-) -> Iterator[None]:
-    """Yield once per structural witness of pat's remaining elements.
+class _Search:
+    """One enumeration of a pattern tuple's witnesses under a record.
 
-    At each yield the shared state (b, used, checks, nodes, rels) describes
-    the witness; it is undone when the generator resumes.
+    ``b`` holds the bindings of the current prefix, ``used`` its
+    relationships.  The property checks are ``groups`` (one per pattern
+    element with a property map, in pattern order); ``placed[i]`` is the
+    node of group i, or for a relationship slot its relationships in
+    pattern order and whether the slot's hop count is final, or None while
+    the element is not placed.  ``cursor`` is (group, hop, key, held
+    error) of the first check not yet run; frames save it before a
+    placement and restore it when they undo one.
     """
-    if idx == len(pat.elements):
-        if pat.name is None:
-            yield
-            return
-        p = Path(tuple(nodes), tuple(rels))
-        if pat.name in b:
-            if same_value(b[pat.name], p):
-                yield
-            return
-        b[pat.name] = p
-        yield
-        del b[pat.name]
-        return
 
-    el = pat.elements[idx]
+    def __init__(self, pats: PatternTuple, g: PropertyGraph, u: Record,
+                 functions: FunctionRegistry | None, stats: MatchStats, out: Table):
+        self.g, self.functions, self.stats, self.out = g, functions, stats, out
+        self.b = dict(u)
+        self.used: set[RelId] = set()
+        self.groups: list[tuple[tuple, bool]] = []
+        self.walks: list[tuple[PathPattern, bool, list[tuple]]] = []
+        bound = set(u)
+        for pat in pats.paths:
+            far = _far_end_first(pat, bound)
+            steps = []
+            for el in pat.elements:
+                gid = -1
+                if el.props:
+                    gid = len(self.groups)
+                    checks = tuple((key, e, expr_names(e)) for key, e in el.props)
+                    self.groups.append((checks, isinstance(el, RelPattern)))
+                if isinstance(el, RelPattern):
+                    direction = _FLIP[el.direction] if far else el.direction
+                    steps.append((el, gid, direction, *range_of(el)))
+                else:
+                    steps.append((el, gid))
+            if far:
+                steps.reverse()
+            self.walks.append((pat, far, steps))
+            bound |= free_vars(pat)
+        self.placed: list = [None] * len(self.groups)
+        self.cursor: tuple = (0, 0, 0, None)
 
-    if isinstance(el, NodePattern):
+    def run(self) -> None:
+        if not self.walks:  # the empty tuple has one witness
+            self._complete()
+            return
+        stack: list[_Frame] = [self._anchor(0)]
+        while stack:
+            frame = next(stack[-1], None)
+            if frame is None:
+                stack.pop()
+            else:
+                stack.append(frame)
+
+    # -- frames ----------------------------------------------------------
+
+    def _anchor(self, pi: int) -> _Frame:
+        """Start path pi at every candidate for its first walked node."""
+        el = self.walks[pi][2][0][0]
+        g = self.g
+        if el.name is not None and el.name in self.b:
+            v = self.b[el.name]
+            candidates = (v,) if isinstance(v, NodeId) and g.has_id(v) else ()
+        else:
+            candidates = g.nodes_with_labels(el.labels)
+        for n in candidates:
+            yield from self._node(pi, 0, [n], [])
+
+    def _node(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId]) -> _Frame:
+        """Place nodes[-1] at walk step k, then continue the path."""
+        steps = self.walks[pi][2]
+        el, gid = steps[k]
         n = nodes[-1]
-        if el.labels and not el.labels <= g.labels(n):
+        if el.labels and not el.labels <= self.g.labels(n):
             return
-        bound_here = False
-        if el.name is not None:
-            if el.name in b:
-                if not same_value(b[el.name], n):
-                    return
+        fresh = self._bind(el.name, n)
+        if fresh is None:
+            return
+        saved = self.cursor
+        if gid >= 0:
+            self.placed[gid] = n
+        if self._checks_pass():
+            if k + 1 < len(steps):
+                yield self._hops(pi, k + 1, nodes, rels, [])
             else:
-                b[el.name] = n
-                bound_here = True
-        if el.props:
-            checks.append((n, el.props))
-        yield from _expand_path(pat, g, b, used, checks, nodes, rels, idx + 1, stats)
-        if el.props:
-            checks.pop()
-        if bound_here:
-            del b[el.name]
-        return
+                yield from self._path_end(pi, nodes, rels)
+        self.cursor = saved
+        if gid >= 0:
+            self.placed[gid] = None
+        if fresh:
+            del self.b[el.name]
 
-    # Relationship slot: enumerate hop counts and walks together.  Every
-    # stop with lo <= hops (<= hi) is one segmentation choice.
-    lo, hi = range_of(el)
-
-    def finish_segment(seg_rels: list[RelId]) -> Iterator[None]:
-        bound_here = False
-        if el.name is not None:
-            value = seg_rels[0] if el.range_ is None else tuple(seg_rels)
-            if el.name in b:
-                if not same_value(b[el.name], value):
-                    return
-            else:
-                b[el.name] = value
-                bound_here = True
-        added = 0
-        if el.props:
-            for r in seg_rels:
-                checks.append((r, el.props))
-                added += 1
-        yield from _expand_path(pat, g, b, used, checks, nodes, rels, idx + 1, stats)
-        for _ in range(added):
-            checks.pop()
-        if bound_here:
-            del b[el.name]
-
-    def walk(cur: NodeId, seg_rels: list[RelId]) -> Iterator[None]:
-        m = len(seg_rels)
+    def _hops(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId],
+              seg: list[RelId]) -> _Frame:
+        """The relationship slot at walk step k, len(seg) hops in: stop here
+        if the range allows it, then extend by each usable relationship."""
+        _, far, steps = self.walks[pi]
+        el, gid, direction, lo, hi = steps[k]
+        m = len(seg)
+        if gid >= 0 and not far and m == 0:
+            self.placed[gid] = (seg, False)  # forward: hop checks run as hops are placed
         if m >= lo:
-            yield from finish_segment(seg_rels)
-        if hi is not None and m >= hi:
-            return
-        if len(used) >= len(g.rels):  # no unused relationship can extend the walk
-            return
-        # ast directions coincide with the adjacency directions (->, <-, --)
-        for r in g.incident(cur, el.direction):
-            if r in used:
-                continue
-            if el.types and g.rel_type(r) not in el.types:
-                continue
-            nxt = _next_node(g, r, cur, el.direction)
-            used.add(r)
-            seg_rels.append(r)
-            rels.append(r)
-            nodes.append(nxt)
-            if stats is not None:
+            yield from self._segment_end(pi, k, nodes, rels, seg)
+        g, used, stats = self.g, self.used, self.stats
+        if (hi is None or m < hi) and len(used) < len(g.rels):
+            cur = nodes[-1]
+            # ast directions coincide with the adjacency directions (->, <-, --)
+            for r in g.incident(cur, direction):
+                if r in used or (el.types and g.rel_type(r) not in el.types):
+                    continue
+                used.add(r)
+                seg.append(r)
+                rels.append(r)
+                nodes.append(_next_node(g, r, cur, direction))
                 stats.walks_extended += 1
                 stats.max_partial_hops = max(stats.max_partial_hops, len(rels))
-            yield from walk(nxt, seg_rels)
-            nodes.pop()
-            rels.pop()
-            seg_rels.pop()
-            used.discard(r)
+                saved = self.cursor
+                if self._checks_pass():
+                    yield self._hops(pi, k, nodes, rels, seg)
+                self.cursor = saved
+                nodes.pop()
+                rels.pop()
+                seg.pop()
+                used.discard(r)
+        if gid >= 0 and not far and m == 0:
+            self.placed[gid] = None
 
-    yield from walk(nodes[-1], [])
+    def _segment_end(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId],
+                     seg: list[RelId]) -> _Frame:
+        """Fix the slot at walk step k to len(seg) hops and place the node reached."""
+        _, far, steps = self.walks[pi]
+        el, gid = steps[k][:2]
+        fresh = False
+        if el.name is not None or gid >= 0:
+            in_order = tuple(reversed(seg)) if far else tuple(seg)
+            fresh = self._bind(el.name, in_order[0] if el.range_ is None else in_order)
+            if fresh is None:
+                return
+        saved = self.cursor
+        if gid >= 0:
+            before = self.placed[gid]
+            self.placed[gid] = (in_order, True)
+        if self._checks_pass():
+            yield from self._node(pi, k + 1, nodes, rels)
+        self.cursor = saved
+        if gid >= 0:
+            self.placed[gid] = before
+        if fresh:
+            del self.b[el.name]
 
+    def _path_end(self, pi: int, nodes: list[NodeId], rels: list[RelId]) -> _Frame:
+        """Bind the path name, then start the next path or complete the tuple."""
+        pat, far, _ = self.walks[pi]
+        fresh = False
+        if pat.name is not None:
+            p = Path(tuple(reversed(nodes)), tuple(reversed(rels))) if far else Path(tuple(nodes), tuple(rels))
+            fresh = self._bind(pat.name, p)
+            if fresh is None:
+                return
+        saved = self.cursor
+        if self._checks_pass():
+            if pi + 1 < len(self.walks):
+                yield self._anchor(pi + 1)
+            else:
+                self._complete()
+        self.cursor = saved
+        if fresh:
+            del self.b[pat.name]
 
-def _anchor_candidates(pat: PathPattern, g: PropertyGraph, b: dict) -> tuple[NodeId, ...]:
-    first = pat.elements[0]
-    assert isinstance(first, NodePattern)
-    if first.name is not None and first.name in b:
-        v = b[first.name]
-        if isinstance(v, NodeId) and g.has_id(v):
-            return (v,)
-        return ()  # bound to something that is not a node of g: no matches
-    return g.nodes
+    # -- bindings and checks ------------------------------------------------
 
+    def _bind(self, name: Optional[str], value) -> Optional[bool]:
+        """Bind name to value: True if newly bound, False if it already was
+        (or is anonymous), None if it is bound to something else."""
+        if name is None:
+            return False
+        b = self.b
+        if name in b:
+            return False if same_value(b[name], value) else None
+        b[name] = value
+        return True
 
-def _expand_tuple(
-    pats: PatternTuple,
-    g: PropertyGraph,
-    b: dict,
-    used: set[RelId],
-    checks: list[_Check],
-    path_idx: int,
-    stats: Optional[MatchStats],
-) -> Iterator[None]:
-    if path_idx == len(pats.paths):
-        yield
-        return
-    pat = pats.paths[path_idx]
-    for n0 in _anchor_candidates(pat, g, b):
-        nodes = [n0]
-        rels: list[RelId] = []
-        for _ in _expand_path(pat, g, b, used, checks, nodes, rels, 0, stats):
-            yield from _expand_tuple(pats, g, b, used, checks, path_idx + 1, stats)
+    def _complete(self) -> None:
+        if self._checks_pass(final=True):
+            self.stats.witnesses += 1
+            b = self.b
+            self.out.add({f: b[f] for f in self.out.fields})
+
+    def _checks_pass(self, final: bool = False) -> bool:
+        """Run the checks that can run now; False when one prunes the prefix.
+
+        On a completed witness (``final``) every check can run, and a held
+        error or a raising check propagates.
+        """
+        gi, h, ki, held = self.cursor
+        groups = self.groups
+        if held is not None:
+            if final:
+                raise held
+            return True
+        if gi == len(groups):
+            return True
+        g, b, placed = self.g, self.b, self.placed
+        while gi < len(groups):
+            checks, is_rel = groups[gi]
+            slot = placed[gi]
+            if slot is None:
+                break
+            if is_rel:
+                hops, fixed = slot
+                if h == len(hops):
+                    if not fixed:
+                        break
+                    gi, h = gi + 1, 0
+                    continue
+                ident = hops[h]
+            else:
+                ident = slot
+            key, expr, names = checks[ki]
+            if not final and not b.keys() >= names:
+                break
+            try:
+                ok = eq_values(g.prop(ident, key), eval_expr(expr, g, b, self.functions)) is True
+            except Exception as exc:  # held whatever it is, re-raised unchanged
+                if final:
+                    raise
+                held = exc
+                break
+            if not ok:
+                return False
+            ki += 1
+            if ki == len(checks):
+                ki = 0
+                if is_rel:
+                    h += 1
+                else:
+                    gi += 1
+        self.cursor = (gi, h, ki, held)
+        return True
 
 
 def match_tuple(
@@ -221,14 +342,6 @@ def match_tuple(
     pairs witnessing it.  Names already bound in ``u`` act as constraints;
     a binding incompatible with the graph simply yields no rows.
     """
-    new_fields = tuple(sorted(free_vars(pats) - set(u.keys())))
-    out = Table(new_fields)
-    b = dict(u)
-    used: set[RelId] = set()
-    checks: list[_Check] = []
-    for _ in _expand_tuple(pats, g, b, used, checks, 0, stats):
-        if _checks_pass(checks, g, b, functions):
-            if stats is not None:
-                stats.witnesses += 1
-            out.add({f: b[f] for f in new_fields})
+    out = Table(free_vars(pats) - set(u.keys()))
+    _Search(pats, g, u, functions, stats if stats is not None else MatchStats(), out).run()
     return out

@@ -608,6 +608,12 @@ class GenConfig:
     max_slots: int = 3
     max_range: int = 3
     max_clauses: int = 3
+    # Chance that a pattern property map is a pair of checks in random
+    # order: one comparing a string key with a literal (often false or
+    # null), one reading a node name's property of a random key, which is
+    # ill-typed where the kinds differ.  At 0 no random number is drawn, so
+    # the cases of every seed stay as they were.
+    check_pairs: float = 0.0
     seed: int = 0
 
 
@@ -801,6 +807,8 @@ class _QueryGen:
 
     def pattern_props(self, tuple_node_names: list[str]) -> tuple:
         rng = self.rng
+        if tuple_node_names and self.cfg.check_pairs and rng.random() < self.cfg.check_pairs:
+            return self.check_pair(tuple_node_names)
         if rng.random() >= 0.25:
             return ()
         key = rng.choice(self.cfg.keys)
@@ -819,6 +827,14 @@ class _QueryGen:
             else:
                 value = ast.Lit(raw)
         return ((key, value),)
+
+    def check_pair(self, tuple_node_names: list[str]) -> tuple:
+        rng = self.rng
+        int_key, str_key = self.cfg.keys[:2]  # of kinds int and str, by _key_kind
+        read = ast.Prop(ast.Name(rng.choice(tuple_node_names)), rng.choice(self.cfg.keys))
+        pair = [(int_key, read), (str_key, ast.Lit(rng.choice(("x", "y", "zz"))))]
+        rng.shuffle(pair)
+        return tuple(pair)
 
     def rel_pattern(self, tuple_node_names: list[str]) -> ast.RelPattern:
         rng = self.rng

@@ -53,8 +53,9 @@ _STRING_IN = ("IN", "STARTS", "ENDS", "CONTAINS")
 
 # Nesting levels below a top-level expression: each sub-expression parsed
 # whole (in parentheses, a list, a map, call arguments, an index) and each
-# NOT opens one.  The bound keeps recursive descent, and the recursive
-# evaluator and unparser after it, far from Python's recursion limit.
+# NOT opens one.  The bound keeps recursive descent, and the evaluator and
+# unparser after it, far from Python's recursion limit; all three walk
+# left-deep chains (a AND b AND …, m.k.k…) iteratively, so those are unbounded.
 MAX_NESTING = 64
 
 
@@ -579,10 +580,27 @@ def _string_lit(s: str) -> str:
     return f"'{out}'"
 
 
-def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
-    def wrap(text: str, level: int) -> str:
-        return f"({text})" if level < parent_level else text
+def _wrap(text: str, level: int, parent_level: int) -> str:
+    return f"({text})" if level < parent_level else text
 
+
+def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
+    """Canonical text of e, in parentheses when its level binds looser than
+    parent_level.  A left-deep chain is rendered iteratively: only its
+    right operands recurse."""
+    chain = []
+    while type(e) in ast.LEFT_OPERAND:
+        chain.append(e)
+        e = getattr(e, ast.LEFT_OPERAND[type(e)])
+    # A chained operator's own level is also the level its left operand needs.
+    levels = [_CHAIN_LEVEL[type(x)] for x in chain]
+    text = _unparse_leaf(e, levels[-1] if chain else parent_level)
+    for i in reversed(range(len(chain))):
+        text = _wrap(_chain_text(chain[i], text), levels[i], levels[i - 1] if i else parent_level)
+    return text
+
+
+def _unparse_leaf(e: ast.Expr, parent_level: int) -> str:
     if isinstance(e, ast.Lit):
         v = e.value
         if v is None:
@@ -598,14 +616,6 @@ def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
         return e.name
     if isinstance(e, ast.FnCall):
         return f"{e.name}({', '.join(unparse_expr(a) for a in e.args)})"
-    if isinstance(e, ast.Prop):
-        return wrap(f"{unparse_expr(e.base, _LEVEL_POSTFIX)}.{e.key}", _LEVEL_POSTFIX)
-    if isinstance(e, ast.Index):
-        return wrap(f"{unparse_expr(e.base, _LEVEL_POSTFIX)}[{unparse_expr(e.index)}]", _LEVEL_POSTFIX)
-    if isinstance(e, ast.Slice):
-        lo = unparse_expr(e.lo) if e.lo is not None else ""
-        hi = unparse_expr(e.hi) if e.hi is not None else ""
-        return wrap(f"{unparse_expr(e.base, _LEVEL_POSTFIX)}[{lo}..{hi}]", _LEVEL_POSTFIX)
     if isinstance(e, ast.MapLit):
         inner = ", ".join(f"{k}: {unparse_expr(v)}" for k, v in e.entries)
         return "{" + inner + "}"
@@ -613,23 +623,37 @@ def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
         return "[" + ", ".join(unparse_expr(x) for x in e.items) + "]"
     if isinstance(e, ast.Cmp):
         text = f"{unparse_expr(e.left, _LEVEL_POSTFIX)} {e.op} {unparse_expr(e.right, _LEVEL_POSTFIX)}"
-        return wrap(text, _LEVEL_CMP)
-    if isinstance(e, ast.IsNull):
-        op = "IS NOT NULL" if e.negated else "IS NULL"
-        return wrap(f"{unparse_expr(e.expr, _LEVEL_IS_NULL)} {op}", _LEVEL_IS_NULL)
-    if isinstance(e, ast.StrOp):
-        text = f"{unparse_expr(e.left, _LEVEL_STR_IN)} {e.op} {unparse_expr(e.right, _LEVEL_STR_IN + 1)}"
-        return wrap(text, _LEVEL_STR_IN)
-    if isinstance(e, ast.InList):
-        text = f"{unparse_expr(e.item, _LEVEL_STR_IN)} IN {unparse_expr(e.container, _LEVEL_STR_IN + 1)}"
-        return wrap(text, _LEVEL_STR_IN)
+        return _wrap(text, _LEVEL_CMP, parent_level)
     if isinstance(e, ast.Not):
-        return wrap(f"NOT {unparse_expr(e.expr, _LEVEL_NOT)}", _LEVEL_NOT)
-    if type(e) in _CONNECTIVE_LEVEL:
-        word, level = _CONNECTIVE_LEVEL[type(e)]
-        text = f"{unparse_expr(e.left, level)} {word} {unparse_expr(e.right, level + 1)}"
-        return wrap(text, level)
+        return _wrap(f"NOT {unparse_expr(e.expr, _LEVEL_NOT)}", _LEVEL_NOT, parent_level)
     raise TypeError(f"not an expression: {e!r}")
+
+
+_CHAIN_LEVEL = {
+    ast.Prop: _LEVEL_POSTFIX, ast.Index: _LEVEL_POSTFIX, ast.Slice: _LEVEL_POSTFIX,
+    ast.IsNull: _LEVEL_IS_NULL, ast.StrOp: _LEVEL_STR_IN, ast.InList: _LEVEL_STR_IN,
+    **{node: level for node, (_, level) in _CONNECTIVE_LEVEL.items()},
+}
+
+
+def _chain_text(e: ast.Expr, left: str) -> str:
+    """The text of a chained operator, given the text of its left operand."""
+    if isinstance(e, ast.Prop):
+        return f"{left}.{e.key}"
+    if isinstance(e, ast.Index):
+        return f"{left}[{unparse_expr(e.index)}]"
+    if isinstance(e, ast.Slice):
+        lo = unparse_expr(e.lo) if e.lo is not None else ""
+        hi = unparse_expr(e.hi) if e.hi is not None else ""
+        return f"{left}[{lo}..{hi}]"
+    if isinstance(e, ast.IsNull):
+        return f"{left} IS NOT NULL" if e.negated else f"{left} IS NULL"
+    if isinstance(e, ast.StrOp):
+        return f"{left} {e.op} {unparse_expr(e.right, _LEVEL_STR_IN + 1)}"
+    if isinstance(e, ast.InList):
+        return f"{left} IN {unparse_expr(e.container, _LEVEL_STR_IN + 1)}"
+    word, level = _CONNECTIVE_LEVEL[type(e)]
+    return f"{left} {word} {unparse_expr(e.right, level + 1)}"
 
 
 def _unparse_prop_map(props: tuple[tuple[str, ast.Expr], ...]) -> str:
@@ -709,11 +733,15 @@ def unparse_clause(c: ast.Clause) -> str:
 
 
 def unparse_query(q: ast.Query) -> str:
-    if isinstance(q, ast.ClauseQuery):
-        parts = [unparse_clause(c) for c in q.clauses]
-        parts.append("RETURN " + _unparse_items(q.ret.star, q.ret.items))
-        return " ".join(parts)
-    if isinstance(q, ast.UnionQuery):
-        op = "UNION ALL" if q.all else "UNION"
-        return f"{unparse_query(q.left)} {op} {unparse_query(q.right)}"
-    raise TypeError(f"not a query: {q!r}")
+    # A left-deep chain of UNIONs is rendered iteratively, one branch at a time.
+    parts: list[str] = []
+    while isinstance(q, ast.UnionQuery):
+        parts.append(unparse_query(q.right))
+        parts.append("UNION ALL" if q.all else "UNION")
+        q = q.left
+    if not isinstance(q, ast.ClauseQuery):
+        raise TypeError(f"not a query: {q!r}")
+    clauses = [unparse_clause(c) for c in q.clauses]
+    clauses.append("RETURN " + _unparse_items(q.ret.star, q.ret.items))
+    parts.append(" ".join(clauses))
+    return " ".join(reversed(parts))

@@ -114,16 +114,46 @@ def test_alias_clash_exits_2(capsys):
     assert "evaluation error" in err
 
 
-def test_recursion_exhaustion_exits_70_without_traceback(capsys):
-    # a 1500-term AND chain exhausts Python's recursion limit: that is an
-    # internal error, not a parse error, and must not dump a traceback
-    q = "RETURN " + " AND ".join(["true"] * 1500) + " AS x"
-    rc, out, err = run(capsys, "--query", q)
+def test_recursion_exhaustion_exits_70_without_traceback(capsys, monkeypatch):
+    # exhausting Python's recursion limit (like any exception that is not a
+    # CypherError) is an internal error, not a parse error, and must not
+    # dump a traceback
+    def exhausted(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("minicypher.cli.output", exhausted)
+    rc, out, err = run(capsys, "--query", "RETURN 1 AS x")
     assert rc == 70
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("internal error: RecursionError: ")
     assert "Traceback" not in err
+
+
+def test_long_connective_chain_evaluates(capsys):
+    # left-deep chains are evaluated and unparsed without recursion, the
+    # unaliased item included (its column is named by the unparser)
+    for alias in (" AS x", ""):
+        q = "RETURN " + " AND ".join(["true"] * 1500) + alias
+        rc, out, err = run(capsys, "--query", q)
+        assert rc == 0, err
+        assert out.split("\n")[1:] == ["true", ""]
+
+
+def test_long_property_chain_evaluates(capsys):
+    chain = ".k" * 1500
+    rc, out, err = run(capsys, "--query", f"WITH {{k: null}} AS m RETURN m{chain} AS x")
+    assert (rc, out, err) == (0, "x\nnull\n", "")
+    # m.k is 1, and the second step reads a property of an integer
+    rc, out, err = run(capsys, "--query", f"WITH {{k: 1}} AS m RETURN m{chain} AS x")
+    assert rc == 2
+    assert "cannot read property `k` of a int at offset 24" in err
+
+
+def test_long_union_chain_runs(capsys):
+    q = " UNION ".join(["RETURN 1 AS x"] * 1500)
+    rc, out, err = run(capsys, "--query", q)
+    assert (rc, out, err) == (0, "x\n1\n", "")
 
 
 def test_deep_nesting_exits_1_with_caret(capsys):

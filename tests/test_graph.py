@@ -66,6 +66,20 @@ def test_incident_self_loop_not_duplicated(g):
     assert g.incident(NodeId("n3"), IN) == (RelId("r3"),)
 
 
+def test_label_index_in_document_order():
+    h = load_graph(doc(nodes=[
+        node("n3", ["B"]), node("n1", ["A", "B"]), node("n4", ["A"]),
+        node("n2", ["B", "A", "C"]), node("n5"),
+    ]))
+    ids = lambda labels: [n.key for n in h.nodes_with_labels(frozenset(labels))]
+    assert ids(["A"]) == ["n1", "n4", "n2"]
+    assert ids(["B"]) == ["n3", "n1", "n2"]
+    assert ids(["A", "B"]) == ["n1", "n2"]
+    assert ids(["A", "B", "C"]) == ["n2"]
+    assert ids(["A", "Z"]) == [] and ids(["Z"]) == []
+    assert h.nodes_with_labels(frozenset()) == h.nodes
+
+
 def test_other_end(g):
     assert g.other_end(RelId("r1"), NodeId("n1")) == NodeId("n2")
     assert g.other_end(RelId("r1"), NodeId("n2")) == NodeId("n1")

@@ -25,3 +25,28 @@ def test_every_top_level_import_is_read(path):
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unread = [name for name in _top_level_imports(tree) if name not in read]
     assert not unread, f"{path.name} imports {unread} and never reads them"
+
+
+def test_oracle_is_independent_of_matcher_and_engine():
+    # The oracle restates the semantics instead of borrowing them, so that
+    # it can check the engine.  Its one tie to the engine is the engine
+    # under test: the differential harness imports engine.output as
+    # engine_output and reads it in differential_case alone.
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    ties = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            ties += [(a.name, a.asname) for a in node.names
+                     if {"matcher", "engine"} & set(a.name.split("."))]
+        elif isinstance(node, ast.ImportFrom):
+            parts = set((node.module or "").split("."))
+            ties += [(f"{node.module}.{a.name}", a.asname) for a in node.names
+                     if {"matcher", "engine"} & (parts | {a.name})]
+    assert ties == [("engine.output", "engine_output")]
+
+    def reads(node):
+        return sum(isinstance(n, ast.Name) and n.id == "engine_output" for n in ast.walk(node))
+
+    harness = next(fn for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "differential_case")
+    assert reads(tree) == reads(harness) > 0

@@ -4,19 +4,27 @@ The teachers fixture is the KNOWS chain n1 -> n2 -> n3 -> n4 (n2 is the
 only Student); most expectations here can be checked by hand on paper.
 """
 
+import sys
+
 import pytest
 
 from minicypher import ast
+from minicypher.engine import output
+from minicypher.errors import CypherError, EvalError
 from minicypher.graph import load_graph
 from minicypher.matcher import MatchStats, match_tuple
 from minicypher.oracle import (
+    GenConfig,
+    differential_case,
+    gen_case,
     is_rigid,
     make_rigid,
+    oracle_output,
     rigid_patterns,
     satisfies_node,
     satisfies_path,
 )
-from minicypher.parser import parse_pattern, parse_pattern_tuple
+from minicypher.parser import parse_pattern, parse_pattern_tuple, parse_query
 from minicypher.tables import Table
 from minicypher.values import NodeId, Path, RelId
 
@@ -352,3 +360,143 @@ class TestTermination:
         stats = MatchStats()
         match_tuple(parse_pattern_tuple("(x)-[:KNOWS]->(y)"), teachers, {}, stats=stats)
         assert stats.witnesses == 3
+
+
+def chain_graph(n):
+    """c0 -> c1 -> ... -> c{n-1}, every node named after its id."""
+    return load_graph({
+        "nodes": [{"id": f"c{i}", "labels": [], "properties": {"name": f"c{i}"}}
+                  for i in range(n)],
+        "relationships": [{"id": f"e{i}", "type": "N", "src": f"c{i}", "tgt": f"c{i + 1}",
+                           "properties": {}} for i in range(n - 1)],
+    })
+
+
+class TestDeepWalks:
+    def test_anchored_walk_down_a_3000_node_chain(self):
+        g = chain_graph(3000)
+        got = output(parse_query("MATCH (a {name: 'c0'})-[*]->(b) RETURN b"), g)
+        assert got.total_rows() == 2999
+        assert got == table(["b"], *[{"b": NodeId(f"c{i}")} for i in range(1, 3000)])
+
+    def test_stack_depth_does_not_grow_with_path_length(self):
+        def depth():
+            frame, n = sys._getframe(), 0
+            while frame is not None:
+                frame, n = frame.f_back, n + 1
+            return n
+
+        pats = parse_pattern_tuple("(a {name: 'c0'})-[r*]->(b)")
+        short, long_ = chain_graph(20), chain_graph(1500)
+        limit = sys.getrecursionlimit()
+        # far fewer frames than the long walk has hops, enough for the short one
+        sys.setrecursionlimit(depth() + 100)
+        try:
+            assert match_tuple(pats, short, {}).total_rows() == 19
+            stats = MatchStats()
+            assert match_tuple(pats, long_, {}, stats=stats).total_rows() == 1499
+        finally:
+            sys.setrecursionlimit(limit)
+        assert stats.max_partial_hops == 1499 <= len(long_.rels)
+
+
+# n1 -T-> n2 -T-> n3, and n4 alone.  Only n4 has `w`, an integer, so the
+# check `w: a.w AND true` is ill-typed on n4 alone, and n4 starts no path.
+CHECKS = load_graph({
+    "nodes": [
+        {"id": "n1", "labels": [], "properties": {"name": "a", "k": 1}},
+        {"id": "n2", "labels": [], "properties": {"name": "b", "k": 2, "prev": "a"}},
+        {"id": "n3", "labels": ["L"], "properties": {"name": "c", "prev": "b"}},
+        {"id": "n4", "labels": [], "properties": {"w": 4}},
+    ],
+    "relationships": [
+        {"id": "t1", "type": "T", "src": "n1", "tgt": "n2", "properties": {"w": "x"}},
+        {"id": "t2", "type": "T", "src": "n2", "tgt": "n3", "properties": {"w": "y"}},
+    ],
+})
+
+
+def outcome(run, query, g=CHECKS):
+    try:
+        return ("table", run(parse_query(query), g))
+    except EvalError as exc:
+        return ("error", exc.kind)
+
+
+class TestCheckOrder:
+    """Early property checks keep the outcome of checking every completed
+    witness in pattern order: the first check that is not true decides."""
+
+    def agree(self, query, g=CHECKS):
+        got = outcome(output, query, g)
+        assert got == outcome(oracle_output, query, g), query
+        return got
+
+    def test_ill_typed_check_on_a_prefix_that_never_completes(self):
+        kind, t = self.agree("MATCH (a {w: a.w AND true})-[:T]->(b) RETURN b")
+        assert kind == "table" and t.is_empty()
+        # the same check on a witness that completes raises
+        assert self.agree("MATCH (a {w: a.w AND true}) RETURN a") == ("error", "TypeMismatch")
+
+    def test_false_check_before_an_erroring_one_prunes(self):
+        kind, t = self.agree("MATCH (a {name: 'zz', k: a.k AND true})-[:T]->(b) RETURN b")
+        assert kind == "table" and t.is_empty()
+
+    def test_false_check_after_an_erroring_one_raises(self):
+        got = self.agree("MATCH (a {k: a.k AND true, name: 'zz'})-[:T]->(b) RETURN b")
+        assert got == ("error", "TypeMismatch")
+
+    def test_check_reading_a_name_bound_later_in_the_pattern(self):
+        kind, t = self.agree("MATCH (a {name: b.prev})-[:T]->(b) RETURN a, b")
+        assert t == table(["a", "b"], {"a": n(1), "b": n(2)}, {"a": n(2), "b": n(3)})
+        kind, t = self.agree("MATCH (a)-[r {w: b.name}]->(b)-[s {w: 'y'}]->(c) RETURN a")
+        assert t.is_empty()
+        # ill-typed only once b is n2: the held error needs a completion
+        assert self.agree("MATCH (a {k: b.k AND true})-[:T]->(b) RETURN a") == (
+            "error", "TypeMismatch")
+        # walked from b:L = n3, whose k is null: the check is null, no error
+        kind, t = self.agree("MATCH (a {k: b.k AND true})-[:T]->(b:L) RETURN a")
+        assert kind == "table" and t.is_empty()
+
+    def test_reversed_path_binds_lists_and_paths_in_pattern_order(self):
+        # only the last node has a property map, so the walk starts there
+        stats = MatchStats()
+        pats = parse_pattern_tuple("p = (a)-[r*1..2]->(b {name: 'c'})")
+        match_tuple(pats, CHECKS, {}, stats=stats)
+        assert stats.walks_extended == 2  # n3 back to n2, then to n1
+        kind, t = self.agree("MATCH p = (a)-[r*1..2]->(b {name: 'c'}) RETURN p, r, a")
+        n1, n2, n3 = NodeId("n1"), NodeId("n2"), NodeId("n3")
+        t1, t2 = RelId("t1"), RelId("t2")
+        assert t == table(
+            ["a", "p", "r"],
+            {"a": n2, "r": (t2,), "p": Path((n2, n3), (t2,))},
+            {"a": n1, "r": (t1, t2), "p": Path((n1, n2, n3), (t1, t2))},
+        )
+        # bound far end: same witnesses, and the hop checks keep pattern order
+        kind, t2_ = self.agree("MATCH (x:L) MATCH p = (a)-[r*1..2 {w: 'x'}]->(x) RETURN p")
+        assert t2_.is_empty()
+        kind, t = self.agree("MATCH (x:L) MATCH p = (a)<-[r*0..2]-(y)-[*1..2]->(x) RETURN a, r, y")
+        assert t.total_rows() == 2  # y = n2 or n1, zero hops back to a
+        assert self.agree("MATCH (a {k: a.k AND true})-[:T]->(b {name: 'c'}) RETURN a")[0] == "error"
+
+    def test_anchor_with_a_property_map_prunes_before_walking(self):
+        stats = MatchStats()
+        got = match_tuple(parse_pattern_tuple("(a {name: 'a'})-[*]->(b)"), CHECKS, {}, stats=stats)
+        assert got.total_rows() == 2
+        assert stats.walks_extended == 2
+
+    def test_generated_check_pairs_agree_with_the_oracle(self):
+        outcomes = set()
+        for seed in range(400):
+            g, q = gen_case(GenConfig(seed=seed, check_pairs=0.3))
+            agree, detail = differential_case(g, q)
+            assert agree, detail
+            outcomes.add(isinstance(detail["engine"], str))
+        assert outcomes == {True, False}  # both errors and tables came up
+
+
+class TestLabelIndex:
+    def test_labelled_anchor_matches_the_oracle(self, citation):
+        for query in ["MATCH (a:Researcher) RETURN a", "MATCH (a:Researcher:Student) RETURN a",
+                      "MATCH (a:Nope) RETURN a", "MATCH (a)-[:authors]->(b:Publication) RETURN a, b"]:
+            assert output(parse_query(query), citation) == oracle_output(parse_query(query), citation)
