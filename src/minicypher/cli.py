@@ -36,7 +36,7 @@ from .oracle import (
 )
 from .parser import parse_query
 from .tables import Table
-from .values import Map, NodeId, Path, RelId, Value
+from .values import Map, NodeId, Path, RelId, Value, kind
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -52,39 +52,42 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE
 # ---------------------------------------------------------------------------
 
 
+def _render_kind(v: Value) -> str:
+    try:
+        return kind(v)
+    except TypeError:
+        raise TypeError(f"unrenderable value: {v!r}") from None
+
+
 def value_to_json(v: Value):
     """Tagged JSON encoding; injective, so sorting rendered rows is stable."""
-    if v is None or isinstance(v, (bool, int, str)):
+    k = _render_kind(v)
+    if k in ("null", "bool", "int", "str"):
         return v
-    if isinstance(v, NodeId):
-        return {"@node": v.key}
-    if isinstance(v, RelId):
-        return {"@rel": v.key}
-    if isinstance(v, Path):
+    if k in ("node", "rel"):
+        return {"@" + k: v.key}
+    if k == "path":
         ids = [v.nodes[0].key]
         for r, n in zip(v.rels, v.nodes[1:]):
             ids.append(r.key)
             ids.append(n.key)
         return {"@path": ids}
-    if isinstance(v, tuple):
+    if k == "list":
         return [value_to_json(x) for x in v]
-    if isinstance(v, Map):
-        return {"@map": {k: value_to_json(x) for k, x in sorted(v.entries)}}
-    raise TypeError(f"unrenderable value: {v!r}")
+    return {"@map": {key: value_to_json(x) for key, x in sorted(v.entries)}}
 
 
 def _cell_text(v: Value) -> str:
-    if v is None:
+    k = _render_kind(v)
+    if k == "null":
         return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
+    if k == "bool":
+        return "true" if v else "false"
+    if k == "int":
         return str(v)
-    if isinstance(v, str):
+    if k == "str":
         return v
-    if isinstance(v, (NodeId, RelId)):
+    if k in ("node", "rel"):
         return v.key
     # Composites: canonical compact JSON of the tagged encoding.
     return json.dumps(value_to_json(v), sort_keys=True, separators=(",", ":"))

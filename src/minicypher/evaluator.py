@@ -21,15 +21,7 @@ from . import ast
 from .errors import EvalError, type_mismatch, unknown_name
 from .graph import PropertyGraph
 from .tables import Record
-from .values import (
-    FunctionRegistry,
-    Map,
-    NodeId,
-    Path,
-    RelId,
-    Value,
-    apply_base_fn,
-)
+from .values import FunctionRegistry, Map, Value, apply_base_fn, kind
 
 Trilean = Optional[bool]
 
@@ -73,28 +65,6 @@ def tri_xor(a: Trilean, b: Trilean) -> Trilean:
 _COMPOSITE = ("list", "map", "path")
 
 
-def _tag(v: Value) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):  # bool before int: bool <: int in Python
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, str):
-        return "str"
-    if isinstance(v, NodeId):
-        return "node"
-    if isinstance(v, RelId):
-        return "rel"
-    if isinstance(v, tuple):
-        return "list"
-    if isinstance(v, Map):
-        return "map"
-    if isinstance(v, Path):
-        return "path"
-    raise TypeError(f"not a value: {v!r}")
-
-
 def eq_values(a: Value, b: Value) -> Trilean:
     """The trilean ``=`` on values.
 
@@ -106,7 +76,7 @@ def eq_values(a: Value, b: Value) -> Trilean:
     """
     if a is None or b is None:
         return None
-    ta, tb = _tag(a), _tag(b)
+    ta, tb = kind(a), kind(b)
     if ta != tb:
         if ta in _COMPOSITE or tb in _COMPOSITE:
             return False
@@ -140,11 +110,10 @@ def compare_values(op: str, a: Value, b: Value) -> Trilean:
     """Ordering comparison: null-propagating, defined on int/int and str/str."""
     if a is None or b is None:
         return None
-    if isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool):
+    ka, kb = kind(a), kind(b)
+    if ka == kb and ka in ("int", "str"):
         return _ORDER_OPS[op](a, b)
-    if isinstance(a, str) and isinstance(b, str):
-        return _ORDER_OPS[op](a, b)
-    raise type_mismatch(f"no order between {_tag(a)} and {_tag(b)}")
+    raise type_mismatch(f"no order between {ka} and {kb}")
 
 
 def is_true(v: Value) -> bool:
@@ -157,22 +126,25 @@ def is_true(v: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _as_trilean(v: Value, what: str, span) -> Trilean:
-    if v is None or isinstance(v, bool):
+def _need(v: Value, kinds: tuple[str, ...], what: str, noun: str, span) -> Value:
+    """``v`` itself when its kind is one of ``kinds``, else the TypeMismatch
+    "<what> expects <noun>, got <kind>"."""
+    k = kind(v)
+    if k in kinds:
         return v
-    raise type_mismatch(f"{what} expects booleans, got {_tag(v)}", span)
+    raise type_mismatch(f"{what} expects {noun}, got {k}", span)
+
+
+def _as_trilean(v: Value, what: str, span) -> Trilean:
+    return _need(v, ("null", "bool"), what, "booleans", span)
 
 
 def _need_list(v: Value, what: str, span) -> tuple:
-    if isinstance(v, tuple):
-        return v
-    raise type_mismatch(f"{what} expects a list, got {_tag(v)}", span)
+    return _need(v, ("list",), what, "a list", span)
 
 
 def _need_int(v: Value, what: str, span) -> int:
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise type_mismatch(f"{what} expects an integer, got {_tag(v)}", span)
+    return _need(v, ("int",), what, "an integer", span)
 
 
 # Each binary connective: its keyword (for type errors) and its truth table.
@@ -255,13 +227,14 @@ def _eval_chain(e: ast.Expr, g: PropertyGraph, u: Record, functions: FunctionReg
 
 
 def _prop(e: ast.Prop, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
-    if base is None:
+    k = kind(base)
+    if k == "null":
         return None
-    if isinstance(base, (NodeId, RelId)):
+    if k in ("node", "rel"):
         return g.prop(base, e.key)
-    if isinstance(base, Map):
+    if k == "map":
         return base.get(e.key)  # null when the key is absent
-    raise type_mismatch(f"cannot read property `{e.key}` of a {_tag(base)}", e.span)
+    raise type_mismatch(f"cannot read property `{e.key}` of a {k}", e.span)
 
 
 def _index(e: ast.Index, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
@@ -288,9 +261,7 @@ def _slice(e: ast.Slice, base: Value, g: PropertyGraph, u: Record, functions) ->
 
 
 def _in_list(e: ast.InList, item: Value, g: PropertyGraph, u: Record, functions) -> Value:
-    container = eval_expr(e.container, g, u, functions)
-    if not isinstance(container, tuple):
-        raise type_mismatch(f"IN expects a list, got {_tag(container)}", e.span)
+    container = _need_list(eval_expr(e.container, g, u, functions), "IN", e.span)
     try:
         ts = [eq_values(item, w) for w in container]
     except EvalError as exc:
@@ -303,8 +274,7 @@ def _in_list(e: ast.InList, item: Value, g: PropertyGraph, u: Record, functions)
 def _str_op(e: ast.StrOp, left: Value, g: PropertyGraph, u: Record, functions) -> Value:
     right = eval_expr(e.right, g, u, functions)
     for v in (left, right):
-        if v is not None and not isinstance(v, str):
-            raise type_mismatch(f"{e.op} expects strings, got {_tag(v)}", e.span)
+        _need(v, ("null", "str"), e.op, "strings", e.span)
     if left is None or right is None:
         return None
     if e.op == "STARTS WITH":

@@ -39,10 +39,10 @@ from typing import Callable, Iterator, Optional
 from . import ast
 from .ast import free_vars
 from .engine import output as engine_output
-from .errors import CypherError, EvalError
+from .errors import AliasClash, CypherError, EvalError, NameClash, StarOnEmptyFields
 from .evaluator import eq_values, eval_expr, is_true
 from .graph import BOTH, PropertyGraph, load_graph
-from .parser import unparse_expr, unparse_query
+from .parser import KEYWORDS, parse_query, unparse_expr, unparse_query
 from .tables import Record, Table, bag_union, distinct, unit_table
 from .values import FunctionRegistry, NodeId, Path, RelId, same_value
 
@@ -434,8 +434,6 @@ def _oracle_project(
     t: Table,
     functions: FunctionRegistry | None,
 ) -> Table:
-    from .errors import AliasClash, StarOnEmptyFields
-
     pairs: list[tuple[str, ast.Expr]] = []
     if star:
         if not t.fields:
@@ -485,8 +483,6 @@ def oracle_run_clause(
         return out
 
     if isinstance(c, ast.Unwind):
-        from .errors import NameClash
-
         if c.name in t.fields:
             raise NameClash(f"UNWIND alias `{c.name}` is already a field")
         out = Table(t.fields + (c.name,))
@@ -506,16 +502,20 @@ def oracle_run_query(
     t: Table,
     functions: FunctionRegistry | None = None,
 ) -> Table:
-    if isinstance(q, ast.UnionQuery):
-        combined = bag_union(
-            oracle_run_query(q.left, g, t, functions),
-            oracle_run_query(q.right, g, t, functions),
-        )
-        return combined if q.all else distinct(combined)
+    # q1 UNION q2 UNION … q_n parses left-deep; list the branches q2 … q_n
+    # from the outside in, then combine q1 with each in source order.
+    unions = []
+    while isinstance(q, ast.UnionQuery):
+        unions.append(q)
+        q = q.left
     cur = t
     for c in q.clauses:
         cur = oracle_run_clause(c, g, cur, functions)
-    return _oracle_project(q.ret.star, q.ret.items, g, cur, functions)
+    result = _oracle_project(q.ret.star, q.ret.items, g, cur, functions)
+    for union in reversed(unions):
+        combined = bag_union(result, oracle_run_query(union.right, g, t, functions))
+        result = combined if union.all else distinct(combined)
+    return result
 
 
 def oracle_output(q: ast.Query, g: PropertyGraph, functions: FunctionRegistry | None = None) -> Table:
@@ -578,8 +578,6 @@ def case_document(g: PropertyGraph, q: ast.Query, extra: Optional[dict] = None) 
 
 
 def load_case(doc: dict) -> tuple[PropertyGraph, ast.Query]:
-    from .parser import parse_query
-
     return load_graph(doc["graph"]), parse_query(doc["query"])
 
 
@@ -1025,8 +1023,6 @@ def _result_names(q: ast.ClauseQuery) -> Optional[list[str]]:
     them with AS: statically known (no star) and plain identifiers (an
     unaliased item like `x.k` names its column after its own text, which
     no explicit alias may spell)."""
-    from .parser import KEYWORDS
-
     if q.ret.star:
         return None
     names = []

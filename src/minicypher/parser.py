@@ -31,6 +31,7 @@ from typing import Callable, TypeVar
 
 from . import ast
 from .errors import ParseError
+from .values import kind
 
 T = TypeVar("T")
 
@@ -600,18 +601,22 @@ def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
     return text
 
 
+# The concrete syntax of each kind of value that has a literal.
+_LITERAL_TEXT: dict[str, Callable[..., str]] = {
+    "null": lambda v: "null",
+    "bool": lambda v: "true" if v else "false",
+    "int": str,
+    "str": _string_lit,
+}
+
+
 def _unparse_leaf(e: ast.Expr, parent_level: int) -> str:
     if isinstance(e, ast.Lit):
-        v = e.value
-        if v is None:
-            return "null"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, int):
-            return str(v)
-        if isinstance(v, str):
-            return _string_lit(v)
-        raise ValueError(f"literal {v!r} has no concrete syntax")
+        try:
+            text = _LITERAL_TEXT[kind(e.value)]
+        except (KeyError, TypeError):
+            raise ValueError(f"literal {e.value!r} has no concrete syntax") from None
+        return text(e.value)
     if isinstance(e, ast.Name):
         return e.name
     if isinstance(e, ast.FnCall):

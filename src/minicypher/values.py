@@ -13,11 +13,14 @@ map                   :class:`Map`
 path                  :class:`Path`
 ====================  =========================================
 
-The one trap in this encoding is that Python considers ``True == 1`` and
-``hash(True) == hash(1)``.  Structural identity of values (the notion used
-for bag counting, ``distinct`` and duplicate elimination — *not* the
-language-level ``=``) therefore goes through :func:`canon`, which produces
-a type-tagged, hashable normal form.
+:func:`kind` is the one map from Python objects to these kinds.  The one
+trap in this encoding is that ``bool`` is a subclass of ``int``, so Python
+considers ``True == 1`` and ``hash(True) == hash(1)``; :data:`KINDS` lists
+bool before int, and everything that tells kinds apart reads :func:`kind`.
+Structural identity of values (the notion used for bag counting,
+``distinct`` and duplicate elimination — *not* the language-level ``=``)
+goes through :func:`canon`, which produces a kind-tagged, hashable normal
+form.
 """
 
 from __future__ import annotations
@@ -127,38 +130,56 @@ class Path:
 # A value is one of: None, bool, int, str, NodeId, RelId, tuple (list), Map, Path.
 Value = Union[None, bool, int, str, NodeId, RelId, tuple, Map, Path]
 
+# Each kind's Python type, in the order a subclass instance is tried
+# against them: bool before int, because bool <: int.
+KINDS: tuple[tuple[type, str], ...] = (
+    (type(None), "null"), (bool, "bool"), (int, "int"), (str, "str"),
+    (NodeId, "node"), (RelId, "rel"), (tuple, "list"), (Map, "map"), (Path, "path"),
+)
+_KIND_OF_TYPE = dict(KINDS)
+
+
+def kind(v: Value) -> str:
+    """The kind of ``v``: one of the names in :data:`KINDS`.
+
+    An exact type is looked up; an instance of a subclass (an ``IntEnum``
+    member, a namedtuple) takes the kind of the first type in the table it
+    is an instance of.  Anything else is not a value.
+    """
+    k = _KIND_OF_TYPE.get(type(v))
+    if k is not None:
+        return k
+    for t, k in KINDS:
+        if isinstance(v, t):
+            return k
+    raise TypeError(f"not a value: {v!r}")
+
+
 CanonValue = tuple
 
 
 def canon(v: Value) -> CanonValue:
-    """Type-tagged normal form used for structural identity of values.
+    """Kind-tagged normal form used for structural identity of values.
 
     Two values are the same piece of data iff their canon forms are equal;
     the tag makes ``True``/``1`` (and nested occurrences of them) distinct,
     and map entries are sorted so insertion order does not matter.
     """
-    if v is None:
+    k = kind(v)
+    if k in ("bool", "int", "str"):
+        return (k, v)
+    if k == "null":
         return ("null",)
-    if isinstance(v, bool):  # must precede the int test: bool <: int
-        return ("bool", v)
-    if isinstance(v, int):
-        return ("int", v)
-    if isinstance(v, str):
-        return ("str", v)
-    if isinstance(v, NodeId):
-        return ("node", v.key)
-    if isinstance(v, RelId):
-        return ("rel", v.key)
-    if isinstance(v, tuple):
+    if k in ("node", "rel"):
+        return (k, v.key)
+    if k == "list":
         return ("list", tuple(canon(x) for x in v))
-    if isinstance(v, Map):
+    if k == "map":
         if v._canon is None:
-            entries = tuple(sorted(((k, canon(w)) for k, w in v.entries), key=lambda kv: kv[0]))
+            entries = tuple(sorted(((key, canon(w)) for key, w in v.entries), key=lambda kv: kv[0]))
             object.__setattr__(v, "_canon", ("map", entries))
         return v._canon
-    if isinstance(v, Path):
-        return ("path", tuple(i.key for i in v.nodes), tuple(i.key for i in v.rels))
-    raise TypeError(f"not a value: {v!r}")
+    return ("path", tuple(i.key for i in v.nodes), tuple(i.key for i in v.rels))
 
 
 def same_value(a: Value, b: Value) -> bool:
@@ -178,9 +199,10 @@ def _arith(name: str, op: Callable[[int, int], int]) -> Callable[..., Value]:
     def fn(a: Value, b: Value) -> Value:
         if a is None or b is None:
             return None
-        if isinstance(a, bool) or isinstance(b, bool):
+        kinds = (kind(a), kind(b))
+        if "bool" in kinds:
             raise type_mismatch(f"{name}() expects integers")
-        if not isinstance(a, int) or not isinstance(b, int):
+        if kinds != ("int", "int"):
             raise type_mismatch(f"{name}() expects integers, got {a!r}, {b!r}")
         return op(a, b)
 
@@ -190,7 +212,7 @@ def _arith(name: str, op: Callable[[int, int], int]) -> Callable[..., Value]:
 def _size(v: Value) -> Value:
     if v is None:
         return None
-    if isinstance(v, (tuple, str)) and not isinstance(v, bool):
+    if isinstance(v, (tuple, str)):
         return len(v)
     raise type_mismatch(f"size() expects a list or string, got {v!r}")
 

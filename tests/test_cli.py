@@ -156,6 +156,12 @@ def test_long_union_chain_runs(capsys):
     assert (rc, out, err) == (0, "x\n1\n", "")
 
 
+def test_long_union_chain_runs_under_the_oracle(capsys):
+    q = " UNION ".join(["RETURN 1 AS x"] * 1500)
+    rc, out, err = run(capsys, "--query", q, "--oracle")
+    assert (rc, out, err) == (0, "x\n1\n", "")
+
+
 def test_deep_nesting_exits_1_with_caret(capsys):
     q = "RETURN " + "(" * 120 + "1" + ")" * 120 + " AS x"
     rc, out, err = run(capsys, "--query", q)

@@ -233,6 +233,27 @@ def test_is_true_is_strict():
         assert not is_true(v)
 
 
+@pytest.mark.parametrize("src,message", [
+    ("1 = true", "no equality between int and bool"),
+    ("1 < 'a'", "no order between int and str"),
+    ("true < false", "no order between bool and bool"),
+    ("NOT 1", "NOT expects booleans, got int"),
+    ("true AND 1", "AND expects booleans, got int"),
+    ("[1][true]", "indexing expects an integer, got bool"),
+    ("[1][0..'a']", "slicing expects an integer, got str"),
+    ("1 IN 'a'", "IN expects a list, got str"),
+    ("1 STARTS WITH 'a'", "STARTS WITH expects strings, got int"),
+    ("(1).k", "cannot read property `k` of a int"),
+    ("plus(true, 1)", "plus() expects integers"),
+    ("plus(1, 'a')", "plus() expects integers, got 1, 'a'"),
+    ("size(1)", "size() expects a list or string, got 1"),
+], ids=lambda x: x)
+def test_type_mismatch_messages(src, message):
+    with pytest.raises(EvalError) as exc:
+        eval_expr(parse_expr(src), build_graph(), {})
+    assert (exc.value.kind, exc.value.message) == ("TypeMismatch", message)
+
+
 def test_errors_carry_spans():
     e = parse_expr("1 = 'a'")
     with pytest.raises(EvalError) as exc:

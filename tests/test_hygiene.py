@@ -50,3 +50,28 @@ def test_oracle_is_independent_of_matcher_and_engine():
     harness = next(fn for fn in tree.body
                    if isinstance(fn, ast.FunctionDef) and fn.name == "differential_case")
     assert reads(tree) == reads(harness) > 0
+
+
+def _isinstance_naming_bool(tree):
+    """(enclosing top-level function or None, line) of each isinstance call
+    whose class argument names bool."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))):
+                yield (top.name if isinstance(top, ast.FunctionDef) else None, node.lineno)
+
+
+def _reads_raw_json(module, fn):
+    # The readers of raw JSON turn Python's json output into values, so
+    # they must tell bool from int by hand: graph.py's loader and the
+    # CLI's reader of counted JSON.
+    return module == "graph.py" or (module, fn) == ("cli.py", "_value_from_json")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "values.py"], ids=lambda p: p.name)
+def test_only_values_kind_and_raw_json_readers_test_for_bool(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [(fn, line) for fn, line in _isinstance_naming_bool(tree) if not _reads_raw_json(path.name, fn)]
+    assert not found, f"{path.name} tests isinstance(…, bool) outside values.kind: {found}"

@@ -1,3 +1,6 @@
+from collections import namedtuple
+from enum import IntEnum
+
 import pytest
 
 from minicypher.errors import EvalError
@@ -9,6 +12,7 @@ from minicypher.values import (
     RelId,
     apply_base_fn,
     canon,
+    kind,
     same_value,
 )
 
@@ -27,6 +31,47 @@ def test_canon_distinguishes_kinds():
     values = [None, False, 0, "", NodeId("a"), RelId("a"), (), Map(()), Path((NodeId("a"),))]
     encodings = [canon(v) for v in values]
     assert len(set(encodings)) == len(values)
+
+
+def test_kind_of_each_value_kind():
+    values = [None, False, 0, "", NodeId("a"), RelId("a"), (), Map(()), Path((NodeId("a"),))]
+    kinds = ["null", "bool", "int", "str", "node", "rel", "list", "map", "path"]
+    assert [kind(v) for v in values] == kinds
+
+
+def test_kind_keeps_bool_apart_from_int():
+    assert kind(True) == "bool"
+    assert kind(1) == "int"
+
+
+class _Level(IntEnum):
+    HIGH = 1
+
+
+class _Name(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+def test_kind_of_a_subclass_instance_is_its_base_kind():
+    assert kind(_Level.HIGH) == "int"
+    assert kind(_Name("x")) == "str"
+    assert kind(_Pair(1, True)) == "list"
+
+
+@pytest.mark.parametrize("junk", [1.5, [], {}], ids=repr)
+def test_kind_rejects_what_is_not_a_value(junk):
+    with pytest.raises(TypeError, match="not a value"):
+        kind(junk)
+
+
+def test_canon_of_a_subclass_instance_is_canon_of_its_base_value():
+    # A custom function's result lands in the same bag row as the plain value.
+    assert canon(_Level.HIGH) == canon(1) != canon(True)
+    assert canon(_Name("x")) == canon("x")
+    assert canon(_Pair(1, True)) == canon((1, True)) != canon((1, 1))
 
 
 def test_node_and_rel_ids_compare_by_key_within_kind():
