@@ -9,7 +9,7 @@ behaves exactly like k copies of the row.
 from __future__ import annotations
 
 from . import ast
-from .ast import free_vars, pattern_expr_names
+from .ast import expr_names, free_vars, pattern_expr_names
 from .errors import AliasClash, NameClash, StarOnEmptyFields
 from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
@@ -25,31 +25,29 @@ def _match_rows(
     t: Table,
     functions: FunctionRegistry | None,
 ) -> Table:
-    """MATCH / OPTIONAL MATCH with the optional WHERE applied after matching."""
-    pats = c.patterns
-    new_names = free_vars(pats)
+    """MATCH / OPTIONAL MATCH; the matcher applies the WHERE to each witness."""
+    new_names = free_vars(c.patterns)
     out = Table(set(t.fields) | new_names)
 
-    # The match bag depends on the input row only through the names the
-    # pattern mentions (as constraints or inside property expressions), so
-    # memoize per restriction of the row to those names.
-    relevant = tuple(f for f in t.fields if f in (new_names | pattern_expr_names(pats)))
+    # The filtered match bag depends on the input row only through the
+    # names the pattern mentions (as constraints or inside property
+    # expressions) and the names the WHERE reads, so memoize per
+    # restriction of the row to those names.
+    read = new_names | pattern_expr_names(c.patterns)
+    if c.where is not None:
+        read |= expr_names(c.where)
+    relevant = tuple(f for f in t.fields if f in read)
     memo: dict[tuple, Table] = {}
 
     for u, count in t.rows():
         key = tuple(canon(u[f]) for f in relevant)
         sub = memo.get(key)
         if sub is None:
-            sub = match_tuple(pats, g, u, functions)
+            sub = match_tuple(c, g, u, functions)
             memo[key] = sub
-        survived = False
         for u2, c2 in sub.rows():
-            merged = {**u, **u2}
-            if c.where is not None and not is_true(eval_expr(c.where, g, merged, functions)):
-                continue
-            survived = True
-            out.add(merged, count * c2)
-        if c.optional and not survived:
+            out.add({**u, **u2}, count * c2)
+        if c.optional and sub.is_empty():
             padding = {f: None for f in out.fields if f not in u}
             out.add({**u, **padding}, count)
     return out

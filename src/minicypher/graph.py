@@ -3,7 +3,9 @@
 A graph is the tuple (nodes, relationships, src, tgt, properties, labels,
 types).  Property lookup is total: unset keys read as null.  Instances are
 frozen after :func:`load_graph`; all query methods are read-only and safe
-to share between threads.
+to share between threads.  The per-key property index is built on the
+first seek for its key and cached; a build is idempotent, so threads that
+race to build one store equal copies.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import DanglingEndpoint, DuplicateId, SchemaError, UnknownId
-from .values import Map, NodeId, RelId, Value
+from .values import Map, NodeId, RelId, Value, kind
 
 # Directions for the adjacency index.
 OUT = "->"
@@ -36,12 +38,13 @@ def _value_from_json(raw: Any, where: str) -> Value:
 
 
 def _value_to_json(v: Value) -> Any:
-    if v is None or isinstance(v, (bool, int, str)):
+    k = kind(v)
+    if k in ("null", "bool", "int", "str"):
         return v
-    if isinstance(v, tuple):
+    if k == "list":
         return [_value_to_json(x) for x in v]
-    if isinstance(v, Map):
-        return {k: _value_to_json(w) for k, w in v.entries}
+    if k == "map":
+        return {key: _value_to_json(w) for key, w in v.entries}
     raise SchemaError(f"cannot store {v!r} as a document property")
 
 
@@ -50,7 +53,7 @@ class PropertyGraph:
 
     __slots__ = (
         "nodes", "rels", "_src", "_tgt", "_labels", "_types", "_props",
-        "_out", "_in", "_by_label", "__weakref__",
+        "_out", "_in", "_by_label", "_by_prop", "__weakref__",
     )
 
     def __init__(
@@ -84,6 +87,8 @@ class PropertyGraph:
             for label in labels[n]:
                 by_label.setdefault(label, []).append(n)
         self._by_label = {label: tuple(v) for label, v in by_label.items()}
+        # Property index: key -> (value index, scalar kinds stored), on demand.
+        self._by_prop: dict[str, tuple[dict, frozenset[str]]] = {}
 
     # -- lookups ----------------------------------------------------------
 
@@ -114,6 +119,27 @@ class PropertyGraph:
         if len(labels) == 1:
             return candidates
         return tuple(n for n in candidates if labels <= self._labels[n])
+
+    def nodes_with_prop(self, key: str, v: Value) -> tuple[NodeId, ...] | None:
+        """The nodes whose property ``key`` is the bool, int or str ``v``, in
+        document order; None when ``v`` is of another kind, or when a node
+        stores a non-composite value of another kind under ``key`` (so
+        ``=`` against ``v`` would raise there)."""
+        index = self._by_prop.get(key)
+        if index is None:
+            found: dict[tuple[str, Value], list[NodeId]] = {}
+            for n in self.nodes:
+                w = self._props.get((n.key, key))
+                k = kind(w)
+                if k not in ("null", "list", "map", "path"):
+                    found.setdefault((k, w), []).append(n)
+            index = self._by_prop[key] = (
+                {kv: tuple(ns) for kv, ns in found.items()}, frozenset(k for k, _ in found))
+        by_value, kinds = index
+        k = kind(v)
+        if k not in ("bool", "int", "str") or not kinds <= {k}:
+            return None
+        return by_value.get((k, v), ())
 
     def rel_type(self, r: RelId) -> str:
         self._check_rel(r)

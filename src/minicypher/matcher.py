@@ -35,10 +35,20 @@ a name not bound yet:
   (no completion, no error);
 * the checks still waiting run on each completed witness.
 
+The WHERE of a MATCH clause is one more check, last in the list, so it
+never runs where a pattern check would prune.
+
 Walked forward, the witnesses, their order and the error raised are those
 of a search that runs every check on the completed witness.  Walked from
 the far end, the order changes, so *which* error is raised may differ, but
 never *whether* one is.
+
+An unbound anchor seeks the graph's property index instead of scanning
+when no error is held and the next check is ``anchor.k = e``, e reading
+bound names only (the first entry of its property map, or a WHERE that is
+exactly ``x.k = e`` or ``e = x.k``), e is a bool, int or str, and no node
+stores a scalar of another kind under ``k``: the seek drops exactly the
+nodes on which the check is false or null without raising.
 """
 
 from __future__ import annotations
@@ -93,16 +103,17 @@ class _Search:
 
     ``b`` holds the bindings of the current prefix, ``used`` its
     relationships.  The property checks are ``groups`` (one per pattern
-    element with a property map, in pattern order); ``placed[i]`` is the
-    node of group i, or for a relationship slot its relationships in
-    pattern order and whether the slot's hop count is final, or None while
-    the element is not placed.  ``cursor`` is (group, hop, key, held
-    error) of the first check not yet run; frames save it before a
-    placement and restore it when they undo one.
+    element with a property map, in pattern order, then the WHERE as one
+    check with key None); ``placed[i]`` is the node of group i, or for a
+    relationship slot its relationships in pattern order and whether the
+    slot's hop count is final, or None while the element is not placed.
+    ``cursor`` is (group, hop, key, held error) of the first check not yet
+    run; frames save it before a placement and restore it when they undo
+    one.
     """
 
-    def __init__(self, pats: PatternTuple, g: PropertyGraph, u: Record,
-                 functions: FunctionRegistry | None, stats: MatchStats, out: Table):
+    def __init__(self, pats: PatternTuple, where: Optional[ast.Expr], g: PropertyGraph,
+                 u: Record, functions: FunctionRegistry | None, stats: MatchStats, out: Table):
         self.g, self.functions, self.stats, self.out = g, functions, stats, out
         self.b = dict(u)
         self.used: set[RelId] = set()
@@ -128,6 +139,15 @@ class _Search:
             self.walks.append((pat, far, steps))
             bound |= free_vars(pat)
         self.placed: list = [None] * len(self.groups)
+        # x -> (k, e, names of e) for a WHERE `x.k = e` or `e = x.k`
+        self.where_seeks: dict[str, tuple] = {}
+        if where is not None:  # placed from the start, on no element
+            self.groups.append((((None, where, expr_names(where)),), False))
+            self.placed.append(True)
+            if isinstance(where, ast.Cmp) and where.op == "=":
+                for side, e in ((where.left, where.right), (where.right, where.left)):
+                    if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
+                        self.where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
         self.cursor: tuple = (0, 0, 0, None)
 
     def run(self) -> None:
@@ -146,15 +166,37 @@ class _Search:
 
     def _anchor(self, pi: int) -> _Frame:
         """Start path pi at every candidate for its first walked node."""
-        el = self.walks[pi][2][0][0]
+        el, gid = self.walks[pi][2][0]
         g = self.g
         if el.name is not None and el.name in self.b:
             v = self.b[el.name]
             candidates = (v,) if isinstance(v, NodeId) and g.has_id(v) else ()
         else:
-            candidates = g.nodes_with_labels(el.labels)
+            candidates = self._seek(el, gid)
+            if candidates is None:
+                candidates = g.nodes_with_labels(el.labels)
         for n in candidates:
             yield from self._node(pi, 0, [n], [])
+
+    def _seek(self, el: ast.NodePattern, gid: int) -> Optional[tuple[NodeId, ...]]:
+        """Candidates for the unbound anchor el from the property index, or
+        None to scan (see the module docstring for when a seek applies).  A
+        held error keeps the cursor at the check that raised, and the check
+        a seek stands in for cannot run while the anchor is unbound, so no
+        error is held when the cursor is at it."""
+        gi = self.cursor[0]
+        if gi == gid:
+            key, e, names = self.groups[gi][0][0]
+        elif gi == len(self.groups) - 1 and el.name in self.where_seeks:
+            key, e, names = self.where_seeks[el.name]
+        else:
+            return None
+        if not self.b.keys() >= names:
+            return None
+        try:
+            return self.g.nodes_with_prop(key, eval_expr(e, self.g, self.b, self.functions))
+        except Exception:  # e raises or is no value: the scan raises it where it did
+            return None
 
     def _node(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId]) -> _Frame:
         """Place nodes[-1] at walk step k, then continue the path."""
@@ -310,7 +352,8 @@ class _Search:
             if not final and not b.keys() >= names:
                 break
             try:
-                ok = eq_values(g.prop(ident, key), eval_expr(expr, g, b, self.functions)) is True
+                v = eval_expr(expr, g, b, self.functions)
+                ok = (v if key is None else eq_values(g.prop(ident, key), v)) is True
             except Exception as exc:  # held whatever it is, re-raised unchanged
                 if final:
                     raise
@@ -330,7 +373,7 @@ class _Search:
 
 
 def match_tuple(
-    pats: PatternTuple,
+    pats: PatternTuple | ast.Match,
     g: PropertyGraph,
     u: Record,
     functions: FunctionRegistry | None = None,
@@ -340,8 +383,12 @@ def match_tuple(
 
     The multiplicity of u′ is the number of (rigid pattern, path tuple)
     pairs witnessing it.  Names already bound in ``u`` act as constraints;
-    a binding incompatible with the graph simply yields no rows.
+    a binding incompatible with the graph simply yields no rows.  Given a
+    MATCH clause, the bag keeps the u′ whose WHERE is true on u and u′.
     """
+    where = None
+    if isinstance(pats, ast.Match):
+        pats, where = pats.patterns, pats.where
     out = Table(free_vars(pats) - set(u.keys()))
-    _Search(pats, g, u, functions, stats if stats is not None else MatchStats(), out).run()
+    _Search(pats, where, g, u, functions, stats if stats is not None else MatchStats(), out).run()
     return out

@@ -612,6 +612,11 @@ class GenConfig:
     # ill-typed where the kinds differ.  At 0 no random number is drawn, so
     # the cases of every seed stay as they were.
     check_pairs: float = 0.0
+    # Chance that a node's value of the int key keys[0] is a string, and
+    # that a MATCH's WHERE is `x.k = lit` or `lit = x.k` on a node name,
+    # alone or in a strict AND with a comparison that may be ill-typed.  At
+    # 0 no random number is drawn.
+    mixed_kinds: float = 0.0
     seed: int = 0
 
 
@@ -635,7 +640,8 @@ def _gen_graph(rng: random.Random, cfg: GenConfig) -> PropertyGraph:
     nodes = []
     for i in range(n_nodes):
         labels = [lab for lab in cfg.node_labels if rng.random() < 0.4]
-        props = {key: _gen_value(rng, _key_kind(cfg, key))
+        props = {key: _gen_value(rng, "str" if key == cfg.keys[0] and cfg.mixed_kinds
+                                 and rng.random() < cfg.mixed_kinds else _key_kind(cfg, key))
                  for key in cfg.keys if rng.random() < 0.5}
         nodes.append({"id": f"n{i + 1}", "labels": labels, "properties": props})
     rels = []
@@ -896,7 +902,18 @@ class _QueryGen:
     def match_clause(self, optional: bool) -> ast.Match:
         pats = self.pattern_tuple()
         self.register_pattern(pats)
-        where = self.bool_expr(2) if self.rng.random() < 0.35 else None
+        rng, cfg, nodes = self.rng, self.cfg, self.vars_of("node")
+        if cfg.mixed_kinds and nodes and rng.random() < cfg.mixed_kinds:
+            sides = [ast.Prop(ast.Name(rng.choice(nodes)), rng.choice(cfg.keys[:2])),
+                     ast.Lit(rng.choice((1, 2, "x", "zz")))]
+            rng.shuffle(sides)
+            where: Optional[ast.Expr] = ast.Cmp("=", *sides)
+            if rng.random() < 0.5:
+                other = ast.Cmp(rng.choice(("=", "<")), ast.Prop(ast.Name(rng.choice(nodes)),
+                                rng.choice(cfg.keys)), ast.Lit(rng.choice((1, "x"))))
+                where = ast.And(*rng.sample([where, other], 2))
+        else:
+            where = self.bool_expr(2) if rng.random() < 0.35 else None
         return ast.Match(pats, optional, where)
 
     def with_clause(self) -> ast.With:

@@ -212,7 +212,7 @@ def _arith(name: str, op: Callable[[int, int], int]) -> Callable[..., Value]:
 def _size(v: Value) -> Value:
     if v is None:
         return None
-    if isinstance(v, (tuple, str)):
+    if kind(v) in ("list", "str"):
         return len(v)
     raise type_mismatch(f"size() expects a list or string, got {v!r}")
 
@@ -221,7 +221,7 @@ def _string_fn(name: str, op: Callable[[str], str]) -> Callable[..., Value]:
     def fn(v: Value) -> Value:
         if v is None:
             return None
-        if isinstance(v, str):
+        if kind(v) == "str":
             return op(v)
         raise type_mismatch(f"{name}() expects a string, got {v!r}")
 

@@ -80,6 +80,28 @@ def test_label_index_in_document_order():
     assert h.nodes_with_labels(frozenset()) == h.nodes
 
 
+def test_property_index_answers_only_where_equality_cannot_raise():
+    h = load_graph(doc(
+        nodes=[node("n3", props={"k": 1, "f": True}), node("n1", props={"k": [1]}),
+               node("n4", props={"k": 1, "f": 1}), node("n2", props={"k": 2, "m": {"a": 1}})],
+        rels=[rel("r1", "t", "n1", "n2", {"k": "x"})],
+    ))
+    ids = lambda key, v: [n.key for n in h.nodes_with_prop(key, v)]
+    # document order; the list under k compares false, never raises
+    assert ids("k", 1) == ["n3", "n4"] and ids("k", 2) == ["n2"]
+    assert ids("k", 3) == [] and ids("nope", "x") == []
+    # a relationship's k is not a node's: no str is stored under k
+    assert h.nodes_with_prop("k", "x") is None
+    # f stores a bool and an int, so `=` raises on one node whatever v is
+    assert h.nodes_with_prop("f", True) is None and h.nodes_with_prop("f", 1) is None
+    assert ids("m", 1) == []
+    for v in (None, (1,), Map((("a", 1),)), NodeId("n3")):
+        assert h.nodes_with_prop("k", v) is None
+    h2 = load_graph(doc(nodes=[node("n1", props={"f": True}), node("n2", props={"f": False})]))
+    assert [n.key for n in h2.nodes_with_prop("f", True)] == ["n1"]
+    assert h2.nodes_with_prop("f", 1) is None
+
+
 def test_other_end(g):
     assert g.other_end(RelId("r1"), NodeId("n1")) == NodeId("n2")
     assert g.other_end(RelId("r1"), NodeId("n2")) == NodeId("n1")

@@ -67,7 +67,8 @@ def _reads_raw_json(module, fn):
     # The readers of raw JSON turn Python's json output into values, so
     # they must tell bool from int by hand: graph.py's loader and the
     # CLI's reader of counted JSON.
-    return module == "graph.py" or (module, fn) == ("cli.py", "_value_from_json")
+    return (module, fn) in {("graph.py", "_value_from_json"), ("graph.py", "_expect"),
+                            ("cli.py", "_value_from_json")}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "values.py"], ids=lambda p: p.name)

@@ -11,7 +11,7 @@ import pytest
 from minicypher import ast
 from minicypher.engine import output
 from minicypher.errors import CypherError, EvalError
-from minicypher.graph import load_graph
+from minicypher.graph import PropertyGraph, load_graph
 from minicypher.matcher import MatchStats, match_tuple
 from minicypher.oracle import (
     GenConfig,
@@ -500,3 +500,102 @@ class TestLabelIndex:
         for query in ["MATCH (a:Researcher) RETURN a", "MATCH (a:Researcher:Student) RETURN a",
                       "MATCH (a:Nope) RETURN a", "MATCH (a)-[:authors]->(b:Publication) RETURN a, b"]:
             assert output(parse_query(query), citation) == oracle_output(parse_query(query), citation)
+
+
+# n1 stores `name` as an integer, n2 as a string: `=` against a string
+# literal raises on n1, so no index may answer for `name` on this graph.
+INT_AND_STR = load_graph({"nodes": [{"id": "n1", "properties": {"name": 1}},
+                                    {"id": "n2", "properties": {"name": "v7"}}],
+                          "relationships": []})
+
+
+def error_of(query, g):
+    with pytest.raises(EvalError) as exc:
+        output(parse_query(query), g)
+    return exc.value.kind, exc.value.message, exc.value.span
+
+
+class TestSeeksAndPushdown:
+    """Property-index seeks and the WHERE run as the last check leave every
+    outcome as it was when the anchor scanned and the WHERE filtered the
+    finished bag."""
+
+    agree = TestCheckOrder.agree
+
+    def test_mixed_kinds_under_the_key_still_raise(self):
+        int_str = ("TypeMismatch", "no equality between int and str")
+        assert error_of("MATCH (a {name: 'v7'}) RETURN a", INT_AND_STR) == (*int_str, None)
+        assert error_of("MATCH (a) WHERE a.name = 'v7' RETURN a", INT_AND_STR) == (*int_str, (16, 29))
+        assert error_of("MATCH (a) WHERE 'v7' = a.name RETURN a", INT_AND_STR) == (
+            "TypeMismatch", "no equality between str and int", (16, 29))
+
+    def test_memo_keys_on_the_names_the_where_reads(self):
+        got = output(parse_query("UNWIND [1, 2] AS x MATCH (a) WHERE a.k = x RETURN a, x"), CHECKS)
+        assert got == table(["a", "x"], {"a": n(1), "x": 1}, {"a": n(2), "x": 2})
+
+    def test_optional_match_pads_when_the_where_keeps_nothing(self):
+        query = ("MATCH (a {name: 'a'}) UNWIND [1, 1] AS u "
+                 "OPTIONAL MATCH (a)-[:T]->(b) WHERE b.k = 99 RETURN a, b")
+        assert output(parse_query(query), CHECKS) == table(["a", "b"], ({"a": n(1), "b": None}, 2))
+        assert output(parse_query(query), CHECKS) == oracle_output(parse_query(query), CHECKS)
+
+    def test_where_raising_on_a_prefix_that_never_completes_raises_nothing(self):
+        # a.w AND true is ill-typed on n4 alone, and n4 starts no T path
+        kind, t = self.agree("MATCH (a)-[:T]->(b) WHERE a.w AND true RETURN b")
+        assert kind == "table" and t.is_empty()
+        assert error_of("MATCH (a) WHERE a.w AND true RETURN a", CHECKS)[0] == "TypeMismatch"
+
+    def test_where_runs_after_every_pattern_check(self):
+        # a.k AND true is ill-typed on n1 and n2, but no relationship has w 'zz'
+        kind, t = self.agree("MATCH (a)-[r {w: 'zz'}]->(b) WHERE a.k AND true RETURN a")
+        assert kind == "table" and t.is_empty()
+
+    def test_held_error_is_raised_without_seeking(self):
+        # the check on a raises on n4 and is held; no node has name 'zz',
+        # but every completion must still raise
+        got = self.agree("MATCH (a {w: a.w AND true}), (b {name: 'zz'}) RETURN a, b")
+        assert got == ("error", "TypeMismatch")
+        got = self.agree("MATCH (a {w: a.w AND true}), (b) WHERE b.name = 'zz' RETURN a")
+        assert got == ("error", "TypeMismatch")
+
+    def test_where_error_may_come_before_a_later_pattern_error(self):
+        # n1 -> n2 passes the pattern check and fails the WHERE; n3 -> n4
+        # fails the pattern check.  Both errors are on the one input row, and
+        # the WHERE's, met first, is raised.
+        g = load_graph({"nodes": [{"id": "n1", "properties": {"k": 1}},
+                                  {"id": "n2", "properties": {"w": True}},
+                                  {"id": "n3"}, {"id": "n4", "properties": {"w": 4}}],
+                        "relationships": [{"id": "t1", "type": "T", "src": "n1", "tgt": "n2"},
+                                          {"id": "t2", "type": "T", "src": "n3", "tgt": "n4"}]})
+        query = "MATCH (a)-[:T]->(b {w: b.w AND true}) WHERE a.k < 'x' RETURN a"
+        assert error_of(query, g) == ("TypeMismatch", "no order between int and str", (44, 53))
+        assert outcome(oracle_output, query, g) == ("error", "TypeMismatch")
+
+    def test_name_anchored_matches_read_few_properties(self, monkeypatch):
+        size = 2000
+        g = load_graph({
+            "nodes": [{"id": f"n{i}", "properties": {"name": f"v{i}"}} for i in range(size)],
+            "relationships": [{"id": f"r{i}", "type": "T", "src": f"n{i}",
+                               "tgt": f"n{(i + 1) % size}"} for i in range(size)],
+        })
+        reads = []
+        prop = PropertyGraph.prop
+        monkeypatch.setattr(PropertyGraph, "prop", lambda self, i, key: reads.append(key) or prop(self, i, key))
+        for query, want in [
+            ("MATCH (a {name: 'v7'}) RETURN a", table(["a"], {"a": n(7)})),
+            ("MATCH (a)-[:T]->(b) WHERE a.name = 'v7' RETURN b", table(["b"], {"b": n(8)})),
+            ("MATCH (a)-[:T]->(b) WHERE 'v7' = a.name RETURN b", table(["b"], {"b": n(8)})),
+            ("MATCH (a)-[:T]->(b {name: 'v7'}) RETURN a", table(["a"], {"a": n(6)})),
+        ]:
+            reads.clear()
+            assert output(parse_query(query), g) == want, query
+            assert len(reads) < 100, query
+
+    def test_generated_mixed_kinds_agree_with_the_oracle(self):
+        outcomes = set()
+        for seed in range(400):
+            g, q = gen_case(GenConfig(seed=seed, mixed_kinds=0.3))
+            agree, detail = differential_case(g, q)
+            assert agree, detail
+            outcomes.add(isinstance(detail["engine"], str))
+        assert outcomes == {True, False}  # both errors and tables came up

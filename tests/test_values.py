@@ -67,6 +67,14 @@ def test_kind_rejects_what_is_not_a_value(junk):
         kind(junk)
 
 
+@pytest.mark.parametrize("name", ["plus", "minus", "mult", "size", "toUpper", "toLower"])
+def test_base_functions_reject_what_is_not_a_value(name):
+    # a float can only come from a custom registry's function
+    args = (1, 1.5) if name in ("plus", "minus", "mult") else (1.5,)
+    with pytest.raises(TypeError, match="not a value: 1.5"):
+        apply_base_fn(name, args)
+
+
 def test_canon_of_a_subclass_instance_is_canon_of_its_base_value():
     # A custom function's result lands in the same bag row as the plain value.
     assert canon(_Level.HIGH) == canon(1) != canon(True)
