@@ -45,11 +45,11 @@ def _match_rows(
         if sub is None:
             sub = match_tuple(c, g, u, functions)
             memo[key] = sub
-        for u2, c2 in sub.rows():
-            out.add({**u, **u2}, count * c2)
+        for u2, c2 in sub.rows():  # distinct rows joined with distinct extensions
+            out.add_new({**u, **u2}, count * c2)
         if c.optional and sub.is_empty():
             padding = {f: None for f in out.fields if f not in u}
-            out.add({**u, **padding}, count)
+            out.add_new({**u, **padding}, count)
     return out
 
 
@@ -95,9 +95,9 @@ def run_clause(
         if c.where is None:
             return out
         kept = Table(out.fields)
-        for u, count in out.rows():
+        for u, count in out.rows():  # a subset of distinct rows
             if is_true(eval_expr(c.where, g, u, functions)):
-                kept.add(u, count)
+                kept.add_new(u, count)
         return kept
 
     if isinstance(c, ast.Unwind):
@@ -106,12 +106,8 @@ def run_clause(
         out = Table(t.fields + (c.name,))
         for u, count in t.rows():
             v = eval_expr(c.expr, g, u, functions)
-            if isinstance(v, tuple):
-                for x in v:
-                    out.add({**u, c.name: x}, count)
-            else:
-                # A non-list value (null included) unwinds to itself.
-                out.add({**u, c.name: v}, count)
+            for x in v if isinstance(v, tuple) else (v,):  # a non-list value unwinds to itself
+                out.add({**u, c.name: x}, count)
         return out
 
     raise TypeError(f"not a clause: {c!r}")

@@ -58,6 +58,7 @@ from typing import Iterator, Optional
 
 from . import ast
 from .ast import PathPattern, PatternTuple, RelPattern, expr_names, free_vars, range_of
+from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
 from .tables import Record, Table
@@ -354,7 +355,9 @@ class _Search:
             try:
                 v = eval_expr(expr, g, b, self.functions)
                 ok = (v if key is None else eq_values(g.prop(ident, key), v)) is True
-            except Exception as exc:  # held whatever it is, re-raised unchanged
+            except Exception as exc:  # held whatever it is
+                if key is not None and isinstance(exc, EvalError) and exc.span is None:
+                    exc.span = expr.span  # the entry's equality raised, as eval_expr places it
                 if final:
                     raise
                 held = exc

@@ -34,19 +34,47 @@ import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path as FsPath
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import ast
 from .ast import free_vars
 from .engine import output as engine_output
-from .errors import AliasClash, CypherError, EvalError, NameClash, StarOnEmptyFields
+from .errors import AliasClash, CypherError, EvalError, FieldMismatch, NameClash, StarOnEmptyFields
 from .evaluator import eq_values, eval_expr, is_true
 from .graph import BOTH, PropertyGraph, load_graph
 from .parser import KEYWORDS, parse_query, unparse_expr, unparse_query
-from .tables import Record, Table, bag_union, distinct, unit_table
-from .values import FunctionRegistry, NodeId, Path, RelId, same_value
+from .tables import Record
+from .values import FunctionRegistry, NodeId, Path, RelId, canon, same_value
 
 Walk = tuple[tuple[NodeId, ...], tuple[RelId, ...]]
+
+
+class Bag:
+    """The oracle's own bag, ``{canon row key: [record, count]}``.  It has a
+    Table's ``fields`` and ``rows()``, and equals anything that has them and
+    lists the same records with the same counts, each record once."""
+
+    def __init__(self, fields: Iterable[str], rows: Iterable[tuple[Record, int]] = ()):
+        self.fields: tuple[str, ...] = tuple(sorted(set(fields)))
+        self._rows: dict[tuple, list] = {}
+        for u, count in rows:  # add each, equal records merging
+            if set(u) != set(self.fields):
+                raise AssertionError(f"non-uniform record: has {sorted(u)}, fields {list(self.fields)}")
+            self._rows.setdefault(tuple(canon(u[f]) for f in self.fields), [dict(u), 0])[1] += count
+
+    def rows(self) -> Iterator[tuple[Record, int]]:
+        return ((u, count) for u, count in self._rows.values())
+
+    def __eq__(self, other: object) -> bool:
+        theirs = _normal_form(other) if hasattr(other, "rows") else None
+        return theirs is not None and theirs == _normal_form(self)
+
+
+def _normal_form(t) -> Optional[tuple]:
+    """(sorted fields, {canon row key: count}), or None if a record repeats."""
+    fields, rows = tuple(sorted(t.fields)), list(t.rows())
+    counts = {tuple(canon(u[f]) for f in fields): count for u, count in rows}
+    return (fields, counts) if len(counts) == len(rows) else None
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +334,7 @@ def oracle_match(
     g: PropertyGraph,
     u: Record,
     functions: FunctionRegistry | None = None,
-) -> Table:
+) -> Bag:
     """Transcription of the match definition.
 
     Enumerate every rigid pattern tuple (one hop-count choice per slot) and
@@ -315,7 +343,7 @@ def oracle_match(
     binding extension and contributes one to its multiplicity.
     """
     new_fields = tuple(sorted(free_vars(pats) - set(u.keys())))
-    out = Table(new_fields)
+    found: list[tuple[Record, int]] = []
     walks = _all_walks(g)
     max_hops = len(g.rels)
     paths = pats.paths
@@ -324,7 +352,7 @@ def oracle_match(
         if i == len(paths):
             assignment = {**u, **cand}
             if _eval_checks(checks, g, assignment, functions):
-                out.add({f: cand[f] for f in new_fields})
+                found.append(({f: cand[f] for f in new_fields}, 1))
             return
         pat = paths[i]
         for seg in _seg_choices(pat.rel_patterns(), max_hops):
@@ -355,7 +383,7 @@ def oracle_match(
                     checks + _prop_check_list(pat, seg, nodes, rels))
 
     rec(0, frozenset(), {}, [])
-    return out
+    return Bag(new_fields, found)
 
 
 def exhaustive_match(
@@ -363,7 +391,7 @@ def exhaustive_match(
     g: PropertyGraph,
     u: Record,
     functions: FunctionRegistry | None = None,
-) -> Table:
+) -> Bag:
     """Candidate-product form of the match definition (tiny inputs only!).
 
     Tries every assignment of path components to the unbound names instead
@@ -401,7 +429,7 @@ def exhaustive_match(
 
         yield from rec(0, frozenset(), [])
 
-    out = Table(new_fields)
+    found: list[tuple[Record, int]] = []
     for values in itertools.product(pool, repeat=len(new_fields)):
         extension = dict(zip(new_fields, values))
         assignment = {**u, **extension}
@@ -418,8 +446,8 @@ def exhaustive_match(
             if ok and _eval_checks(checks, g, assignment, functions):
                 count += 1
         if count:
-            out.add(extension, count)
-    return out
+            found.append((extension, count))
+    return Bag(new_fields, found)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +459,9 @@ def _oracle_project(
     star: bool,
     items: tuple[ast.Item, ...],
     g: PropertyGraph,
-    t: Table,
+    t: Bag,
     functions: FunctionRegistry | None,
-) -> Table:
+) -> Bag:
     pairs: list[tuple[str, ast.Expr]] = []
     if star:
         if not t.fields:
@@ -444,54 +472,42 @@ def _oracle_project(
     names = [a for a, _ in pairs]
     if len(set(names)) != len(names) or not names:
         raise AliasClash(f"bad output names: {names}")
-    out = Table(names)
-    for u, count in t.rows():
-        out.add({a: eval_expr(e, g, u, functions) for a, e in pairs}, count)
-    return out
+    rows = [({a: eval_expr(e, g, u, functions) for a, e in pairs}, count) for u, count in t.rows()]
+    return Bag(names, rows)
 
 
 def oracle_run_clause(
     c: ast.Clause,
     g: PropertyGraph,
-    t: Table,
+    t: Bag,
     functions: FunctionRegistry | None = None,
-) -> Table:
+) -> Bag:
     if isinstance(c, ast.Match):
-        out = Table(set(t.fields) | free_vars(c.patterns))
+        fields, rows = sorted(set(t.fields) | free_vars(c.patterns)), []
         for u, count in t.rows():
-            extensions = oracle_match(c.patterns, g, u, functions)
-            kept = []
-            for u2, c2 in extensions.rows():
-                row = {**u, **u2}
-                if c.where is None or is_true(eval_expr(c.where, g, row, functions)):
-                    kept.append((row, c2))
-            if kept:
-                for row, c2 in kept:
-                    out.add(row, count * c2)
-            elif c.optional:
-                out.add({**u, **{f: None for f in out.fields if f not in u}}, count)
-        return out
+            kept = [({**u, **u2}, count * n) for u2, n in oracle_match(c.patterns, g, u, functions).rows()]
+            if c.where is not None:
+                kept = [(row, n) for row, n in kept if is_true(eval_expr(c.where, g, row, functions))]
+            if not kept and c.optional:
+                kept = [({**u, **{f: None for f in fields if f not in u}}, count)]
+            rows += kept
+        return Bag(fields, rows)
 
     if isinstance(c, ast.With):
         projected = _oracle_project(c.star, c.items, g, t, functions)
         if c.where is None:
             return projected
-        out = Table(projected.fields)
-        for u, count in projected.rows():
-            if is_true(eval_expr(c.where, g, u, functions)):
-                out.add(u, count)
-        return out
+        kept = [(u, n) for u, n in projected.rows() if is_true(eval_expr(c.where, g, u, functions))]
+        return Bag(projected.fields, kept)
 
     if isinstance(c, ast.Unwind):
         if c.name in t.fields:
             raise NameClash(f"UNWIND alias `{c.name}` is already a field")
-        out = Table(t.fields + (c.name,))
+        rows = []
         for u, count in t.rows():
             v = eval_expr(c.expr, g, u, functions)
-            elements = v if isinstance(v, tuple) else (v,)
-            for x in elements:
-                out.add({**u, c.name: x}, count)
-        return out
+            rows += [({**u, c.name: x}, count) for x in (v if isinstance(v, tuple) else (v,))]
+        return Bag(t.fields + (c.name,), rows)
 
     raise TypeError(f"not a clause: {c!r}")
 
@@ -499,9 +515,9 @@ def oracle_run_clause(
 def oracle_run_query(
     q: ast.Query,
     g: PropertyGraph,
-    t: Table,
+    t: Bag,
     functions: FunctionRegistry | None = None,
-) -> Table:
+) -> Bag:
     # q1 UNION q2 UNION … q_n parses left-deep; list the branches q2 … q_n
     # from the outside in, then combine q1 with each in source order.
     unions = []
@@ -513,13 +529,17 @@ def oracle_run_query(
         cur = oracle_run_clause(c, g, cur, functions)
     result = _oracle_project(q.ret.star, q.ret.items, g, cur, functions)
     for union in reversed(unions):
-        combined = bag_union(result, oracle_run_query(union.right, g, t, functions))
-        result = combined if union.all else distinct(combined)
+        right = oracle_run_query(union.right, g, t, functions)
+        if right.fields != result.fields:
+            raise FieldMismatch(f"field sets differ: {list(result.fields)} vs {list(right.fields)}")
+        result = Bag(result.fields, [*result.rows(), *right.rows()])  # multiplicities add
+        if not union.all:
+            result = Bag(result.fields, [(u, 1) for u, _ in result.rows()])
     return result
 
 
-def oracle_output(q: ast.Query, g: PropertyGraph, functions: FunctionRegistry | None = None) -> Table:
-    return oracle_run_query(q, g, unit_table(), functions)
+def oracle_output(q: ast.Query, g: PropertyGraph, functions: FunctionRegistry | None = None) -> Bag:
+    return oracle_run_query(q, g, Bag((), [({}, 1)]), functions)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +547,7 @@ def oracle_output(q: ast.Query, g: PropertyGraph, functions: FunctionRegistry | 
 # ---------------------------------------------------------------------------
 
 
-def _render_rows(t: Table) -> list[str]:
+def _render_rows(t) -> list[str]:
     lines = []
     for u, count in t.rows():
         cells = ", ".join(f"{f}={u[f]!r}" for f in t.fields)
@@ -535,7 +555,7 @@ def _render_rows(t: Table) -> list[str]:
     return sorted(lines)
 
 
-def _guarded(fn: Callable[[], Table]) -> tuple[str, object]:
+def _guarded(fn: Callable[[], object]) -> tuple[str, object]:
     try:
         return ("table", fn())
     except EvalError as exc:
@@ -551,14 +571,16 @@ def differential_case(
 ) -> tuple[bool, dict]:
     """Run both implementations; agree = equal result bags, or both undefined.
 
-    When both sides raise, the case counts as agreement even if the error
-    kinds differ (enumeration order may surface a different offending
-    expression first); the kinds are recorded for diagnosis.
+    Both are compared in the oracle's normal form, so an engine table that
+    lists a record twice disagrees.  When both sides raise, the case counts
+    as agreement even if the error kinds differ (enumeration order may
+    surface a different offending expression first); they are recorded.
     """
     eng = _guarded(lambda: engine_output(q, g, functions))
     orc = _guarded(lambda: oracle_output(q, g, functions))
     if eng[0] == "table" and orc[0] == "table":
-        agree = eng[1] == orc[1]
+        got = _normal_form(eng[1])
+        agree = got is not None and got == _normal_form(orc[1])
     else:
         agree = eng[0] == orc[0] == "error"
     detail = {

@@ -7,7 +7,13 @@ about a table is ordered.
 
 Structural identity of records (what makes two rows "the same" for
 counting, distinct() and table equality) is value identity per
-:func:`minicypher.values.canon`: null equals null, and True is not 1.
+:func:`minicypher.values.canon`: null equals null, and True is not 1.  A
+row key encodes it more cheaply: a cell of an exact type in
+``values.UNTAGGED`` is its own key; only bools, composites and subclass
+instances go through ``canon``.  Rows keep insertion order; the key index
+is built at most once, when identity is first observed (``add``,
+``multiplicity``, ``==``), and until then ``add_new`` appends rows known
+to be new unkeyed.
 """
 
 from __future__ import annotations
@@ -15,72 +21,103 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import FieldMismatch
-from .values import Value, canon
+from .values import UNTAGGED, NodeId, RelId, Value, canon
 
 Record = dict[str, Value]
 
 
+# A subclass instance of an untagged kind keys as a value equal to its base value.
+_BASE = {"int": lambda x: x, "str": lambda x: x, "node": NodeId, "rel": RelId}
+
+
+def _tagged_key(v: Value):
+    c = canon(v)
+    return _BASE[c[0]](c[1]) if c[0] in _BASE else c
+
+
 def _row_key(fields: tuple[str, ...], u: Record) -> tuple:
-    return tuple(canon(u[f]) for f in fields)
+    key = []
+    for f in fields:
+        v = u[f]
+        key.append(v if type(v) in UNTAGGED else _tagged_key(v))
+    return tuple(key)
 
 
 class Table:
     """A bag of uniform records.
 
     ``fields`` is stored sorted (the field *set* is what matters).  Rows
-    live in a counted-multiset keyed by the canonical encoding of the
-    record, so equality of tables is decidable and exact.
+    are ``[record, count]`` slots; the index from row key to slot makes
+    equality of tables decidable and exact.
     """
 
-    __slots__ = ("fields", "_rows")
+    __slots__ = ("fields", "_names", "_slots", "_index")
 
     def __init__(self, fields: Iterable[str], records: Iterable[Record] = ()):
         self.fields: tuple[str, ...] = tuple(sorted(set(fields)))
-        self._rows: dict[tuple, list] = {}  # key -> [record, count]
+        self._names = frozenset(self.fields)
+        self._slots: list[list] = []  # [record, count], in insertion order
+        self._index: dict[tuple, list] | None = None  # row key -> slot, once built
         for u in records:
             self.add(u)
 
+    def _keyed(self) -> dict[tuple, list]:
+        """The key index, built from the slots on first use."""
+        if self._index is None:
+            self._index = {_row_key(self.fields, slot[0]): slot for slot in self._slots}
+        return self._index
+
     def add(self, u: Record, count: int = 1) -> None:
-        if set(u.keys()) != set(self.fields):
+        if u.keys() != self._names:
             raise AssertionError(
                 f"non-uniform record: has {sorted(u)}, table fields are {list(self.fields)}"
             )
+        index = self._index if self._index is not None else self._keyed()
         key = _row_key(self.fields, u)
-        slot = self._rows.get(key)
+        slot = index.get(key)
         if slot is None:
-            self._rows[key] = [dict(u), count]
+            index[key] = slot = [dict(u), count]
+            self._slots.append(slot)
         else:
             slot[1] += count
+
+    def add_new(self, u: Record, count: int = 1) -> None:
+        """Add u, known to differ from every row in the table; the table
+        keeps u itself, so the caller must not change it."""
+        if self._index is not None or u.keys() != self._names:
+            self.add(u, count)  # keys u, or rejects it as non-uniform
+        else:
+            self._slots.append([u, count])
 
     # -- inspection ---------------------------------------------------------
 
     def rows(self) -> Iterator[tuple[Record, int]]:
         """Yield (record, multiplicity) pairs."""
-        for record, count in self._rows.values():
+        for record, count in self._slots:
             yield record, count
 
     def records(self) -> Iterator[Record]:
         """Yield each record as many times as its multiplicity."""
-        for record, count in self._rows.values():
+        for record, count in self._slots:
             for _ in range(count):
                 yield record
 
     def multiplicity(self, u: Record) -> int:
-        slot = self._rows.get(_row_key(self.fields, u))
+        slot = self._keyed().get(_row_key(self.fields, u))
         return 0 if slot is None else slot[1]
 
     def total_rows(self) -> int:
-        return sum(count for _, count in self._rows.values())
+        return sum(count for _, count in self._slots)
 
     def is_empty(self) -> bool:
-        return not self._rows
+        return not self._slots
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
         return self.fields == other.fields and {
-            k: c for k, (_, c) in self._rows.items()
-        } == {k: c for k, (_, c) in other._rows.items()}
+            k: c for k, (_, c) in self._keyed().items()
+        } == {k: c for k, (_, c) in other._keyed().items()}
 
     def __repr__(self) -> str:
         return f"Table(fields={list(self.fields)}, rows={self.total_rows()})"
@@ -96,10 +133,9 @@ def bag_union(t1: Table, t2: Table) -> Table:
     if t1.fields != t2.fields:
         raise FieldMismatch(f"field sets differ: {list(t1.fields)} vs {list(t2.fields)}")
     out = Table(t1.fields)
-    for record, count in t1.rows():
-        out.add(record, count)
-    for record, count in t2.rows():
-        out.add(record, count)
+    for t in (t1, t2):
+        for record, count in t.rows():
+            out.add(record, count)
     return out
 
 

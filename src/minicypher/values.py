@@ -37,6 +37,9 @@ class NodeId:
 
     key: str
 
+    def __hash__(self) -> int:
+        return hash(self.key)
+
     def __repr__(self) -> str:
         return f"NodeId({self.key})"
 
@@ -46,6 +49,9 @@ class RelId:
     """A relationship identifier."""
 
     key: str
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"RelId({self.key})"
@@ -103,13 +109,14 @@ class Path:
     path has no relationships at all.
     """
 
-    __slots__ = ("nodes", "rels")
+    __slots__ = ("nodes", "rels", "_canon")
 
     def __init__(self, nodes: tuple[NodeId, ...], rels: tuple[RelId, ...] = ()):
         if len(nodes) != len(rels) + 1:
             raise ValueError(f"path shape invalid: {len(nodes)} nodes, {len(rels)} rels")
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "rels", tuple(rels))
+        object.__setattr__(self, "_canon", None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Path):
@@ -137,6 +144,10 @@ KINDS: tuple[tuple[type, str], ...] = (
     (NodeId, "node"), (RelId, "rel"), (tuple, "list"), (Map, "map"), (Path, "path"),
 )
 _KIND_OF_TYPE = dict(KINDS)
+
+# Exact types whose values are their own row key (tables.py): equal exactly
+# when their canon forms are.  Not bool, as True == 1, nor composites.
+UNTAGGED = frozenset({type(None), int, str, NodeId, RelId})
 
 
 def kind(v: Value) -> str:
@@ -174,12 +185,13 @@ def canon(v: Value) -> CanonValue:
         return (k, v.key)
     if k == "list":
         return ("list", tuple(canon(x) for x in v))
-    if k == "map":
-        if v._canon is None:
-            entries = tuple(sorted(((key, canon(w)) for key, w in v.entries), key=lambda kv: kv[0]))
-            object.__setattr__(v, "_canon", ("map", entries))
-        return v._canon
-    return ("path", tuple(i.key for i in v.nodes), tuple(i.key for i in v.rels))
+    if v._canon is None:  # a map or a path: encoded once
+        if k == "map":
+            c = ("map", tuple(sorted(((key, canon(w)) for key, w in v.entries), key=lambda kv: kv[0])))
+        else:
+            c = ("path", tuple(i.key for i in v.nodes), tuple(i.key for i in v.rels))
+        object.__setattr__(v, "_canon", c)
+    return v._canon
 
 
 def same_value(a: Value, b: Value) -> bool:

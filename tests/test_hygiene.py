@@ -52,6 +52,22 @@ def test_oracle_is_independent_of_matcher_and_engine():
     assert reads(tree) == reads(harness) > 0
 
 
+def test_oracle_keeps_its_own_bag():
+    # The differential harness checks the engine's bag layer only if the
+    # oracle does not share it: of tables.py it takes the Record alias alone.
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [a.name for a in node.names if "tables" in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            if "tables" in (node.module or "").split("."):
+                taken += [a.name for a in node.names]
+            else:
+                taken += [a.name for a in node.names if a.name == "tables"]
+    assert taken == ["Record"]
+
+
 def _isinstance_naming_bool(tree):
     """(enclosing top-level function or None, line) of each isinstance call
     whose class argument names bool."""

@@ -1,13 +1,17 @@
 """The brute-force oracle, the case generator, and the differential harness."""
 
 import json
+import sys
 
 import pytest
 
+from minicypher import ast, engine, tables
+from minicypher.evaluator import eval_expr
 from minicypher.graph import BOTH, load_graph
 from minicypher.matcher import match_tuple
 from minicypher.oracle import (
     GenConfig,
+    _normal_form,
     case_document,
     differential_case,
     exhaustive_match,
@@ -20,6 +24,7 @@ from minicypher.oracle import (
     save_failure,
 )
 from minicypher.parser import parse_pattern_tuple, parse_query, unparse_query
+from minicypher.tables import Table
 from minicypher.values import NodeId, Path
 
 PATTERNS = [
@@ -263,3 +268,101 @@ def test_oracle_output_on_a_full_query(teachers):
     from minicypher.engine import output
 
     assert oracle_output(q, teachers) == output(q, teachers)
+
+
+# ---------------------------------------------------------------------------
+# planted bag mutants: the oracle's own bag catches them
+# ---------------------------------------------------------------------------
+
+
+def _first_disagreement(seeds=2000):
+    for seed in range(seeds):
+        g, q = gen_case(GenConfig(seed=seed))
+        if not differential_case(g, q)[0]:
+            return seed
+    return None
+
+
+def _plant(monkeypatch, name, planted):
+    """Replace tables.<name> in every module that holds it, as a bug in
+    tables.py would: the oracle, with a bag of its own, is left as it is."""
+    real = getattr(tables, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("minicypher") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, planted)
+
+
+def _union_counting_the_right_branch_once(t1, t2):
+    out = Table(t1.fields)
+    for record, count in t1.rows():
+        out.add(record, count)
+    for record, _ in t2.rows():
+        out.add(record, 1)
+    return out
+
+
+def _distinct_keeping_counts(t):
+    out = Table(t.fields)
+    for record, count in t.rows():
+        out.add(record, count)
+    return out
+
+
+class _Unkeyed(Table):
+    """Every engine insertion on the new-row path, projections included."""
+
+    __slots__ = ()
+    add = Table.add_new
+
+
+def _unwind_on_the_new_row_path(run_clause):
+    def planted(c, g, t, functions=None):
+        if not isinstance(c, ast.Unwind):
+            return run_clause(c, g, t, functions)
+        out = Table(t.fields + (c.name,))
+        for u, count in t.rows():
+            v = eval_expr(c.expr, g, u, functions)
+            for x in v if isinstance(v, tuple) else (v,):
+                out.add_new({**u, c.name: x}, count)
+        return out
+
+    return planted
+
+
+def _in_normal_form(run_clause):
+    # Every query ends in a projection, which merges equal rows, so a clause
+    # that repeats a record shows only in that clause's own table.
+    def checked(c, g, t, functions=None):
+        out = run_clause(c, g, t, functions)
+        if _normal_form(out) is None:
+            raise AssertionError(f"{c!r} repeats a record")
+        return out
+
+    return checked
+
+
+def test_generated_cases_catch_a_union_counting_the_right_branch_once(monkeypatch):
+    _plant(monkeypatch, "bag_union", _union_counting_the_right_branch_once)
+    assert _first_disagreement() is not None
+
+
+def test_generated_cases_catch_a_distinct_keeping_counts(monkeypatch):
+    _plant(monkeypatch, "distinct", _distinct_keeping_counts)
+    assert _first_disagreement() is not None
+
+
+def test_the_normal_form_guard_catches_repeated_records_in_a_result(monkeypatch):
+    monkeypatch.setattr(engine, "Table", _Unkeyed)
+    assert _first_disagreement() is not None
+
+
+def test_every_clause_table_lists_each_record_once(monkeypatch):
+    monkeypatch.setattr(engine, "run_clause", _in_normal_form(engine.run_clause))
+    assert _first_disagreement(600) is None
+
+
+def test_the_clause_guard_catches_an_unwind_on_the_new_row_path(monkeypatch):
+    planted = _in_normal_form(_unwind_on_the_new_row_path(engine.run_clause))
+    monkeypatch.setattr(engine, "run_clause", planted)
+    with pytest.raises(AssertionError, match="repeats a record"):
+        _first_disagreement()

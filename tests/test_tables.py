@@ -1,8 +1,11 @@
+from enum import IntEnum
+
 import pytest
 
+from minicypher import tables
 from minicypher.errors import FieldMismatch
 from minicypher.tables import Table, bag_union, distinct, unit_table
-from minicypher.values import NodeId
+from minicypher.values import Map, NodeId, Path, RelId, canon
 
 
 def test_fields_are_sorted():
@@ -87,3 +90,115 @@ def test_records_expand_multiplicity():
     t = Table(["a"], [{"a": NodeId("n1")}])
     t.add({"a": NodeId("n1")})
     assert list(t.records()) == [{"a": NodeId("n1")}, {"a": NodeId("n1")}]
+
+
+# ---------------------------------------------------------------------------
+# Row keys: equal exactly when the cells' canon forms are
+# ---------------------------------------------------------------------------
+
+
+class One(IntEnum):
+    ONE = 1
+
+
+class Name(str):
+    pass
+
+
+class Node(NodeId):
+    pass
+
+
+def _path(*keys):
+    return Path(tuple(NodeId(k) for k in keys[0::2]), tuple(RelId(k) for k in keys[1::2]))
+
+
+SEPARATE = [
+    (True, 1),
+    (False, 0),
+    ((True,), (1,)),
+    (NodeId("x"), RelId("x")),
+    (NodeId("x"), "x"),
+    (RelId("x"), "x"),
+    (None, ()),
+    (Map((("a", True),)), Map((("a", 1),))),
+    (_path("n1", "r1", "n2"), _path("n2", "r1", "n1")),
+]
+MERGE = [
+    (One.ONE, 1),
+    ((One.ONE,), (1,)),
+    (Name("v"), "v"),
+    (Node("x"), NodeId("x")),
+    (Map((("a", 1), ("b", True))), Map((("b", True), ("a", 1)))),
+    (_path("n1", "r1", "n2"), _path("n1", "r1", "n2")),
+]
+
+
+@pytest.mark.parametrize("a, b", SEPARATE, ids=repr)
+def test_add_separates_what_canon_separates(a, b):
+    t = Table(["x"], [{"x": a}, {"x": b}])
+    assert [c for _, c in t.rows()] == [1, 1]
+    assert t.multiplicity({"x": a}) == t.multiplicity({"x": b}) == 1
+
+
+@pytest.mark.parametrize("a, b", MERGE, ids=repr)
+def test_add_merges_what_canon_merges(a, b):
+    t = Table(["x"], [{"x": a}, {"x": b}])
+    assert [c for _, c in t.rows()] == [2]
+    assert t.multiplicity({"x": b}) == 2
+
+
+@pytest.mark.parametrize("a, b", SEPARATE, ids=repr)
+def test_new_rows_keep_apart_under_eq_and_multiplicity(a, b):
+    t = Table(["x"])
+    t.add_new({"x": a})
+    t.add_new({"x": b}, 2)
+    assert t.multiplicity({"x": a}) == 1 and t.multiplicity({"x": b}) == 2
+    assert t == Table(["x"], [{"x": b}, {"x": a}, {"x": b}])
+    assert t != Table(["x"], [{"x": a}, {"x": a}, {"x": b}])
+
+
+@pytest.mark.parametrize("a, b", MERGE, ids=repr)
+def test_new_rows_match_equal_values_under_eq_and_multiplicity(a, b):
+    t = Table(["x"])
+    t.add_new({"x": a}, 2)
+    assert t.multiplicity({"x": b}) == 2
+    assert t == Table(["x"], [{"x": b}, {"x": b}])
+
+
+def test_keys_are_equal_exactly_when_canon_is():
+    pool = [None, True, False, 0, 1, One.ONE, "", "x", Name("x"), NodeId("x"), Node("x"), RelId("x"),
+            (), (1,), (True,), (One.ONE,), Map(()), Map((("a", 1),)), Map((("a", True),)),
+            _path("x"), _path("x", "r", "y")]
+    for a in pool:
+        for b in pool:
+            t = Table(["x"], [{"x": a}, {"x": b}])
+            assert (len(list(t.rows())) == 1) == (canon(a) == canon(b)), (a, b)
+
+
+def test_mixed_insertions_build_the_index_once(monkeypatch):
+    keyed = []
+    row_key = tables._row_key
+    monkeypatch.setattr(tables, "_row_key", lambda fields, u: keyed.append(u) or row_key(fields, u))
+    t = Table(["a"])
+    t.add_new({"a": 1})
+    t.add_new({"a": 2})
+    assert keyed == []  # rows known to be new are not keyed
+    t.add({"a": 3})  # builds the index from rows 1 and 2, then keys row 3
+    index = t._index
+    t.add_new({"a": 4})  # with an index, a new row is keyed like any other
+    t.add({"a": 1})
+    assert t.multiplicity({"a": 2}) == 1
+    assert [u["a"] for u in keyed] == [1, 2, 3, 4, 1, 2]  # rows 1 and 2 keyed once
+    assert t == Table(["a"], [{"a": 1}, {"a": 1}, {"a": 2}, {"a": 3}, {"a": 4}])
+    assert t._index is index
+    assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 1), ({"a": 3}, 1), ({"a": 4}, 1)]
+
+
+def test_uniformity_is_checked_on_the_new_row_path():
+    t = Table(["a"])
+    with pytest.raises(AssertionError):
+        t.add_new({"b": 1})
+    t.add({"a": 1})
+    with pytest.raises(AssertionError):
+        t.add_new({"b": 1})
