@@ -3,9 +3,11 @@
 A graph is the tuple (nodes, relationships, src, tgt, properties, labels,
 types).  Property lookup is total: unset keys read as null.  Instances are
 frozen after :func:`load_graph`; all query methods are read-only and safe
-to share between threads.  The per-key property index is built on the
-first seek for its key and cached; a build is idempotent, so threads that
-race to build one store equal copies.
+to share between threads.  Ids are interned (``values.NodeId``), so the
+id-keyed indexes hash and compare by identity, and loading is safe from
+any thread.  The undirected adjacency is built at load.  The per-key
+property index is built on the first seek for its key and cached; a build
+is idempotent, so threads that race to build one store equal copies.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class PropertyGraph:
 
     __slots__ = (
         "nodes", "rels", "_src", "_tgt", "_labels", "_types", "_props",
-        "_out", "_in", "_by_label", "_by_prop", "__weakref__",
+        "_out", "_in", "_both", "_by_label", "_by_prop", "__weakref__",
     )
 
     def __init__(
@@ -81,6 +83,9 @@ class PropertyGraph:
             inc[tgt[r]].append(r)
         self._out = {n: tuple(v) for n, v in out.items()}
         self._in = {n: tuple(v) for n, v in inc.items()}
+        # Undirected: outgoing, then incoming; a self-loop sits in both, once.
+        self._both = {n: self._out[n] + tuple(r for r in self._in[n] if src[r] is not n)
+                      for n in nodes}
         # Label index: label -> the nodes carrying it, in document order.
         by_label: dict[str, list[NodeId]] = {}
         for n in nodes:
@@ -160,9 +165,7 @@ class PropertyGraph:
         if direction == IN:
             return self._in[n]
         if direction == BOTH:
-            outgoing = self._out[n]
-            # A self-loop sits in both lists; report it once.
-            return outgoing + tuple(r for r in self._in[n] if self._src[r] != n)
+            return self._both[n]
         raise ValueError(f"bad direction {direction!r}")
 
     def other_end(self, r: RelId, n: NodeId) -> NodeId:
@@ -257,7 +260,7 @@ def load_graph(document: dict) -> PropertyGraph:
     src: dict[RelId, NodeId] = {}
     tgt: dict[RelId, NodeId] = {}
     types: dict[RelId, str] = {}
-    node_ids = {n.key for n in nodes}
+    node_of = {n.key: n for n in nodes}
 
     for idx, rd in enumerate(rel_docs):
         where = f"relationships[{idx}]"
@@ -269,16 +272,16 @@ def load_graph(document: dict) -> PropertyGraph:
         rtype = _expect(rd, "type", str, where)
         s = _expect(rd, "src", str, where)
         t = _expect(rd, "tgt", str, where)
-        if s not in node_ids:
+        if s not in node_of:
             raise DanglingEndpoint(f"{where}: src {s!r} is not a declared node")
-        if t not in node_ids:
+        if t not in node_of:
             raise DanglingEndpoint(f"{where}: tgt {t!r} is not a declared node")
         raw_props = rd.get("properties", {})
         if not isinstance(raw_props, dict):
             raise SchemaError(f"{where}: `properties` must be an object")
         rels.append(r)
-        src[r] = NodeId(s)
-        tgt[r] = NodeId(t)
+        src[r] = node_of[s]
+        tgt[r] = node_of[t]
         types[r] = rtype
         for k, raw in raw_props.items():
             v = _value_from_json(raw, f"{where}.properties.{k}")

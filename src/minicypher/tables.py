@@ -64,7 +64,10 @@ class Table:
     def _keyed(self) -> dict[tuple, list]:
         """The key index, built from the slots on first use."""
         if self._index is None:
-            self._index = {_row_key(self.fields, slot[0]): slot for slot in self._slots}
+            index = {_row_key(self.fields, slot[0]): slot for slot in self._slots}
+            if len(index) != len(self._slots):
+                raise AssertionError("add_new was given a row already in the table")
+            self._index = index
         return self._index
 
     def add(self, u: Record, count: int = 1) -> None:

@@ -21,43 +21,77 @@ Structural identity of values (the notion used for bag counting,
 ``distinct`` and duplicate elimination — *not* the language-level ``=``)
 goes through :func:`canon`, which produces a kind-tagged, hashable normal
 form.
+
+Ids are opaque atoms, so each is interned (one live object per class and
+key, safe to create from any thread): their equality and hashing are
+object identity, and ``NodeId('a')`` is never ``RelId('a')``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import Callable, Union
 
 from .errors import EvalError, type_mismatch
 
 
-@dataclass(frozen=True)
-class NodeId:
+class _Frozen:
+    """Rejects assignment and deletion: ids, maps and paths are immutable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+_INTERN_LOCK = threading.Lock()
+
+
+class _Id(_Frozen):
+    """A graph id, interned: one live object per (class, key), created under
+    a lock, re-interned by copy and pickle, dropped once unreferenced."""
+
+    __slots__ = ("key", "__weakref__")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, key: str):
+        with _INTERN_LOCK:
+            self = cls._interned.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "key", key)
+                cls._interned[key] = self
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.key,)
+
+
+class NodeId(_Id):
     """A node identifier. ``key`` is the document-given id string."""
 
-    key: str
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"NodeId({self.key})"
 
 
-@dataclass(frozen=True)
-class RelId:
+class RelId(_Id):
     """A relationship identifier."""
 
-    key: str
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"RelId({self.key})"
 
 
-class Map:
+class Map(_Frozen):
     """An immutable map value with pairwise-distinct string keys.
 
     Insertion order is retained for display purposes only; equality and
@@ -97,12 +131,15 @@ class Map:
     def __hash__(self) -> int:
         return hash(canon(self))
 
+    def __reduce__(self):
+        return type(self), (self.entries,)
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v!r}" for k, v in self.entries)
         return f"map({inner})"
 
 
-class Path:
+class Path(_Frozen):
     """A path value: node ids at even positions, relationship ids between.
 
     ``nodes`` has exactly one more element than ``rels``; a single-node
@@ -125,6 +162,9 @@ class Path:
 
     def __hash__(self) -> int:
         return hash((self.nodes, self.rels))
+
+    def __reduce__(self):
+        return type(self), (self.nodes, self.rels)
 
     def __repr__(self) -> str:
         parts = [self.nodes[0].key]

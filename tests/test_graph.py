@@ -66,6 +66,26 @@ def test_incident_self_loop_not_duplicated(g):
     assert g.incident(NodeId("n3"), IN) == (RelId("r3"),)
 
 
+def test_incident_both_order_is_outgoing_then_incoming_without_self_loops():
+    # Parallel relationships, a self-loop and both directions around n1:
+    # BOTH lists the outgoing ones in document order, then the incoming
+    # ones that are not self-loops, each self-loop once.
+    h = load_graph(doc(
+        nodes=[node("n1"), node("n2")],
+        rels=[
+            rel("r1", "t", "n2", "n1"), rel("r2", "t", "n1", "n2"),
+            rel("r3", "t", "n1", "n1"), rel("r4", "t", "n2", "n1"),
+            rel("r5", "t", "n1", "n2"), rel("r6", "t", "n1", "n1"),
+        ],
+    ))
+    keys = lambda n, d: [r.key for r in h.incident(NodeId(n), d)]
+    assert keys("n1", BOTH) == ["r2", "r3", "r5", "r6", "r1", "r4"]
+    assert keys("n2", BOTH) == ["r1", "r4", "r2", "r5"]
+    assert keys("n1", OUT) == ["r2", "r3", "r5", "r6"]
+    assert keys("n1", IN) == ["r1", "r3", "r4", "r6"]
+    assert isinstance(h.incident(NodeId("n1"), BOTH), tuple)
+
+
 def test_label_index_in_document_order():
     h = load_graph(doc(nodes=[
         node("n3", ["B"]), node("n1", ["A", "B"]), node("n4", ["A"]),

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from minicypher.values import NodeId, RelId
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "minicypher"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -92,3 +94,11 @@ def test_only_values_kind_and_raw_json_readers_test_for_bool(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = [(fn, line) for fn, line in _isinstance_naming_bool(tree) if not _reads_raw_json(path.name, fn)]
     assert not found, f"{path.name} tests isinstance(…, bool) outside values.kind: {found}"
+
+
+@pytest.mark.parametrize("cls", [NodeId, RelId], ids=lambda c: c.__name__)
+def test_ids_hash_and_compare_by_identity(cls):
+    # Ids are interned, so object identity is their equality; a Python-level
+    # __hash__ or __eq__ would put a call on every id-keyed lookup.
+    assert cls.__hash__ is object.__hash__
+    assert cls.__eq__ is object.__eq__

@@ -202,3 +202,14 @@ def test_uniformity_is_checked_on_the_new_row_path():
     t.add({"a": 1})
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
+
+
+def test_a_repeated_new_row_is_caught_when_the_index_is_built():
+    # add_new trusts its caller; a row that was not new must not collapse
+    # silently into its twin once identity is observed
+    t = Table(["a"])
+    t.add_new({"a": 1})
+    t.add_new({"a": 1})
+    assert t.total_rows() == 2
+    with pytest.raises(AssertionError, match="already in the table"):
+        t.multiplicity({"a": 1})

@@ -1,9 +1,15 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
 from collections import namedtuple
 from enum import IntEnum
 
 import pytest
 
 from minicypher.errors import EvalError
+from minicypher.tables import Table
 from minicypher.values import (
     BASE_FUNCTIONS,
     Map,
@@ -86,6 +92,80 @@ def test_node_and_rel_ids_compare_by_key_within_kind():
     assert NodeId("n1") == NodeId("n1")
     assert NodeId("n1") != NodeId("n2")
     assert not same_value(NodeId("n1"), RelId("n1"))
+
+
+class _Node(NodeId):
+    pass
+
+
+def test_an_id_is_one_object_per_class_and_key():
+    assert NodeId("a") is NodeId("a")
+    assert RelId("a") is RelId("a") and _Node("a") is _Node("a")
+    assert NodeId("a") != RelId("a")
+    assert NodeId("a") != _Node("a")  # a subclass instance is a different id
+
+
+def test_a_subclass_id_keys_as_its_base_value_in_a_table():
+    t = Table(["x"], [{"x": NodeId("a")}, {"x": _Node("a")}])
+    assert [count for _, count in t.rows()] == [2]
+    assert t.multiplicity({"x": _Node("a")}) == t.multiplicity({"x": NodeId("a")}) == 2
+
+
+@pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_an_id_are_the_interned_id(dup):
+    for v in (NodeId("a"), RelId("a"), _Node("a")):
+        assert dup(v) is v
+    m, p = Map((("a", (1, NodeId("a"))),)), Path((NodeId("a"), NodeId("b")), (RelId("r"),))
+    assert dup(m) == m and dup(p) == p
+    assert dup(p).nodes[0] is NodeId("a")
+
+
+def test_values_reject_assignment():
+    m, p = Map((("a", 1),)), Path((NodeId("a"),))
+    canon(m)  # caches the canon form
+    for v, name in ((NodeId("a"), "key"), (RelId("a"), "key"), (m, "entries"), (p, "nodes")):
+        with pytest.raises(AttributeError):
+            setattr(v, name, ())
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert NodeId("a").key == "a"
+    assert m == Map((("a", 1),)) and m != Map((("a", 2),))
+    assert p == Path((NodeId("a"),))
+
+
+@pytest.mark.parametrize("round_", range(4))
+def test_racing_threads_create_one_id_per_key(round_):
+    keys = [f"race{round_}-{i}" for i in range(1000)]  # fresh keys each round
+    barrier = threading.Barrier(8)
+    made = [None] * 8
+
+    def build(slot):
+        barrier.wait(timeout=10)
+        made[slot] = [NodeId(k) for k in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, k in enumerate(keys):
+        assert len({id(ids[i]) for ids in made}) == 1, k
+        assert made[0][i] is NodeId(k)
+
+
+def test_an_unreferenced_id_leaves_the_intern_table():
+    n = NodeId("fleeting")
+    assert NodeId._interned.get("fleeting") is n
+    del n
+    gc.collect()
+    assert "fleeting" not in NodeId._interned
 
 
 def test_map_lookup():
