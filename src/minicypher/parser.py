@@ -1,5 +1,15 @@
 """Tokenizer, recursive-descent parser, and canonical unparser.
 
+The tokenizer makes one ``_TOKEN`` match per token: whitespace (space, tab,
+CR, LF), then a token class of docs/grammar.md: punctuation (``<= >= <>
+..`` before the one-character kinds), IDENT ``[A-Za-z_][A-Za-z0-9_]*``,
+INT ``[0-9]+``, or a closed STRING without a backslash; ``_escaped_string``
+decodes any other string and raises its errors.  A character no class
+matches is a parse error.  A :class:`Token` holds ``kind`` (the punctuation
+itself, IDENT, INT, STRING or EOF), ``value``, ``start``, ``end`` and the
+upper-cased ``keyword`` an IDENT spells (``""`` otherwise), so the parser
+never upper-cases on a probe.
+
 The parser is layered by operator precedence, tightest first:
 
   1. property access / indexing / slicing (postfix)
@@ -26,8 +36,8 @@ alias function for un-aliased RETURN items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+import re
+from typing import Callable, NamedTuple, TypeVar
 
 from . import ast
 from .errors import ParseError
@@ -41,9 +51,6 @@ KEYWORDS = {
     "STARTS", "ENDS", "CONTAINS", "TRUE", "FALSE",
 }
 
-_PUNCT2 = ("<=", ">=", "<>", "..")
-_PUNCT1 = "()[]{},:.|=<>-*"
-
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
 
 # The boolean connectives, loosest first.  Parsing and unparsing both take
@@ -51,6 +58,7 @@ _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
 CONNECTIVES = (("OR", ast.Or), ("XOR", ast.Xor), ("AND", ast.And))
 
 _STRING_IN = ("IN", "STARTS", "ENDS", "CONTAINS")
+_KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
 
 # Nesting levels below a top-level expression: each sub-expression parsed
 # whole (in parentheses, a list, a map, call arguments, an index) and each
@@ -59,70 +67,71 @@ _STRING_IN = ("IN", "STARTS", "ENDS", "CONTAINS")
 # left-deep chains (a AND b AND …, m.k.k…) iteratively, so those are unbounded.
 MAX_NESTING = 64
 
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (<=|>=|<>|\.\.|[()\[\]{},:.|=<>*-])  # 1: punctuation, its own kind
+  | ([A-Za-z_][A-Za-z0-9_]*)            # 2: IDENT
+  | ([0-9]+)                            # 3: INT
+  | ('[^'\\]*'|"[^"\\]*")               # 4: STRING, closed, no backslash
+  | (\Z)                                # 5: EOF
+)""", re.VERBOSE)
+_GROUP_KIND = (None, None, "IDENT", "INT", "STRING", "EOF")
+_SPACE = re.compile(r"[ \t\r\n]*")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # IDENT, INT, STRING, EOF, or the punctuation itself
     value: str
     start: int
     end: int
+    keyword: str  # the upper-cased keyword an IDENT spells, else ""
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
+    append, match, new = tokens.append, _TOKEN.match, tuple.__new__
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:  # a string with a backslash or no closing quote, or no token
+            start = _SPACE.match(text, pos).end()
+            if text[start] not in "'\"":
+                raise ParseError(f"unexpected character {text[start]!r}", (start, start + 1))
+            value, pos = _escaped_string(text, start)
+            append(new(Token, ("STRING", value, start, pos, "")))
             continue
-        if text[i:i + 2] in _PUNCT2:
-            tokens.append(Token(text[i:i + 2], text[i:i + 2], i, i + 2))
-            i += 2
+        group, pos = m.lastindex, m.end()
+        value = m[group]
+        start = pos - len(value)
+        if group == 2:
+            keyword = value.upper()
+            append(new(Token, ("IDENT", value, start, pos, keyword if keyword in KEYWORDS else "")))
             continue
-        if c in _PUNCT1:
-            tokens.append(Token(c, c, i, i + 1))
-            i += 1
+        if group == 4:
+            value = value[1:-1]
+        append(new(Token, (_GROUP_KIND[group] or value, value, start, pos, "")))
+        if group == 5:
+            return tokens
+
+
+def _escaped_string(text: str, i: int) -> tuple[str, int]:
+    """The value and end of the string literal at text[i], decoding escapes."""
+    quote, n = text[i], len(text)
+    j = i + 1
+    out: list[str] = []
+    while True:
+        if j >= n:
+            raise ParseError("unterminated string literal", (i, n))
+        ch = text[j]
+        if ch == quote:
+            return "".join(out), j + 1
+        if ch == "\\":
+            if j + 1 >= n or text[j + 1] not in _ESCAPES:
+                raise ParseError("bad escape sequence", (j, j + 2))
+            out.append(_ESCAPES[text[j + 1]])
+            j += 2
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], i, j))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], i, j))
-            i = j
-            continue
-        if c in "'\"":
-            quote = c
-            j = i + 1
-            out: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", (i, n))
-                ch = text[j]
-                if ch == quote:
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        raise ParseError("bad escape sequence", (j, j + 2))
-                    out.append(_ESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                out.append(ch)
-                j += 1
-            tokens.append(Token("STRING", "".join(out), i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", (i, i + 1))
-    tokens.append(Token("EOF", "", n, n))
-    return tokens
+        out.append(ch)
+        j += 1
 
 
 class Parser:
@@ -135,7 +144,8 @@ class Parser:
     # -- cursor helpers -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # in range: the cursor never steps past EOF, and no look-ahead is taken from it
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -144,27 +154,32 @@ class Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.value.upper() == word
+        return self.tokens[self.pos].keyword == word
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise ParseError(f"unexpected {self._describe(tok)}", (tok.start, tok.end), expected=kind)
-        return self.advance()
+        self.pos += 1
+        return tok
 
-    def expect_kw(self, word: str) -> Token:
-        if not self.at_kw(word):
+    def expect_kw(self, word: str) -> None:
+        if not self.take_kw(word):
             tok = self.peek()
             raise ParseError(f"unexpected {self._describe(tok)}", (tok.start, tok.end), expected=word)
-        return self.advance()
+
+    def take(self, kind: str) -> bool:
+        if self.tokens[self.pos].kind == kind:
+            self.pos += 1
+            return True
+        return False
 
     def take_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.advance()
+        if self.tokens[self.pos].keyword == word:
+            self.pos += 1
             return True
         return False
 
@@ -172,9 +187,10 @@ class Parser:
         tok = self.peek()
         if tok.kind != "IDENT":
             raise ParseError(f"unexpected {self._describe(tok)}", (tok.start, tok.end), expected="a name")
-        if tok.value.upper() in KEYWORDS:
+        if tok.keyword:
             raise ParseError(f"keyword {tok.value!r} cannot be used as a name", (tok.start, tok.end))
-        return self.advance()
+        self.pos += 1
+        return tok
 
     @staticmethod
     def _describe(tok: Token) -> str:
@@ -203,8 +219,7 @@ class Parser:
         word, node = CONNECTIVES[i]
         tighter = i + 1 < len(CONNECTIVES)
         left = self._parse_connective(i + 1) if tighter else self._parse_not()
-        while self.at_kw(word):
-            self.advance()
+        while self.take_kw(word):
             right = self._parse_connective(i + 1) if tighter else self._parse_not()
             left = node(left, right, span=self._span_from(left.span[0]))
         return left
@@ -220,7 +235,7 @@ class Parser:
 
     def _parse_string_in(self) -> ast.Expr:
         left = self._parse_is_null()
-        while self.at("IDENT") and (op := self.peek().value.upper()) in _STRING_IN:
+        while (op := self.tokens[self.pos].keyword) in _STRING_IN:
             self.advance()
             if op in ("STARTS", "ENDS"):
                 self.expect_kw("WITH")
@@ -233,8 +248,7 @@ class Parser:
 
     def _parse_is_null(self) -> ast.Expr:
         e = self._parse_comparison()
-        while self.at_kw("IS"):
-            self.advance()
+        while self.take_kw("IS"):
             negated = self.take_kw("NOT")
             self.expect_kw("NULL")
             e = ast.IsNull(e, negated, span=self._span_from(e.span[0]))
@@ -267,17 +281,15 @@ class Parser:
                 e = ast.Prop(e, self.expect_name().value, span=self._span_from(start))
                 continue
             lo = None if self.at("..") else self.parse_expr()
-            if lo is not None and self.at("]"):
-                self.advance()
+            if lo is not None and self.take("]"):
                 e = ast.Index(e, lo, span=self._span_from(start))
                 continue
-            if not self.at(".."):
+            if not self.take(".."):
                 tok = self.peek()
                 raise ParseError(
                     f"unexpected {self._describe(tok)} in index", (tok.start, tok.end),
                     expected="] or ..",
                 )
-            self.advance()
             # a slice needs at least one bound: `e[..]` is rejected
             hi = None if lo is not None and self.at("]") else self.parse_expr()
             self.expect("]")
@@ -299,15 +311,9 @@ class Parser:
         if tok.kind == "STRING":
             self.advance()
             return ast.Lit(tok.value, span=(tok.start, tok.end))
-        if self.at_kw("TRUE"):
+        if tok.keyword in _KEYWORD_LITERALS:
             self.advance()
-            return ast.Lit(True, span=(tok.start, tok.end))
-        if self.at_kw("FALSE"):
-            self.advance()
-            return ast.Lit(False, span=(tok.start, tok.end))
-        if self.at_kw("NULL"):
-            self.advance()
-            return ast.Lit(None, span=(tok.start, tok.end))
+            return ast.Lit(_KEYWORD_LITERALS[tok.keyword], span=(tok.start, tok.end))
         if tok.kind == "IDENT":
             if self.peek(1).kind == "(":
                 name = self.expect_name().value
@@ -315,8 +321,7 @@ class Parser:
                 args: list[ast.Expr] = []
                 if not self.at(")"):
                     args.append(self.parse_expr())
-                    while self.at(","):
-                        self.advance()
+                    while self.take(","):
                         args.append(self.parse_expr())
                 self.expect(")")
                 return ast.FnCall(name, tuple(args), span=self._span_from(tok.start))
@@ -332,8 +337,7 @@ class Parser:
             items: list[ast.Expr] = []
             if not self.at("]"):
                 items.append(self.parse_expr())
-                while self.at(","):
-                    self.advance()
+                while self.take(","):
                     items.append(self.parse_expr())
             self.expect("]")
             return ast.ListLit(tuple(items), span=self._span_from(tok.start))
@@ -350,10 +354,8 @@ class Parser:
                 key_tok = self.expect_name()
                 self.expect(":")
                 entries.append((key_tok.value, self.parse_expr()))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
+                if not self.take(","):
+                    break
         self.expect("}")
         if not allow_duplicates:
             keys = [k for k, _ in entries]
@@ -367,8 +369,7 @@ class Parser:
     def parse_pattern_tuple(self) -> ast.PatternTuple:
         start = self.peek().start
         paths = [self.parse_pattern()]
-        while self.at(","):
-            self.advance()
+        while self.take(","):
             paths.append(self.parse_pattern())
         return ast.PatternTuple(tuple(paths), span=self._span_from(start))
 
@@ -390,8 +391,7 @@ class Parser:
         if self.peek().kind == "IDENT":
             name = self.expect_name().value
         labels: list[str] = []
-        while self.at(":"):
-            self.advance()
+        while self.take(":"):
             labels.append(self.expect_name().value)
         props: tuple = ()
         if self.at("{"):
@@ -401,21 +401,16 @@ class Parser:
 
     def _parse_rel_pattern(self) -> ast.RelPattern:
         start = self.peek().start
-        left_arrow = False
-        if self.at("<"):
-            self.advance()
-            left_arrow = True
+        left_arrow = self.take("<")
         self.expect("-")
         self.expect("[")
         name = None
         if self.peek().kind == "IDENT":
             name = self.expect_name().value
         types: list[str] = []
-        if self.at(":"):
-            self.advance()
+        if self.take(":"):
             types.append(self.expect_name().value)
-            while self.at("|"):
-                self.advance()
+            while self.take("|"):
                 types.append(self.expect_name().value)
         range_ = self._parse_len()
         props: tuple = ()
@@ -440,19 +435,16 @@ class Parser:
                               span=self._span_from(start))
 
     def _parse_len(self):
-        if not self.at("*"):
+        if not self.take("*"):
             return None
-        self.advance()
         if self.peek().kind == "INT":
             lo = int(self.advance().value)
-            if self.at(".."):
-                self.advance()
+            if self.take(".."):
                 if self.peek().kind == "INT":
                     return (lo, int(self.advance().value))
                 return (lo, None)
             return (lo, lo)
-        if self.at(".."):
-            self.advance()
+        if self.take(".."):
             hi_tok = self.expect("INT")
             return (None, int(hi_tok.value))
         return (None, None)
@@ -461,8 +453,7 @@ class Parser:
 
     def parse_query(self) -> ast.Query:
         query: ast.Query = self._parse_clause_query()
-        while self.at_kw("UNION"):
-            self.advance()
+        while self.take_kw("UNION"):
             all_ = self.take_kw("ALL")
             right = self._parse_clause_query()
             query = ast.UnionQuery(query, right, all_, span=self._span_from(query.span[0]))
@@ -472,8 +463,7 @@ class Parser:
         start = self.peek().start
         clauses: list[ast.Clause] = []
         while True:
-            if self.at_kw("RETURN"):
-                self.advance()
+            if self.take_kw("RETURN"):
                 star, items = self._parse_items(for_with=False)
                 ret = ast.Return(star, items, span=self._span_from(start))
                 return ast.ClauseQuery(tuple(clauses), ret, span=self._span_from(start))
@@ -488,13 +478,11 @@ class Parser:
             patterns = self.parse_pattern_tuple()
             where = self.parse_expr() if self.take_kw("WHERE") else None
             return ast.Match(patterns, optional, where, span=self._span_from(start))
-        if self.at_kw("WITH"):
-            self.advance()
+        if self.take_kw("WITH"):
             star, items = self._parse_items(for_with=True)
             where = self.parse_expr() if self.take_kw("WHERE") else None
             return ast.With(star, items, where, span=self._span_from(start))
-        if self.at_kw("UNWIND"):
-            self.advance()
+        if self.take_kw("UNWIND"):
             expr = self.parse_expr()
             self.expect_kw("AS")
             name = self.expect_name().value
@@ -505,14 +493,10 @@ class Parser:
         )
 
     def _parse_items(self, for_with: bool) -> tuple[bool, tuple[ast.Item, ...]]:
-        star = False
+        star = self.take("*")
         items: list[ast.Item] = []
-        if self.at("*"):
-            self.advance()
-            star = True
-            if not self.at(","):
-                return star, ()
-            self.advance()
+        if star and not self.take(","):
+            return star, ()
         while True:
             tok = self.peek()
             expr = self.parse_expr()
@@ -525,10 +509,8 @@ class Parser:
                     (tok.start, self.tokens[self.pos - 1].end),
                 )
             items.append((expr, alias))
-            if self.at(","):
-                self.advance()
-                continue
-            return star, tuple(items)
+            if not self.take(","):
+                return star, tuple(items)
 
 
 # ---------------------------------------------------------------------------

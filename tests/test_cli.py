@@ -101,6 +101,20 @@ def test_parse_error_exits_1_with_caret(capsys):
     assert "^" in err
 
 
+@pytest.mark.parametrize("query,offset", [
+    ("RETURN ²", 7),
+    ("MATCH (a)-[*1..²]->(b) RETURN a", 15),
+])
+def test_unicode_digit_exits_1_with_caret(capsys, query, offset):
+    # str.isdigit() holds for a superscript two, but int() rejects it: it
+    # must be a parse error at the character, not an internal error
+    rc, out, err = run(capsys, "--query", query)
+    assert (rc, out) == (1, "")
+    first, text, caret = err.splitlines()[:3]
+    assert first == f"parse error: unexpected character '²' at offset {offset}"
+    assert caret.index("^") - text.index(query) == offset
+
+
 def test_eval_error_exits_2(capsys):
     rc, _, err = run(capsys, "--query", "RETURN 1 < 'a'")
     assert rc == 2

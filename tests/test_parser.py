@@ -5,12 +5,17 @@ produce, ``parse(unparse(ast)) == ast``.  Golden strings pin the intended
 precedence; the generator-driven round trip covers the long tail.
 """
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from minicypher import ast
 from minicypher.errors import ParseError
 from minicypher.oracle import GenConfig, gen_case
 from minicypher.parser import (
+    KEYWORDS,
     parse_expr,
     parse_pattern,
     parse_pattern_tuple,
@@ -20,6 +25,8 @@ from minicypher.parser import (
     unparse_pattern,
     unparse_query,
 )
+
+GRAMMAR_DOC = Path(__file__).resolve().parent.parent / "docs" / "grammar.md"
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +61,87 @@ def test_tokenize_errors():
         tokenize(r"'bad \q escape'")
     with pytest.raises(ParseError):
         tokenize("a ~ b")
+
+
+def _lexical_section():
+    text = GRAMMAR_DOC.read_text(encoding="utf-8")
+    return text.split("## Lexical structure", 1)[1].split("\n## ", 1)[0]
+
+
+def _doc_says(pattern):
+    m = re.search(pattern, _lexical_section(), re.DOTALL)
+    assert m, f"docs/grammar.md no longer says {pattern!r}"
+    return m.groups()
+
+
+def test_reserved_words_match_the_doc():
+    (words,) = _doc_says(r"The reserved set: `([^`]+)`")
+    assert set(words.split()) == KEYWORDS
+
+
+def test_every_character_tokenizes_as_the_doc_says():
+    # The doc's token classes, read from its text, decide how each character
+    # tokenizes alone and after a token it could continue.
+    (spaces,) = _doc_says(r"\*\*Whitespace\*\* \(([^)]+)\)")
+    whitespace = {{"space": " ", "tab": "\t", "CR": "\r", "LF": "\n"}[w.strip()]
+                  for w in spaces.split(",")}
+    ident, integer = (re.compile(p) for p in _doc_says(
+        r"\*\*Identifiers\*\* match `([^`]+)`.*\*\*Integers\*\* match `([^`]+)`"))
+    one_char, two_char = (p.split() for p in _doc_says(
+        r"\*\*Punctuation\*\*: `([^`]+)` and the two-character\s+tokens `([^`]+)`"))
+    for p in one_char + two_char:
+        assert [(t.kind, t.value) for t in tokenize(p)] == [(p, p), ("EOF", "")]
+
+    def doc_tokens(c):
+        """The doc's reading of the character c alone: tokens, or an error."""
+        if c in whitespace:
+            return []
+        for kind, rx in (("IDENT", ident), ("INT", integer)):
+            if rx.fullmatch(c):
+                return [(kind, c)]
+        return [(c, c)] if c in one_char else f"unexpected character {c!r}"
+
+    def got(text):
+        try:
+            return [(t.kind, t.value) for t in tokenize(text)[:-1]]
+        except ParseError as exc:
+            return exc.message
+
+    samples = [chr(i) for i in range(0x300)] + ["\u2028", "\u3000", "\u0131", "\uff11", "\u0660", "\u212a"]
+    for c in samples:
+        if c in "'\"":
+            continue  # an opening quote: strings have their own tests
+        assert got(c) == doc_tokens(c), repr(c)
+        # after a token the character either continues it or starts afresh
+        for first, kind, rx in (("x", "IDENT", ident), ("1", "INT", integer)):
+            alone = doc_tokens(c)
+            if rx.fullmatch(first + c):
+                want = [(kind, first + c)]
+            else:
+                want = alone if isinstance(alone, str) else [(kind, first)] + alone
+            assert got(first + c) == want, repr(first + c)
+
+
+def test_tokens_carry_their_keyword():
+    toks = tokenize("match Foo 'AS' is")
+    assert [t.keyword for t in toks] == ["MATCH", "", "", "IS", ""]
+
+
+@pytest.mark.parametrize("src,char,offset", [
+    ("RETURN \u00b2", "\u00b2", 7),  # superscript two: str.isdigit, but not an integer
+    ("MATCH (a)-[*1..\u00b2]->(b) RETURN a", "\u00b2", 15),
+    ("RETURN \uff11\uff12", "\uff11", 7),  # fullwidth digits
+    ("RETURN \u00e9", "\u00e9", 7),  # a non-ASCII letter
+    ("RETURN caf\u00e9", "\u00e9", 10),  # ... also inside a name
+    ("RETURN \u0131n", "\u0131", 7),  # dotless i: 'ın'.upper() == 'IN'
+    ("RETURN 1\u00a0AS x", "\u00a0", 8),  # no-break space is not whitespace
+])
+def test_tokens_are_ascii_outside_strings(src, char, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_query(src)
+    assert (exc.value.message, exc.value.span) == (f"unexpected character {char!r}", (offset, offset + 1))
+    # inside a string literal any character is fine
+    assert parse_expr(f"'{char}'") == ast.Lit(char)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +248,181 @@ def test_keywords_are_not_names():
 def test_spans_attached():
     e = parse_expr("  foo ")
     assert e.span == (2, 5)
+
+
+def _spans(node, text, out):
+    """(node type, start, covered text) for node and everything below it, in
+    field order; AST equality ignores spans, so only this can see them drift."""
+    if isinstance(node, ast.AstNode):
+        start, end = node.span
+        out.append((type(node).__name__, start, text[start:end]))
+        for f in dataclasses.fields(node):
+            if f.name != "span":
+                _spans(getattr(node, f.name), text, out)
+    elif isinstance(node, tuple):
+        for x in node:
+            _spans(x, text, out)
+    return out
+
+
+# Between them these queries hold every AST node type.  The pinned spans
+# include the quirks: a Return starts where its clause query starts, a
+# parenthesized operand keeps its inner span, and a desugared comparison
+# chain spans from its first operand to its last.
+SPAN_CASES = [
+    ("MATCH p = (a:A {k: -1})<-[r:T|S*1..2 {w: 'x'}]-(b), (c) "
+     'WHERE a.k IN [1, 2] AND NOT c.s STARTS WITH "p" RETURN a', [
+        ("ClauseQuery", 0, "MATCH p = (a:A {k: -1})<-[r:T|S*1..2 {w: 'x'}]-(b), (c) "
+                           'WHERE a.k IN [1, 2] AND NOT c.s STARTS WITH "p" RETURN a'),
+        ("Match", 0, "MATCH p = (a:A {k: -1})<-[r:T|S*1..2 {w: 'x'}]-(b), (c) "
+                     'WHERE a.k IN [1, 2] AND NOT c.s STARTS WITH "p"'),
+        ("PatternTuple", 6, "p = (a:A {k: -1})<-[r:T|S*1..2 {w: 'x'}]-(b), (c)"),
+        ("PathPattern", 6, "p = (a:A {k: -1})<-[r:T|S*1..2 {w: 'x'}]-(b)"),
+        ("NodePattern", 10, "(a:A {k: -1})"),
+        ("Lit", 19, "-1"),
+        ("RelPattern", 23, "<-[r:T|S*1..2 {w: 'x'}]-"),
+        ("Lit", 41, "'x'"),
+        ("NodePattern", 47, "(b)"),
+        ("PathPattern", 52, "(c)"),
+        ("NodePattern", 52, "(c)"),
+        ("And", 62, 'a.k IN [1, 2] AND NOT c.s STARTS WITH "p"'),
+        ("InList", 62, "a.k IN [1, 2]"),
+        ("Prop", 62, "a.k"),
+        ("Name", 62, "a"),
+        ("ListLit", 69, "[1, 2]"),
+        ("Lit", 70, "1"),
+        ("Lit", 73, "2"),
+        ("Not", 80, 'NOT c.s STARTS WITH "p"'),
+        ("StrOp", 84, 'c.s STARTS WITH "p"'),
+        ("Prop", 84, "c.s"),
+        ("Name", 84, "c"),
+        ("Lit", 100, '"p"'),
+        ("Return", 0, "MATCH p = (a:A {k: -1})<-[r:T|S*1..2 {w: 'x'}]-(b), (c) "
+                      'WHERE a.k IN [1, 2] AND NOT c.s STARTS WITH "p" RETURN a'),
+        ("Name", 111, "a"),
+    ]),
+    ("OPTIONAL MATCH (a)-[*]-() WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL "
+     "UNWIND [a.xs[ 0 ], {m: true}] AS u RETURN *, ((u)) = null OR 1 < 2 <= 3 XOR false AS v "
+     "UNION ALL RETURN a.s ENDS WITH 'z' CONTAINS xs[..2] AS v UNION RETURN 1 AS v", [
+        ("UnionQuery", 0, "OPTIONAL MATCH (a)-[*]-() WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL "
+                          "UNWIND [a.xs[ 0 ], {m: true}] AS u RETURN *, ((u)) = null OR 1 < 2 <= 3 XOR false AS v "
+                          "UNION ALL RETURN a.s ENDS WITH 'z' CONTAINS xs[..2] AS v UNION RETURN 1 AS v"),
+        ("UnionQuery", 0, "OPTIONAL MATCH (a)-[*]-() WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL "
+                          "UNWIND [a.xs[ 0 ], {m: true}] AS u RETURN *, ((u)) = null OR 1 < 2 <= 3 XOR false AS v "
+                          "UNION ALL RETURN a.s ENDS WITH 'z' CONTAINS xs[..2] AS v"),
+        ("ClauseQuery", 0, "OPTIONAL MATCH (a)-[*]-() WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL "
+                           "UNWIND [a.xs[ 0 ], {m: true}] AS u RETURN *, ((u)) = null OR 1 < 2 <= 3 XOR false AS v"),
+        ("Match", 0, "OPTIONAL MATCH (a)-[*]-()"),
+        ("PatternTuple", 15, "(a)-[*]-()"),
+        ("PathPattern", 15, "(a)-[*]-()"),
+        ("NodePattern", 15, "(a)"),
+        ("RelPattern", 18, "-[*]-"),
+        ("NodePattern", 23, "()"),
+        ("With", 26, "WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL"),
+        ("Name", 31, "a"),
+        ("FnCall", 34, "size(a.xs[0..1])"),
+        ("Slice", 39, "a.xs[0..1]"),
+        ("Prop", 39, "a.xs"),
+        ("Name", 39, "a"),
+        ("Lit", 44, "0"),
+        ("Lit", 47, "1"),
+        ("IsNull", 62, "n IS NOT NULL"),
+        ("Name", 62, "n"),
+        ("Unwind", 76, "UNWIND [a.xs[ 0 ], {m: true}] AS u"),
+        ("ListLit", 83, "[a.xs[ 0 ], {m: true}]"),
+        ("Index", 84, "a.xs[ 0 ]"),
+        ("Prop", 84, "a.xs"),
+        ("Name", 84, "a"),
+        ("Lit", 90, "0"),
+        ("MapLit", 95, "{m: true}"),
+        ("Lit", 99, "true"),
+        ("Return", 0, "OPTIONAL MATCH (a)-[*]-() WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL "
+                      "UNWIND [a.xs[ 0 ], {m: true}] AS u RETURN *, ((u)) = null OR 1 < 2 <= 3 XOR false AS v"),
+        ("Or", 123, "u)) = null OR 1 < 2 <= 3 XOR false"),
+        ("Cmp", 123, "u)) = null"),
+        ("Name", 123, "u"),
+        ("Lit", 129, "null"),
+        ("Xor", 137, "1 < 2 <= 3 XOR false"),
+        ("And", 137, "1 < 2 <= 3"),
+        ("Cmp", 137, "1 < 2"),
+        ("Lit", 137, "1"),
+        ("Lit", 141, "2"),
+        ("Cmp", 141, "2 <= 3"),
+        ("Lit", 141, "2"),
+        ("Lit", 146, "3"),
+        ("Lit", 152, "false"),
+        ("ClauseQuery", 173, "RETURN a.s ENDS WITH 'z' CONTAINS xs[..2] AS v"),
+        ("Return", 173, "RETURN a.s ENDS WITH 'z' CONTAINS xs[..2] AS v"),
+        ("StrOp", 180, "a.s ENDS WITH 'z' CONTAINS xs[..2]"),
+        ("StrOp", 180, "a.s ENDS WITH 'z'"),
+        ("Prop", 180, "a.s"),
+        ("Name", 180, "a"),
+        ("Lit", 194, "'z'"),
+        ("Slice", 207, "xs[..2]"),
+        ("Name", 207, "xs"),
+        ("Lit", 212, "2"),
+        ("ClauseQuery", 226, "RETURN 1 AS v"),
+        ("Return", 226, "RETURN 1 AS v"),
+        ("Lit", 233, "1"),
+    ]),
+    # every whitespace character, and a string literal with escapes
+    ("RETURN\t'it\\'s\\n' AS s,\r\n  -7 AS n", [
+        ("ClauseQuery", 0, "RETURN\t'it\\'s\\n' AS s,\r\n  -7 AS n"),
+        ("Return", 0, "RETURN\t'it\\'s\\n' AS s,\r\n  -7 AS n"),
+        ("Lit", 7, "'it\\'s\\n'"),
+        ("Lit", 26, "-7"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("src,expected", SPAN_CASES, ids=range(len(SPAN_CASES)))
+def test_every_span_is_pinned(src, expected):
+    assert _spans(parse_query(src), src, []) == expected
+
+
+def test_span_cases_cover_every_node_type():
+    covered = {name for _, expected in SPAN_CASES for name, _, _ in expected}
+    node_types = {cls.__name__ for cls in vars(ast).values()
+                  if isinstance(cls, type) and issubclass(cls, ast.AstNode) and cls is not ast.AstNode}
+    assert covered == node_types
+
+
+# One row per place the tokenizer or parser raises: (query, message, span,
+# expected).  The caret the CLI prints is placed from the span.
+PARSE_ERRORS = [
+    ("RETURN 'abc", "unterminated string literal", (7, 11), None),
+    ("RETURN 'a\\qb'", "bad escape sequence", (9, 11), None),
+    ("RETURN 'a\\q", "bad escape sequence", (9, 11), None),  # before the missing quote
+    ("RETURN 'ab\\", "bad escape sequence", (10, 12), None),
+    ("RETURN 'a\\'b' + 1", "unexpected character '+'", (14, 15), None),
+    ("RETURN 1 ~ 2", "unexpected character '~'", (9, 10), None),
+    ("MATCH (where) RETURN 1", "keyword 'where' cannot be used as a name", (7, 12), None),
+    ("RETURN a.Match", "keyword 'Match' cannot be used as a name", (9, 14), None),
+    ("RETURN -a", "`-` is only valid before an integer literal", (7, 8), None),
+    ("MATCH (a)<-[r]->(b) RETURN a", "a relationship pattern cannot point both ways", (15, 16), None),
+    ("MATCH (a {k: 1, k: 2}) RETURN a", "duplicate property key in pattern map", (9, 21), None),
+    ("MATCH (a) WITH a.k RETURN 1 AS x", "a WITH item without AS must be a plain name", (15, 18), None),
+    ("RETURN xs[1 2]", "unexpected '2' in index", (12, 13), "] or .."),
+    ("RETURN 1 AS a RETURN 2", "trailing input 'RETURN'", (14, 20), None),
+    ("RETURN " + "(" * 65 + "1" + ")" * 65, "expression nested too deeply (more than 64 levels)",
+     (71, 72), None),
+    ("MATCH (a RETURN a", "unexpected 'RETURN'", (9, 15), ")"),
+    ("MATCH (a)-[*..]->(b) RETURN a", "unexpected ']'", (14, 15), "INT"),
+    ("RETURN a IS 1", "unexpected '1'", (12, 13), "NULL"),
+    ("RETURN a STARTS x", "unexpected 'x'", (16, 17), "WITH"),
+    ("RETURN a AS", "unexpected end of input", (11, 11), "a name"),
+    ("RETURN 'x' AS 'y'", "unexpected 'y'", (14, 17), "a name"),
+    ("RETURN ", "unexpected end of input", (7, 7), "an expression"),
+    ("WHERE a RETURN a", "unexpected 'WHERE'", (0, 5), "MATCH, OPTIONAL MATCH, WITH, UNWIND or RETURN"),
+    ("MATCH (a)", "unexpected end of input", (9, 9), "MATCH, OPTIONAL MATCH, WITH, UNWIND or RETURN"),
+]
+
+
+@pytest.mark.parametrize("src,message,span,expected", PARSE_ERRORS)
+def test_parse_error_table(src, message, span, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_query(src)
+    assert (exc.value.message, exc.value.span, exc.value.expected) == (message, span, expected)
 
 
 # ---------------------------------------------------------------------------
