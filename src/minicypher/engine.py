@@ -46,7 +46,7 @@ def _match_rows(
             sub = match_tuple(c, g, u, functions)
             memo[key] = sub
         for u2, c2 in sub.rows():  # distinct rows joined with distinct extensions
-            out.add_new({**u, **u2}, count * c2)
+            out.add_new({**u, **u2} if u else u2, count * c2)
         if c.optional and sub.is_empty():
             padding = {f: None for f in out.fields if f not in u}
             out.add_new({**u, **padding}, count)
@@ -61,14 +61,17 @@ def _project(
     functions: FunctionRegistry | None,
 ) -> Table:
     """Shared projection rule of WITH and RETURN."""
-    pairs: list[tuple[str, ast.Expr]] = []
+    # (output name, the input field it reads or the expression it
+    # evaluates): a bare name of an input field is read, not evaluated
+    fields = set(t.fields)
+    pairs: list[tuple[str, str | ast.Expr]] = []
     if star:
         if not t.fields:
             raise StarOnEmptyFields("* requires the table to have at least one field")
-        for f in t.fields:  # t.fields is sorted
-            pairs.append((f, ast.Name(f)))
+        pairs += zip(t.fields, t.fields)  # t.fields is sorted
     for expr, alias in items:
-        pairs.append((alias if alias is not None else unparse_expr(expr), expr))
+        cell = expr.name if isinstance(expr, ast.Name) and expr.name in fields else expr
+        pairs.append((alias if alias is not None else unparse_expr(expr), cell))
     names = [a for a, _ in pairs]
     dupes = sorted({a for a in names if names.count(a) > 1})
     if dupes:
@@ -76,8 +79,11 @@ def _project(
     if not names:
         raise AliasClash("projection with no output names")
     out = Table(names)
+    # When every input field is read into some output name, distinct input
+    # rows project to distinct rows.
+    add = out.add_new if fields <= {c for _, c in pairs if type(c) is str} else out.add
     for u, count in t.rows():
-        out.add({a: eval_expr(e, g, u, functions) for a, e in pairs}, count)
+        add({a: u[c] if type(c) is str else eval_expr(c, g, u, functions) for a, c in pairs}, count)
     return out
 
 

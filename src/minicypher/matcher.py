@@ -18,9 +18,10 @@ checked during the walk (they are error-free and prune the search).
 Anchors that carry labels draw their candidates from the graph's label
 index.  A path whose last node is bound (by the incoming record or an
 earlier path of the tuple) while its first is not, or whose last node alone
-carries labels or properties, is walked from its last node with every
-direction flipped; names, relationship lists and path values are still
-bound in pattern order, so each reversed walk is one forward witness.
+carries labels, properties or a WHERE seek (below), is walked from its last
+node with every direction flipped; names, relationship lists and path
+values are still bound in pattern order, so each reversed walk is one
+forward witness.
 
 Property-map checks form one list in pattern order (per hop for a ranged
 slot), and the first check that is not trilean true decides a witness.
@@ -49,6 +50,10 @@ bound names only (the first entry of its property map, or a WHERE that is
 exactly ``x.k = e`` or ``e = x.k``), e is a bool, int or str, and no node
 stores a scalar of another kind under ``k``: the seek drops exactly the
 nodes on which the check is false or null without raising.
+
+A witness is keyed into the match bag unless every node and relationship
+pattern of the tuple is named: then the binding fixes the witness, so
+distinct witnesses bind distinct rows and enter unkeyed.
 """
 
 from __future__ import annotations
@@ -87,16 +92,18 @@ def _next_node(g: PropertyGraph, r: RelId, cur: NodeId, direction: str) -> NodeI
     return g.other_end(r, cur)
 
 
-def _far_end_first(pat: PathPattern, bound: set[str]) -> bool:
+def _far_end_first(pat: PathPattern, bound: set[str], seeks: dict[str, tuple]) -> bool:
     """Whether to walk pat from its last node: that end is bound and the
-    first is not, or neither is and only the last has labels or properties."""
+    first is not, or neither is and only the last has labels, properties
+    or a WHERE seek."""
     first, last = pat.elements[0], pat.elements[-1]
     if first is last:
         return False
     first_bound, last_bound = first.name in bound, last.name in bound
     if first_bound or last_bound:
         return last_bound and not first_bound
-    return bool(last.labels or last.props) and not (first.labels or first.props)
+    return (bool(last.labels or last.props or last.name in seeks)
+            and not (first.labels or first.props or first.name in seeks))
 
 
 class _Search:
@@ -120,12 +127,23 @@ class _Search:
         self.used: set[RelId] = set()
         self.groups: list[tuple[tuple, bool]] = []
         self.walks: list[tuple[PathPattern, bool, list[tuple]]] = []
+        # x -> (k, e, names of e) for a WHERE `x.k = e` or `e = x.k`
+        self.where_seeks: dict[str, tuple] = {}
+        if isinstance(where, ast.Cmp) and where.op == "=":
+            for side, e in ((where.left, where.right), (where.right, where.left)):
+                if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
+                    self.where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
+        # Named elements fix the rigid pattern and the path tuple, so each
+        # witness binds its own row.
+        self.all_named = True
         bound = set(u)
         for pat in pats.paths:
-            far = _far_end_first(pat, bound)
+            far = _far_end_first(pat, bound, self.where_seeks)
             steps = []
             for el in pat.elements:
                 gid = -1
+                if el.name is None:
+                    self.all_named = False
                 if el.props:
                     gid = len(self.groups)
                     checks = tuple((key, e, expr_names(e)) for key, e in el.props)
@@ -140,16 +158,11 @@ class _Search:
             self.walks.append((pat, far, steps))
             bound |= free_vars(pat)
         self.placed: list = [None] * len(self.groups)
-        # x -> (k, e, names of e) for a WHERE `x.k = e` or `e = x.k`
-        self.where_seeks: dict[str, tuple] = {}
         if where is not None:  # placed from the start, on no element
             self.groups.append((((None, where, expr_names(where)),), False))
             self.placed.append(True)
-            if isinstance(where, ast.Cmp) and where.op == "=":
-                for side, e in ((where.left, where.right), (where.right, where.left)):
-                    if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
-                        self.where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
         self.cursor: tuple = (0, 0, 0, None)
+        self.unchecked = not self.groups  # then the cursor never moves
 
     def run(self) -> None:
         if not self.walks:  # the empty tuple has one witness
@@ -212,7 +225,7 @@ class _Search:
         saved = self.cursor
         if gid >= 0:
             self.placed[gid] = n
-        if self._checks_pass():
+        if self.unchecked or self._checks_pass():
             if k + 1 < len(steps):
                 yield self._hops(pi, k + 1, nodes, rels, [])
             else:
@@ -234,9 +247,10 @@ class _Search:
             self.placed[gid] = (seg, False)  # forward: hop checks run as hops are placed
         if m >= lo:
             yield from self._segment_end(pi, k, nodes, rels, seg)
-        g, used, stats = self.g, self.used, self.stats
+        g, used, stats, unchecked = self.g, self.used, self.stats, self.unchecked
         if (hi is None or m < hi) and len(used) < len(g.rels):
             cur = nodes[-1]
+            last_hop = lo <= m + 1 == hi  # a hop more ends the slot
             # ast directions coincide with the adjacency directions (->, <-, --)
             for r in g.incident(cur, direction):
                 if r in used or (el.types and g.rel_type(r) not in el.types):
@@ -246,10 +260,14 @@ class _Search:
                 rels.append(r)
                 nodes.append(_next_node(g, r, cur, direction))
                 stats.walks_extended += 1
-                stats.max_partial_hops = max(stats.max_partial_hops, len(rels))
+                if len(rels) > stats.max_partial_hops:
+                    stats.max_partial_hops = len(rels)
                 saved = self.cursor
-                if self._checks_pass():
-                    yield self._hops(pi, k, nodes, rels, seg)
+                if unchecked or self._checks_pass():
+                    if last_hop:
+                        yield self._segment_end(pi, k, nodes, rels, seg)
+                    else:
+                        yield self._hops(pi, k, nodes, rels, seg)
                 self.cursor = saved
                 nodes.pop()
                 rels.pop()
@@ -273,7 +291,7 @@ class _Search:
         if gid >= 0:
             before = self.placed[gid]
             self.placed[gid] = (in_order, True)
-        if self._checks_pass():
+        if self.unchecked or self._checks_pass():
             yield from self._node(pi, k + 1, nodes, rels)
         self.cursor = saved
         if gid >= 0:
@@ -291,7 +309,7 @@ class _Search:
             if fresh is None:
                 return
         saved = self.cursor
-        if self._checks_pass():
+        if self.unchecked or self._checks_pass():
             if pi + 1 < len(self.walks):
                 yield self._anchor(pi + 1)
             else:
@@ -314,10 +332,14 @@ class _Search:
         return True
 
     def _complete(self) -> None:
-        if self._checks_pass(final=True):
+        if self.unchecked or self._checks_pass(final=True):
             self.stats.witnesses += 1
             b = self.b
-            self.out.add({f: b[f] for f in self.out.fields})
+            row = {f: b[f] for f in self.out.fields}
+            if self.all_named:
+                self.out.add_new(row)
+            else:
+                self.out.add(row)
 
     def _checks_pass(self, final: bool = False) -> bool:
         """Run the checks that can run now; False when one prunes the prefix.

@@ -36,6 +36,7 @@ alias function for un-aliased RETURN items.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import Callable, NamedTuple, TypeVar
 
@@ -331,7 +332,7 @@ class Parser:
             self.advance()
             inner = self.parse_expr()
             self.expect(")")
-            return inner
+            return dataclasses.replace(inner, span=self._span_from(tok.start))
         if tok.kind == "[":
             self.advance()
             items: list[ast.Expr] = []

@@ -13,7 +13,8 @@ row key encodes it more cheaply: a cell of an exact type in
 instances go through ``canon``.  Rows keep insertion order; the key index
 is built at most once, when identity is first observed (``add``,
 ``multiplicity``, ``==``), and until then ``add_new`` appends rows known
-to be new unkeyed.
+to be new unkeyed.  A table keeps the records it is given, uncopied: no
+caller changes a record once it is in a table.
 """
 
 from __future__ import annotations
@@ -79,14 +80,13 @@ class Table:
         key = _row_key(self.fields, u)
         slot = index.get(key)
         if slot is None:
-            index[key] = slot = [dict(u), count]
+            index[key] = slot = [u, count]
             self._slots.append(slot)
         else:
             slot[1] += count
 
     def add_new(self, u: Record, count: int = 1) -> None:
-        """Add u, known to differ from every row in the table; the table
-        keeps u itself, so the caller must not change it."""
+        """Add u, known to differ from every row in the table."""
         if self._index is not None or u.keys() != self._names:
             self.add(u, count)  # keys u, or rejects it as non-uniform
         else:
@@ -145,6 +145,6 @@ def bag_union(t1: Table, t2: Table) -> Table:
 def distinct(t: Table) -> Table:
     """Same support, all multiplicities 1."""
     out = Table(t.fields)
-    for record, _ in t.rows():
-        out.add(record, 1)
+    for record, _ in t.rows():  # t lists each record once
+        out.add_new(record, 1)
     return out

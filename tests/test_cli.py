@@ -122,6 +122,20 @@ def test_eval_error_exits_2(capsys):
     assert "^" in err
 
 
+@pytest.mark.parametrize("query,message,width", [
+    ("RETURN (1) < 'a' AS x", "no order between int and str", len("(1) < 'a'")),
+    ("RETURN ('a') STARTS WITH 1 AS x", "STARTS WITH expects strings, got int",
+     len("('a') STARTS WITH 1")),
+])
+def test_caret_starts_at_a_parenthesized_operand(capsys, query, message, width):
+    rc, out, err = run(capsys, "--query", query)
+    assert (rc, out) == (2, "")
+    first, text, caret = err.splitlines()[:3]
+    assert first == f"evaluation error: TypeMismatch: {message} at offset 7"
+    assert caret.index("^") - text.index(query) == 7
+    assert caret.count("^") == width
+
+
 def test_alias_clash_exits_2(capsys):
     rc, _, err = run(capsys, "--query", "RETURN 1 AS a, 2 AS a")
     assert rc == 2

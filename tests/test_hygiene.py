@@ -102,3 +102,41 @@ def test_ids_hash_and_compare_by_identity(cls):
     # __hash__ or __eq__ would put a call on every id-keyed lookup.
     assert cls.__hash__ is object.__hash__
     assert cls.__eq__ is object.__eq__
+
+
+# Each site that enters rows unkeyed, with Table.add_new, rests on a reason
+# that its rows are distinct by construction, stated in the notes.
+UNKEYED_SITES = {
+    "engine._match_rows",
+    "engine._project",
+    "engine.run_clause",
+    "matcher._Search._complete",
+    "tables.distinct",
+}
+
+
+def _functions(tree, prefix):
+    """(qualified name, node) of every module-level function and method; a
+    function defined inside another is scanned as part of it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}.{node.name}")
+
+
+def test_unkeyed_sites_are_pinned():
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, fn in _functions(tree, path.stem):
+            if any(isinstance(n, ast.Attribute) and n.attr == "add_new" for n in ast.walk(fn)):
+                found.add(name)
+    assert found == UNKEYED_SITES
+
+
+def test_unkeyed_sites_are_named_in_the_notes():
+    notes = (SRC.parent.parent / "docs" / "semantics-notes.md").read_text(encoding="utf-8")
+    determinism = notes.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+    missing = sorted(site for site in UNKEYED_SITES if f"`{site}`" not in determinism)
+    assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"

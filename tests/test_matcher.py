@@ -587,10 +587,25 @@ class TestSeeksAndPushdown:
             ("MATCH (a)-[:T]->(b) WHERE a.name = 'v7' RETURN b", table(["b"], {"b": n(8)})),
             ("MATCH (a)-[:T]->(b) WHERE 'v7' = a.name RETURN b", table(["b"], {"b": n(8)})),
             ("MATCH (a)-[:T]->(b {name: 'v7'}) RETURN a", table(["a"], {"a": n(6)})),
+            ("MATCH (a)-[:T]->(b) WHERE b.name = 'v7' RETURN a", table(["a"], {"a": n(6)})),
+            ("MATCH (a)-[:T]->(b) WHERE 'v7' = b.name RETURN a", table(["a"], {"a": n(6)})),
         ]:
             reads.clear()
             assert output(parse_query(query), g) == want, query
             assert len(reads) < 100, query
+
+    def test_far_end_where_seeks_agree_with_the_oracle(self):
+        # the WHERE seeks b, so these paths are walked from b
+        outcomes = set()
+        for seed in range(200):
+            g, _ = gen_case(GenConfig(seed=seed, mixed_kinds=0.3))
+            for query in ("MATCH (a)-[q]->(b) WHERE b.k = 1 RETURN a, q, b",
+                          "MATCH (a)-[:a*0..2]-(b) WHERE 'x' = b.k RETURN a, b",
+                          "MATCH (a)<-[]-(b) WHERE b.v = 'x' RETURN a"):
+                agree, detail = differential_case(g, parse_query(query))
+                assert agree, detail
+                outcomes.add(isinstance(detail["engine"], str))
+        assert outcomes == {True, False}
 
     def test_generated_mixed_kinds_agree_with_the_oracle(self):
         outcomes = set()

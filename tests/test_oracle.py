@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from minicypher import ast, engine, tables
+from minicypher import ast, engine, matcher, tables
 from minicypher.evaluator import eval_expr
 from minicypher.graph import BOTH, load_graph
 from minicypher.matcher import match_tuple
@@ -25,7 +25,7 @@ from minicypher.oracle import (
 )
 from minicypher.parser import parse_pattern_tuple, parse_query, unparse_query
 from minicypher.tables import Table
-from minicypher.values import NodeId, Path
+from minicypher.values import NodeId, Path, RelId
 
 PATTERNS = [
     "(x)",
@@ -366,3 +366,86 @@ def test_the_clause_guard_catches_an_unwind_on_the_new_row_path(monkeypatch):
     monkeypatch.setattr(engine, "run_clause", planted)
     with pytest.raises(AssertionError, match="repeats a record"):
         _first_disagreement()
+
+
+# ---------------------------------------------------------------------------
+# unkeyed sites: each one's unsound twin is caught
+# ---------------------------------------------------------------------------
+
+
+def _plant_unkeyed_witnesses_with_an_anonymous_relationship(monkeypatch):
+    """Witnesses enter the match bag unkeyed once every node is named."""
+    init = matcher._Search.__init__
+
+    def planted(self, pats, *args):
+        init(self, pats, *args)
+        self.all_named = all(el.name is not None for pat in pats.paths for el in pat.elements
+                             if isinstance(el, ast.NodePattern))
+
+    monkeypatch.setattr(matcher._Search, "__init__", planted)
+
+
+def _plant_unkeyed_projection_dropping_a_field(monkeypatch):
+    """Each input row is projected alone and enters the output unkeyed."""
+    project = engine._project
+
+    def planted(star, items, g, t, functions):
+        out = None
+        for u, count in t.rows():
+            part = project(star, items, g, Table(t.fields, [u]), functions)
+            out = Table(part.fields) if out is None else out
+            for record, c in part.rows():
+                out.add_new(record, count * c)
+        return project(star, items, g, t, functions) if out is None else out
+
+    monkeypatch.setattr(engine, "_project", planted)
+
+
+UNSOUND_UNKEYED = [_plant_unkeyed_witnesses_with_an_anonymous_relationship,
+                   _plant_unkeyed_projection_dropping_a_field]
+
+
+@pytest.mark.parametrize("plant", UNSOUND_UNKEYED, ids=lambda p: p.__name__[len("_plant_"):])
+def test_the_clause_guard_catches_each_unsound_unkeyed_site(monkeypatch, plant):
+    # the seeds of test_every_clause_table_lists_each_record_once
+    monkeypatch.setattr(engine, "run_clause", _in_normal_form(engine.run_clause))
+    plant(monkeypatch)
+    try:
+        caught = _first_disagreement(600) is not None
+    except AssertionError as exc:
+        caught = "repeats a record" in str(exc)
+    assert caught
+
+
+# n1 -X-> n2 twice, and a Y self-loop on n3
+PARALLEL = load_graph({
+    "nodes": [{"id": "n1"}, {"id": "n2"}, {"id": "n3"}],
+    "relationships": [{"id": "x1", "type": "X", "src": "n1", "tgt": "n2"},
+                      {"id": "x2", "type": "X", "src": "n1", "tgt": "n2"},
+                      {"id": "y1", "type": "Y", "src": "n3", "tgt": "n3"}],
+})
+N1, N2, N3 = NodeId("n1"), NodeId("n2"), NodeId("n3")
+UNKEYED_CASES = [
+    # two witnesses bind one row
+    ("MATCH (a)-[:X]->(b) RETURN a, b", [({"a": N1, "b": N2}, 2)]),
+    # two witness rows, merged when r is dropped
+    ("MATCH (a)-[r:X]->(b) RETURN a, b", [({"a": N1, "b": N2}, 2)]),
+    # an undirected self-loop is one path
+    ("MATCH (a)-[r:Y]-(b) RETURN a, r, b", [({"a": N3, "r": RelId("y1"), "b": N3}, 1)]),
+    ("MATCH (a)-[:Y]-(b) RETURN a, b", [({"a": N3, "b": N3}, 1)]),
+]
+
+
+@pytest.mark.parametrize("query,rows", UNKEYED_CASES)
+def test_unkeyed_sites_keep_multiplicities(query, rows):
+    assert list(engine.output(parse_query(query), PARALLEL).rows()) == rows
+    assert differential_case(PARALLEL, parse_query(query))[0]
+
+
+@pytest.mark.parametrize("plant,query", [
+    (_plant_unkeyed_witnesses_with_an_anonymous_relationship, UNKEYED_CASES[0][0]),
+    (_plant_unkeyed_projection_dropping_a_field, UNKEYED_CASES[1][0]),
+], ids=["witnesses", "projection"])
+def test_parallel_relationships_catch_each_unsound_unkeyed_site(monkeypatch, plant, query):
+    plant(monkeypatch)
+    assert list(engine.output(parse_query(query), PARALLEL).rows()) == [({"a": N1, "b": N2}, 1)] * 2

@@ -338,9 +338,9 @@ SPAN_CASES = [
         ("Lit", 99, "true"),
         ("Return", 0, "OPTIONAL MATCH (a)-[*]-() WITH a, size(a.xs[0..1]) AS n WHERE n IS NOT NULL "
                       "UNWIND [a.xs[ 0 ], {m: true}] AS u RETURN *, ((u)) = null OR 1 < 2 <= 3 XOR false AS v"),
-        ("Or", 123, "u)) = null OR 1 < 2 <= 3 XOR false"),
-        ("Cmp", 123, "u)) = null"),
-        ("Name", 123, "u"),
+        ("Or", 121, "((u)) = null OR 1 < 2 <= 3 XOR false"),
+        ("Cmp", 121, "((u)) = null"),
+        ("Name", 121, "((u))"),
         ("Lit", 129, "null"),
         ("Xor", 137, "1 < 2 <= 3 XOR false"),
         ("And", 137, "1 < 2 <= 3"),
