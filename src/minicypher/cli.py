@@ -66,15 +66,16 @@ def value_to_json(v: Value):
         return v
     if k in ("node", "rel"):
         return {"@" + k: v.key}
-    if k == "path":
-        ids = [v.nodes[0].key]
-        for r, n in zip(v.rels, v.nodes[1:]):
-            ids.append(r.key)
-            ids.append(n.key)
+    if k == "path":  # node and relationship keys, alternating
+        ids = [None] * (2 * len(v.nodes) - 1)
+        ids[0::2], ids[1::2] = [n.key for n in v.nodes], [r.key for r in v.rels]
         return {"@path": ids}
     if k == "list":
         return [value_to_json(x) for x in v]
     return {"@map": {key: value_to_json(x) for key, x in sorted(v.entries)}}
+
+
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # one for every cell
 
 
 def _cell_text(v: Value) -> str:
@@ -90,7 +91,7 @@ def _cell_text(v: Value) -> str:
     if k in ("node", "rel"):
         return v.key
     # Composites: canonical compact JSON of the tagged encoding.
-    return json.dumps(value_to_json(v), sort_keys=True, separators=(",", ":"))
+    return _COMPACT.encode(value_to_json(v))
 
 
 def render_tsv(t: Table) -> str:
@@ -267,9 +268,9 @@ def _run(args: argparse.Namespace) -> int:
                 return EXIT_DISAGREE
         if isinstance(exc, EvalError):
             print(f"evaluation error: {exc}", file=sys.stderr)
-            sys.stderr.write(_caret_diagnostic(text, exc.span))
         else:
             print(f"evaluation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.stderr.write(_caret_diagnostic(text, exc.span))
         return EXIT_EVAL
 
     if args.oracle:

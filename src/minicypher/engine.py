@@ -74,8 +74,9 @@ def _project(
         pairs.append((alias if alias is not None else unparse_expr(expr), cell))
     names = [a for a, _ in pairs]
     dupes = sorted({a for a in names if names.count(a) > 1})
-    if dupes:
-        raise AliasClash(f"duplicate output name(s): {dupes}")
+    if dupes:  # at the first item that repeats a name
+        later = next(i for i, a in enumerate(names) if a in names[:i]) - len(names) + len(items)
+        raise AliasClash(f"duplicate output name(s): {dupes}", span=items[later][0].span)
     if not names:
         raise AliasClash("projection with no output names")
     out = Table(names)
@@ -108,7 +109,7 @@ def run_clause(
 
     if isinstance(c, ast.Unwind):
         if c.name in t.fields:
-            raise NameClash(f"UNWIND alias `{c.name}` is already a field")
+            raise NameClash(f"UNWIND alias `{c.name}` is already a field", span=c.span)
         out = Table(t.fields + (c.name,))
         for u, count in t.rows():
             v = eval_expr(c.expr, g, u, functions)

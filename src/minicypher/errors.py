@@ -10,7 +10,12 @@ Span = tuple[int, int]  # (start, end) character offsets into the source text
 
 
 class CypherError(Exception):
-    """Base class for all interpreter errors."""
+    """Base class for all interpreter errors; ``span`` locates the source
+    text at fault, when it is known."""
+
+    def __init__(self, *args, span: Span | None = None):
+        super().__init__(*args)
+        self.span = span
 
 
 class ParseError(CypherError):

@@ -12,6 +12,9 @@ ids is shared along the current path *and* across the paths of the tuple,
 which both enforces the distinctness precondition and bounds every walk by
 |R| hops, making the search finite.  The search keeps its frames on an
 explicit stack, so Python's recursion depth does not grow with path length.
+A slot's frame extends it by one hop per relationship and, where the range
+lets the slot stop there, places the slot and the node after it in the same
+frame, so a one-hop witness resumes one frame per hop.
 
 Name conditions, labels, relationship types and endpoint orientation are
 checked during the walk (they are error-free and prune the search).
@@ -51,9 +54,12 @@ exactly ``x.k = e`` or ``e = x.k``), e is a bool, int or str, and no node
 stores a scalar of another kind under ``k``: the seek drops exactly the
 nodes on which the check is false or null without raising.
 
-A witness is keyed into the match bag unless every node and relationship
-pattern of the tuple is named: then the binding fixes the witness, so
-distinct witnesses bind distinct rows and enter unkeyed.
+A twin is a relationship that shares its unordered endpoint pair with
+another one.  When every node pattern is named and every anonymous slot is
+one hop, two witnesses that bind one row differ in an anonymous slot between
+the same two nodes, both placing a twin there.  So the witnesses that place
+no twin in an anonymous slot enter unkeyed, and the rest merge among
+themselves, each row at its first witness, as a keyed search lists them.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from .ast import PathPattern, PatternTuple, RelPattern, expr_names, free_vars, r
 from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
-from .tables import Record, Table
+from .tables import Record, Table, row_key
 from .values import FunctionRegistry, NodeId, Path, RelId, same_value
 
 _FLIP = {ast.RIGHT: ast.LEFT, ast.LEFT: ast.RIGHT, ast.UNDIRECTED: ast.UNDIRECTED}
@@ -82,14 +88,6 @@ class MatchStats:
     walks_extended: int = 0
     max_partial_hops: int = 0
     witnesses: int = 0
-
-
-def _next_node(g: PropertyGraph, r: RelId, cur: NodeId, direction: str) -> NodeId:
-    if direction == ast.RIGHT:
-        return g.tgt(r)
-    if direction == ast.LEFT:
-        return g.src(r)
-    return g.other_end(r, cur)
 
 
 def _far_end_first(pat: PathPattern, bound: set[str], seeks: dict[str, tuple]) -> bool:
@@ -117,7 +115,7 @@ class _Search:
     slot's hop count is final, or None while the element is not placed.
     ``cursor`` is (group, hop, key, held error) of the first check not yet
     run; frames save it before a placement and restore it when they undo
-    one.
+    one.  ``placed[-1]`` takes the writes for elements with no checks.
     """
 
     def __init__(self, pats: PatternTuple, where: Optional[ast.Expr], g: PropertyGraph,
@@ -133,9 +131,7 @@ class _Search:
             for side, e in ((where.left, where.right), (where.right, where.left)):
                 if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
                     self.where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
-        # Named elements fix the rigid pattern and the path tuple, so each
-        # witness binds its own row.
-        self.all_named = True
+        unkeyed, anonymous = True, False  # see _complete
         bound = set(u)
         for pat in pats.paths:
             far = _far_end_first(pat, bound, self.where_seeks)
@@ -143,7 +139,8 @@ class _Search:
             for el in pat.elements:
                 gid = -1
                 if el.name is None:
-                    self.all_named = False
+                    anonymous = True
+                    unkeyed &= isinstance(el, RelPattern) and el.range_ is None
                 if el.props:
                     gid = len(self.groups)
                     checks = tuple((key, e, expr_names(e)) for key, e in el.props)
@@ -161,8 +158,14 @@ class _Search:
         if where is not None:  # placed from the start, on no element
             self.groups.append((((None, where, expr_names(where)),), False))
             self.placed.append(True)
+        self.placed.append(None)  # placed[-1]
         self.cursor: tuple = (0, 0, 0, None)
         self.unchecked = not self.groups  # then the cursor never moves
+        self.maps = g.trusted_maps()
+        self.unkeyed = unkeyed
+        self.twins = g.twins() if unkeyed and anonymous else None
+        self.twinned = 0  # twins placed in anonymous slots
+        self.merged: dict[tuple, list] = {}  # row key -> slot of a twinned witness's row
 
     def run(self) -> None:
         if not self.walks:  # the empty tuple has one witness
@@ -180,17 +183,31 @@ class _Search:
 
     def _anchor(self, pi: int) -> _Frame:
         """Start path pi at every candidate for its first walked node."""
-        el, gid = self.walks[pi][2][0]
-        g = self.g
-        if el.name is not None and el.name in self.b:
-            v = self.b[el.name]
+        steps = self.walks[pi][2]
+        el, gid = steps[0]
+        g, b, placed = self.g, self.b, self.placed
+        if el.name is not None and el.name in b:
+            v = b[el.name]
             candidates = (v,) if isinstance(v, NodeId) and g.has_id(v) else ()
         else:
             candidates = self._seek(el, gid)
             if candidates is None:
                 candidates = g.nodes_with_labels(el.labels)
         for n in candidates:
-            yield from self._node(pi, 0, [n], [])
+            fresh = None if el.labels and not el.labels <= g.labels(n) else self._bind(el.name, n)
+            if fresh is None:
+                continue
+            saved = self.cursor
+            placed[gid] = n
+            if self.unchecked or self._checks_pass():
+                if len(steps) > 1:
+                    yield self._hops(pi, 1, [n], [], [])
+                else:
+                    yield self._path_end(pi, [n], [])
+            self.cursor = saved
+            placed[gid] = None
+            if fresh:
+                del b[el.name]
 
     def _seek(self, el: ast.NodePattern, gid: int) -> Optional[tuple[NodeId, ...]]:
         """Candidates for the unbound anchor el from the property index, or
@@ -212,92 +229,81 @@ class _Search:
         except Exception:  # e raises or is no value: the scan raises it where it did
             return None
 
-    def _node(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId]) -> _Frame:
-        """Place nodes[-1] at walk step k, then continue the path."""
-        steps = self.walks[pi][2]
-        el, gid = steps[k]
-        n = nodes[-1]
-        if el.labels and not el.labels <= self.g.labels(n):
-            return
-        fresh = self._bind(el.name, n)
-        if fresh is None:
-            return
-        saved = self.cursor
-        if gid >= 0:
-            self.placed[gid] = n
-        if self.unchecked or self._checks_pass():
-            if k + 1 < len(steps):
-                yield self._hops(pi, k + 1, nodes, rels, [])
-            else:
-                yield from self._path_end(pi, nodes, rels)
-        self.cursor = saved
-        if gid >= 0:
-            self.placed[gid] = None
-        if fresh:
-            del self.b[el.name]
-
     def _hops(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId],
               seg: list[RelId]) -> _Frame:
-        """The relationship slot at walk step k, len(seg) hops in: stop here
-        if the range allows it, then extend by each usable relationship."""
-        _, far, steps = self.walks[pi]
+        """The relationship slot at walk step k, len(seg) hops in: stop with
+        no hop if the range starts at 0, then extend by each usable
+        relationship, stopping there (placing the slot and the next node
+        here) and going a hop deeper in a new frame as the range allows."""
+        pat, far, steps = self.walks[pi]
         el, gid, direction, lo, hi = steps[k]
-        m = len(seg)
-        if gid >= 0 and not far and m == 0:
-            self.placed[gid] = (seg, False)  # forward: hop checks run as hops are placed
-        if m >= lo:
-            yield from self._segment_end(pi, k, nodes, rels, seg)
-        g, used, stats, unchecked = self.g, self.used, self.stats, self.unchecked
-        if (hi is None or m < hi) and len(used) < len(g.rels):
-            cur = nodes[-1]
-            last_hop = lo <= m + 1 == hi  # a hop more ends the slot
-            # ast directions coincide with the adjacency directions (->, <-, --)
-            for r in g.incident(cur, direction):
-                if r in used or (el.types and g.rel_type(r) not in el.types):
+        nel, ngid = steps[k + 1]
+        g, b, used, stats, placed = self.g, self.b, self.used, self.stats, self.placed
+        src, tgt, rel_type, node_labels = self.maps  # the adjacency's ids need no check
+        m, cur, rigid, unchecked = len(seg), nodes[-1], el.range_ is None, self.unchecked
+        hop_checks = gid >= 0 and not far and not rigid and m == 0
+        if hop_checks:  # a ranged slot walked forward: its checks run as hops are placed
+            placed[gid] = (seg, False)
+        extend = (hi is None or m < hi) and len(used) < len(g.rels)
+        moves = g.incident(cur, direction) if extend else ()
+        if m == 0 == lo:
+            moves = (None, *moves)  # the stop with no hop
+        ends = src if direction == ast.LEFT else tgt  # ast and adjacency directions coincide
+        undirected, stops, deeper = direction == ast.UNDIRECTED, m + 1 >= lo, hi is None or m + 1 < hi
+        name, nname, labels = el.name, nel.name, nel.labels
+        listed = name is not None or gid >= 0  # the slot's relationships are read
+        twins = self.twins if name is None else None
+        depth, more = len(rels) + 1, k + 2 < len(steps)
+        complete = not more and pi + 1 == len(self.walks) and pat.name is None
+        for r in moves:
+            if r is not None:
+                if r in used or (el.types and rel_type[r] not in el.types):
                     continue
                 used.add(r)
                 seg.append(r)
                 rels.append(r)
-                nodes.append(_next_node(g, r, cur, direction))
+                nodes.append(src[r] if undirected and ends[r] is cur else ends[r])
                 stats.walks_extended += 1
-                if len(rels) > stats.max_partial_hops:
-                    stats.max_partial_hops = len(rels)
-                saved = self.cursor
-                if unchecked or self._checks_pass():
-                    if last_hop:
-                        yield self._segment_end(pi, k, nodes, rels, seg)
-                    else:
-                        yield self._hops(pi, k, nodes, rels, seg)
-                self.cursor = saved
+                if depth > stats.max_partial_hops:
+                    stats.max_partial_hops = depth
+            saved = self.cursor
+            if r is None or rigid or unchecked or self._checks_pass():
+                n = nodes[-1]
+                if (r is None or stops) and (not labels or labels <= node_labels[n]):
+                    in_order = ((r,) if rigid else tuple(reversed(seg) if far else seg)
+                                if listed else ())
+                    rfresh = name is not None and self._bind(name, r if rigid else in_order)
+                    nfresh = None if rfresh is None else nname is not None and self._bind(nname, n)
+                    if nfresh is not None:
+                        hop_cursor, before = self.cursor, placed[gid]
+                        placed[gid], placed[ngid] = (in_order, True), n
+                        twin = twins is not None and r in twins
+                        if twin:
+                            self.twinned += 1
+                        if unchecked or self._checks_pass():
+                            if more:
+                                yield self._hops(pi, k + 2, nodes, rels, [])
+                            elif complete:
+                                self._complete()
+                            else:
+                                yield self._path_end(pi, nodes, rels)
+                        if twin:
+                            self.twinned -= 1
+                        self.cursor, placed[gid], placed[ngid] = hop_cursor, before, None
+                        if nfresh:
+                            del b[nname]
+                    if rfresh:
+                        del b[name]
+                if r is not None and deeper:
+                    yield self._hops(pi, k, nodes, rels, seg)
+            self.cursor = saved
+            if r is not None:
                 nodes.pop()
                 rels.pop()
                 seg.pop()
                 used.discard(r)
-        if gid >= 0 and not far and m == 0:
-            self.placed[gid] = None
-
-    def _segment_end(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId],
-                     seg: list[RelId]) -> _Frame:
-        """Fix the slot at walk step k to len(seg) hops and place the node reached."""
-        _, far, steps = self.walks[pi]
-        el, gid = steps[k][:2]
-        fresh = False
-        if el.name is not None or gid >= 0:
-            in_order = tuple(reversed(seg)) if far else tuple(seg)
-            fresh = self._bind(el.name, in_order[0] if el.range_ is None else in_order)
-            if fresh is None:
-                return
-        saved = self.cursor
-        if gid >= 0:
-            before = self.placed[gid]
-            self.placed[gid] = (in_order, True)
-        if self.unchecked or self._checks_pass():
-            yield from self._node(pi, k + 1, nodes, rels)
-        self.cursor = saved
-        if gid >= 0:
-            self.placed[gid] = before
-        if fresh:
-            del self.b[el.name]
+        if hop_checks:
+            placed[gid] = None
 
     def _path_end(self, pi: int, nodes: list[NodeId], rels: list[RelId]) -> _Frame:
         """Bind the path name, then start the next path or complete the tuple."""
@@ -334,12 +340,19 @@ class _Search:
     def _complete(self) -> None:
         if self.unchecked or self._checks_pass(final=True):
             self.stats.witnesses += 1
-            b = self.b
-            row = {f: b[f] for f in self.out.fields}
-            if self.all_named:
-                self.out.add_new(row)
-            else:
-                self.out.add(row)
+            b, out = self.b, self.out
+            row = {f: b[f] for f in out.fields}
+            if not self.unkeyed:
+                out.add(row)
+            elif not self.twinned:  # no other witness binds this row
+                out.add_new(row)
+            else:  # only other twinned witnesses can: merged at the first
+                key = row_key(out.fields, row)
+                slot = self.merged.get(key)
+                if slot is None:
+                    self.merged[key] = out.add_new(row)
+                else:
+                    slot[1] += 1
 
     def _checks_pass(self, final: bool = False) -> bool:
         """Run the checks that can run now; False when one prunes the prefix.

@@ -36,7 +36,7 @@ def _tagged_key(v: Value):
     return _BASE[c[0]](c[1]) if c[0] in _BASE else c
 
 
-def _row_key(fields: tuple[str, ...], u: Record) -> tuple:
+def row_key(fields: tuple[str, ...], u: Record) -> tuple:
     key = []
     for f in fields:
         v = u[f]
@@ -65,32 +65,34 @@ class Table:
     def _keyed(self) -> dict[tuple, list]:
         """The key index, built from the slots on first use."""
         if self._index is None:
-            index = {_row_key(self.fields, slot[0]): slot for slot in self._slots}
+            index = {row_key(self.fields, slot[0]): slot for slot in self._slots}
             if len(index) != len(self._slots):
                 raise AssertionError("add_new was given a row already in the table")
             self._index = index
         return self._index
 
-    def add(self, u: Record, count: int = 1) -> None:
+    def add(self, u: Record, count: int = 1) -> list:
         if u.keys() != self._names:
             raise AssertionError(
                 f"non-uniform record: has {sorted(u)}, table fields are {list(self.fields)}"
             )
         index = self._index if self._index is not None else self._keyed()
-        key = _row_key(self.fields, u)
+        key = row_key(self.fields, u)
         slot = index.get(key)
         if slot is None:
             index[key] = slot = [u, count]
             self._slots.append(slot)
         else:
             slot[1] += count
+        return slot
 
-    def add_new(self, u: Record, count: int = 1) -> None:
-        """Add u, known to differ from every row in the table."""
+    def add_new(self, u: Record, count: int = 1) -> list:
+        """Add u, known to differ from every row in the table; return the
+        [record, count] slot it takes."""
         if self._index is not None or u.keys() != self._names:
-            self.add(u, count)  # keys u, or rejects it as non-uniform
-        else:
-            self._slots.append([u, count])
+            return self.add(u, count)  # keys u, or rejects it as non-uniform
+        self._slots.append(slot := [u, count])
+        return slot
 
     # -- inspection ---------------------------------------------------------
 
@@ -106,7 +108,7 @@ class Table:
                 yield record
 
     def multiplicity(self, u: Record) -> int:
-        slot = self._keyed().get(_row_key(self.fields, u))
+        slot = self._keyed().get(row_key(self.fields, u))
         return 0 if slot is None else slot[1]
 
     def total_rows(self) -> int:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from minicypher.cli import main, table_from_counted_json
+from minicypher.cli import main, table_from_counted_json, value_to_json
 from minicypher.engine import output
 from minicypher.errors import EvalError
 from minicypher.graph import load_graph
@@ -66,6 +66,22 @@ def test_counted_json_round_trips(capsys):
     with open(TEACHERS) as fh:
         g = load_graph(json.load(fh))
     assert table_from_counted_json(json.loads(out)) == output(parse_query(q), g)
+
+
+def test_path_cells_escape_ids_as_json(capsys, tmp_path):
+    # a quote, a backslash and a non-ASCII letter in node and relationship ids
+    doc = {"nodes": [{"id": 'a"b'}, {"id": "c\\d"}, {"id": "é"}],
+           "relationships": [{"id": 'r"1', "type": "T", "src": 'a"b', "tgt": "c\\d"},
+                             {"id": "ü\\", "type": "T", "src": "c\\d", "tgt": "é"}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, _ = run(capsys, "--graph", str(path), "--query", "MATCH p = (a)-[*2]->(b) RETURN p")
+    assert rc == 0
+    cell = '{"@path":["a\\"b","r\\"1","c\\\\d","\\u00fc\\\\","\\u00e9"]}'
+    assert out == f"p\n{cell}\n"
+    g = load_graph(doc)
+    p = next(output(parse_query("MATCH p = (a)-[*2]->(b) RETURN p"), g).records())["p"]
+    assert cell == json.dumps(value_to_json(p), sort_keys=True, separators=(",", ":"))
 
 
 def test_default_graph_is_empty(capsys):
@@ -140,6 +156,23 @@ def test_alias_clash_exits_2(capsys):
     rc, _, err = run(capsys, "--query", "RETURN 1 AS a, 2 AS a")
     assert rc == 2
     assert "evaluation error" in err
+
+
+@pytest.mark.parametrize("query,first,start,width", [
+    # the later item's expression
+    ("RETURN 1 AS a, 2 AS a", "AliasClash: duplicate output name(s): ['a']", 15, 1),
+    ("WITH 1 AS a WITH *, 2 AS a RETURN a", "AliasClash: duplicate output name(s): ['a']", 20, 1),
+    # the UNWIND clause
+    ("MATCH (a) UNWIND [1] AS a RETURN a", "NameClash: UNWIND alias `a` is already a field",
+     10, len("UNWIND [1] AS a")),
+])
+def test_clash_errors_exit_2_with_caret(capsys, query, first, start, width):
+    rc, out, err = run(capsys, "--query", query)
+    assert (rc, out) == (2, "")
+    line, text, caret = err.splitlines()
+    assert line == f"evaluation error: {first}"
+    assert caret.index("^") - text.index(query) == start
+    assert caret.count("^") == width
 
 
 def test_recursion_exhaustion_exits_70_without_traceback(capsys, monkeypatch):

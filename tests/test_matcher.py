@@ -4,11 +4,12 @@ The teachers fixture is the KNOWS chain n1 -> n2 -> n3 -> n4 (n2 is the
 only Student); most expectations here can be checked by hand on paper.
 """
 
+import random
 import sys
 
 import pytest
 
-from minicypher import ast
+from minicypher import ast, matcher
 from minicypher.engine import output
 from minicypher.errors import CypherError, EvalError
 from minicypher.graph import PropertyGraph, load_graph
@@ -615,3 +616,142 @@ class TestSeeksAndPushdown:
             assert agree, detail
             outcomes.add(isinstance(detail["engine"], str))
         assert outcomes == {True, False}  # both errors and tables came up
+
+
+# m1 -X-> m2 twice and m2 -X-> m1 (twins), an X and a Y self-loop on m3
+# (twins), and single relationships elsewhere.
+def _rel(rid, rtype, src, tgt, **props):
+    return {"id": rid, "type": rtype, "src": src, "tgt": tgt, "properties": props}
+
+
+TWINS = load_graph({
+    "nodes": [{"id": "m1", "labels": ["K"]}, {"id": "m2", "labels": ["L"]},
+              {"id": "m3", "labels": ["K", "L"]}, {"id": "m4"}, {"id": "m5", "labels": ["L"]}],
+    "relationships": [_rel("x1", "X", "m1", "m2", w=1), _rel("x2", "X", "m1", "m2"),
+                      _rel("x3", "X", "m2", "m1", w=1), _rel("x4", "X", "m2", "m3", w=2),
+                      _rel("l1", "X", "m3", "m3", w=1), _rel("l2", "Y", "m3", "m3"),
+                      _rel("y1", "Y", "m3", "m4"), _rel("y2", "Y", "m4", "m5", w=1)],
+})
+
+
+def _twinned_graph(size=500, seed=11):
+    """A seeded graph with parallel and antiparallel relationships and
+    self-loops among random ones."""
+    rng = random.Random(seed)
+    rels = []
+    for _ in range(3 * size):
+        rels.append((rng.choice("XY"), rng.randrange(size), rng.randrange(size)))
+    for _ in range(size // 10):
+        a, b = rng.randrange(size), rng.randrange(size)
+        rels += [("X", a, b), ("X", a, b), ("X", b, a), ("X", a, a), ("Y", a, a)]
+    return load_graph({
+        "nodes": [{"id": f"n{i}"} for i in range(size)],
+        "relationships": [_rel(f"r{i}", t, f"n{a}", f"n{b}") for i, (t, a, b) in enumerate(rels)],
+    })
+
+
+TWINNED = _twinned_graph()
+ONE_HOP = ["(a)-[:X]->(b)", "(a)-[:X]->(b)-[:X]->(c)", "(a)-[]-(b)"]
+
+
+def _rows(text, g=TWINNED):
+    return list(match_tuple(parse_pattern_tuple(text), g, {}).rows())
+
+
+def _keyed(rows):
+    t = Table(rows[0][0])
+    for record, count in rows:
+        t.add(record, count)
+    return list(t.rows())
+
+
+def _rows_are_keyed_rows():
+    """Each ONE_HOP pattern lists the rows, in order and with counts, of the
+    same pattern with every slot written *1..1 (which keys every row), and
+    a pattern with a two-hop anonymous slot lists each row once."""
+    two_hops = _rows("(a)-[:X*2]->(b)")
+    return (all(_rows(text) == _rows(text.replace("]", "*1..1]")) for text in ONE_HOP)
+            and two_hops == _keyed(two_hops))
+
+
+def _plant_twins_of_ordered_pairs(monkeypatch):
+    def twins(g):
+        by_pair = {}
+        for r in g.rels:
+            by_pair.setdefault((g.src(r), g.tgt(r)), []).append(r)
+        return frozenset(r for rels in by_pair.values() if len(rels) > 1 for r in rels)
+
+    monkeypatch.setattr(PropertyGraph, "twins", twins)
+
+
+def _plant_unkeyed_ranged_slots(monkeypatch):
+    init = matcher._Search.__init__
+
+    def planted(self, pats, where, g, *args):
+        init(self, pats, where, g, *args)
+        if all(el.name is not None for pat in pats.paths for el in pat.elements[::2]):
+            self.unkeyed, self.twins = True, g.twins()
+
+    monkeypatch.setattr(matcher._Search, "__init__", planted)
+
+
+def _plant_merged_rows_at_the_end(monkeypatch):
+    complete, run = matcher._Search._complete, matcher._Search.run
+
+    def planted_complete(self):
+        if not self.twinned:
+            return complete(self)
+        if self.unchecked or self._checks_pass(final=True):
+            self.stats.witnesses += 1
+            self.late.append({f: self.b[f] for f in self.out.fields})
+
+    def planted_run(self):
+        self.late = []
+        run(self)
+        for row in self.late:
+            self.out.add(row)
+
+    monkeypatch.setattr(matcher._Search, "_complete", planted_complete)
+    monkeypatch.setattr(matcher._Search, "run", planted_run)
+
+
+class TestOneHop:
+    """A one-hop slot places its relationship and the next node in one
+    frame, and its witnesses enter unkeyed unless a twin is placed in an
+    anonymous slot."""
+
+    @pytest.mark.parametrize("text,u,counts", [
+        ("(a)-[:X]->(b)", {}, (5, 1, 5)),
+        ("(a)-[:X]->(b)-[]->(c)", {}, (16, 2, 11)),
+        ("(a)-[]-(b)", {}, (14, 1, 14)),
+        ("(a)-[]-(b)-[:X]-(c)", {}, (38, 2, 24)),
+        ("(a)-[{w: 1}]->(b)", {}, (8, 1, 4)),
+        ("(a)-[r:X]->(b)", {}, (5, 1, 5)),
+        ("(a)-[r]->(b)", {"r": RelId("x3")}, (8, 1, 1)),
+        ("(a)-[]->(b:L)", {}, (6, 1, 6)),
+        ("(a:K)-[]->(b:L)", {}, (5, 1, 4)),
+        ("p = (a)-[:X]->(b)<-[]-(c)", {}, (11, 2, 6)),
+        ("(a)-[]->(b), (b)-[:Y]->(c)", {}, (14, 1, 6)),
+    ])
+    def test_counters_are_pinned(self, text, u, counts):
+        stats = MatchStats()
+        match_tuple(parse_pattern_tuple(text), TWINS, u, stats=stats)
+        assert (stats.walks_extended, stats.max_partial_hops, stats.witnesses) == counts
+
+    def test_twins_share_an_unordered_endpoint_pair(self):
+        assert TWINS.twins() == {RelId(i) for i in ("x1", "x2", "x3", "l1", "l2")}
+        assert TWINS.twins() is TWINS.twins()  # built once
+
+    def test_rows_keep_the_order_and_counts_of_keyed_rows(self):
+        assert _rows_are_keyed_rows()
+        assert any(count > 1 for _, count in _rows(ONE_HOP[0]))  # twinned rows merged
+        assert _rows("(a)-[:X]->(b)", TWINS) == [
+            ({"a": NodeId("m1"), "b": NodeId("m2")}, 2), ({"a": NodeId("m2"), "b": NodeId("m1")}, 1),
+            ({"a": NodeId("m2"), "b": NodeId("m3")}, 1), ({"a": NodeId("m3"), "b": NodeId("m3")}, 1)]
+
+    @pytest.mark.parametrize("plant", [_plant_twins_of_ordered_pairs, _plant_unkeyed_ranged_slots,
+                                       _plant_merged_rows_at_the_end],
+                             ids=lambda p: p.__name__[len("_plant_"):])
+    def test_each_unsound_twin_rule_is_caught(self, monkeypatch, plant):
+        plant(monkeypatch)
+        assert not _rows_are_keyed_rows()

@@ -379,8 +379,9 @@ def _plant_unkeyed_witnesses_with_an_anonymous_relationship(monkeypatch):
 
     def planted(self, pats, *args):
         init(self, pats, *args)
-        self.all_named = all(el.name is not None for pat in pats.paths for el in pat.elements
-                             if isinstance(el, ast.NodePattern))
+        self.unkeyed = all(el.name is not None for pat in pats.paths for el in pat.elements
+                           if isinstance(el, ast.NodePattern))
+        self.twins = None  # no twin is ever counted
 
     monkeypatch.setattr(matcher._Search, "__init__", planted)
 

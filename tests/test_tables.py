@@ -178,8 +178,8 @@ def test_keys_are_equal_exactly_when_canon_is():
 
 def test_mixed_insertions_build_the_index_once(monkeypatch):
     keyed = []
-    row_key = tables._row_key
-    monkeypatch.setattr(tables, "_row_key", lambda fields, u: keyed.append(u) or row_key(fields, u))
+    row_key = tables.row_key
+    monkeypatch.setattr(tables, "row_key", lambda fields, u: keyed.append(u) or row_key(fields, u))
     t = Table(["a"])
     t.add_new({"a": 1})
     t.add_new({"a": 2})

@@ -168,6 +168,19 @@ def test_an_unreferenced_id_leaves_the_intern_table():
     assert "fleeting" not in NodeId._interned
 
 
+def test_a_late_removal_keeps_the_reinterned_id():
+    n = NodeId("reborn")
+    stale = dict.get(NodeId._interned, "reborn")  # the weak reference to n
+    remove = stale.__callback__
+    del n
+    gc.collect()
+    m = NodeId("reborn")
+    remove(stale)  # the dead id's removal, run once more after the key was re-interned
+    gc.collect()
+    assert NodeId._interned.get("reborn") is m
+    assert NodeId("reborn") is m
+
+
 def test_map_lookup():
     m = Map((("a", 1), ("b", None)))
     assert m.get("a") == 1
