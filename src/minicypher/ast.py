@@ -234,32 +234,9 @@ def range_of(rel: RelPattern) -> tuple[int, Optional[int]]:
 
 def free_vars(pat: Union[NodePattern, RelPattern, PathPattern, PatternTuple]) -> frozenset[str]:
     """All non-nil names of the pattern, including path names."""
-    if isinstance(pat, (NodePattern, RelPattern)):
-        return frozenset(() if pat.name is None else (pat.name,))
-    if isinstance(pat, PathPattern):
-        out = frozenset(() if pat.name is None else (pat.name,))
-        for el in pat.elements:
-            out |= free_vars(el)
-        return out
-    if isinstance(pat, PatternTuple):
-        out = frozenset()
-        for p in pat.paths:
-            out |= free_vars(p)
-        return out
-    raise TypeError(f"not a pattern: {pat!r}")
-
-
-def pattern_expr_names(pat: Union[PathPattern, PatternTuple]) -> frozenset[str]:
-    """Names read by property expressions inside the pattern."""
-    out: frozenset[str] = frozenset()
-    if isinstance(pat, PatternTuple):
-        for p in pat.paths:
-            out |= pattern_expr_names(p)
-        return out
-    for el in pat.elements:
-        for _, e in el.props:
-            out |= expr_names(e)
-    return out
+    paths = pat.paths if isinstance(pat, PatternTuple) else (pat,)
+    parts = [x for p in paths for x in ((p, *p.elements) if isinstance(p, PathPattern) else (p,))]
+    return frozenset(x.name for x in parts if x.name is not None)
 
 
 # ---------------------------------------------------------------------------

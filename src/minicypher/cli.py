@@ -227,6 +227,8 @@ def _load_graph_file(path: Optional[str]) -> PropertyGraph:
         raise GraphLoadError(f"cannot read graph file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphLoadError(f"graph file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphLoadError("graph file nests too deeply to parse") from exc
     return load_graph(doc)
 
 

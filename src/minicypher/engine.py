@@ -9,11 +9,11 @@ behaves exactly like k copies of the row.
 from __future__ import annotations
 
 from . import ast
-from .ast import expr_names, free_vars, pattern_expr_names
+from .ast import free_vars
 from .errors import AliasClash, NameClash, StarOnEmptyFields
 from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
-from .matcher import match_tuple
+from .matcher import match_tuple, plan_match
 from .parser import unparse_expr
 from .tables import Table, bag_union, distinct, unit_table
 from .values import FunctionRegistry, canon
@@ -26,31 +26,24 @@ def _match_rows(
     functions: FunctionRegistry | None,
 ) -> Table:
     """MATCH / OPTIONAL MATCH; the matcher applies the WHERE to each witness."""
-    new_names = free_vars(c.patterns)
-    out = Table(set(t.fields) | new_names)
-
-    # The filtered match bag depends on the input row only through the
-    # names the pattern mentions (as constraints or inside property
-    # expressions) and the names the WHERE reads, so memoize per
-    # restriction of the row to those names.
-    read = new_names | pattern_expr_names(c.patterns)
-    if c.where is not None:
-        read |= expr_names(c.where)
-    relevant = tuple(f for f in t.fields if f in read)
+    plan = out = None  # planned at the first row, so an empty input plans nothing
     memo: dict[tuple, Table] = {}
-
     for u, count in t.rows():
-        key = tuple(canon(u[f]) for f in relevant)
+        if plan is None:
+            plan = plan_match(c, t.fields)
+            out = Table(t.fields + plan.fields)
+        # The filtered match bag depends on the row only through the fields
+        # the plan reads, so memoize per restriction of the row to them.
+        key = tuple(canon(u[f]) for f in plan.relevant)
         sub = memo.get(key)
         if sub is None:
-            sub = match_tuple(c, g, u, functions)
-            memo[key] = sub
+            sub = memo[key] = match_tuple(plan, g, u, functions)
         for u2, c2 in sub.rows():  # distinct rows joined with distinct extensions
             out.add_new({**u, **u2} if u else u2, count * c2)
         if c.optional and sub.is_empty():
             padding = {f: None for f in out.fields if f not in u}
             out.add_new({**u, **padding}, count)
-    return out
+    return out if out is not None else Table(set(t.fields) | free_vars(c.patterns))
 
 
 def _project(

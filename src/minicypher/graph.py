@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import DanglingEndpoint, DuplicateId, SchemaError, UnknownId
-from .values import Map, NodeId, RelId, Value, kind
+from .values import MAX_DEPTH, Map, NodeId, RelId, Value, kind
 
 # Directions for the adjacency index.
 OUT = "->"
@@ -37,6 +37,31 @@ def _value_from_json(raw: Any, where: str) -> Value:
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}: unsupported property value {raw!r}")
+
+
+def _too_deep(raw: Any) -> bool:
+    """Whether raw JSON nests arrays and objects deeper than MAX_DEPTH,
+    walked level by level with no recursion."""
+    level, depth = [raw], 0
+    while level:
+        depth += 1
+        if depth > MAX_DEPTH:
+            return True
+        level = [y for x in level for y in (x.values() if isinstance(x, dict) else x)
+                 if isinstance(y, (list, dict))]
+    return False
+
+
+def _load_props(props: dict[tuple[str, str], Value], raw_id: str, raw_props: Any, where: str) -> None:
+    if not isinstance(raw_props, dict):
+        raise SchemaError(f"{where}: `properties` must be an object")
+    for k, raw in raw_props.items():
+        at = f"{where}.properties.{k}"
+        if isinstance(raw, (list, dict)) and _too_deep(raw):
+            raise SchemaError(f"{at}: value nests deeper than {MAX_DEPTH} levels")
+        v = _value_from_json(raw, at)
+        if v is not None:
+            props[(raw_id, k)] = v
 
 
 def _value_to_json(v: Value) -> Any:
@@ -244,7 +269,8 @@ def _expect(doc: dict, key: str, kind: type, where: str) -> Any:
 def load_graph(document: dict) -> PropertyGraph:
     """Build a PropertyGraph from a parsed JSON document.
 
-    Raises SchemaError on shape problems, DuplicateId for repeated ids
+    Raises SchemaError on shape problems (a property value nested deeper
+    than ``values.MAX_DEPTH`` among them), DuplicateId for repeated ids
     (node and relationship ids share one namespace), and DanglingEndpoint
     when a relationship references an undeclared node.
     """
@@ -266,15 +292,9 @@ def load_graph(document: dict) -> PropertyGraph:
         raw_labels = nd.get("labels", [])
         if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
             raise SchemaError(f"{where}: `labels` must be a list of strings")
-        raw_props = nd.get("properties", {})
-        if not isinstance(raw_props, dict):
-            raise SchemaError(f"{where}: `properties` must be an object")
+        _load_props(props, raw_id, nd.get("properties", {}), where)
         nodes.append(n)
         labels[n] = frozenset(raw_labels)
-        for k, raw in raw_props.items():
-            v = _value_from_json(raw, f"{where}.properties.{k}")
-            if v is not None:
-                props[(raw_id, k)] = v
 
     rels: list[RelId] = []
     src: dict[RelId, NodeId] = {}
@@ -296,16 +316,10 @@ def load_graph(document: dict) -> PropertyGraph:
             raise DanglingEndpoint(f"{where}: src {s!r} is not a declared node")
         if t not in node_of:
             raise DanglingEndpoint(f"{where}: tgt {t!r} is not a declared node")
-        raw_props = rd.get("properties", {})
-        if not isinstance(raw_props, dict):
-            raise SchemaError(f"{where}: `properties` must be an object")
+        _load_props(props, raw_id, rd.get("properties", {}), where)
         rels.append(r)
         src[r] = node_of[s]
         tgt[r] = node_of[t]
         types[r] = rtype
-        for k, raw in raw_props.items():
-            v = _value_from_json(raw, f"{where}.properties.{k}")
-            if v is not None:
-                props[(raw_id, k)] = v
 
     return PropertyGraph(tuple(nodes), tuple(rels), src, tgt, labels, types, props)

@@ -54,6 +54,16 @@ exactly ``x.k = e`` or ``e = x.k``), e is a bool, int or str, and no node
 stores a scalar of another kind under ``k``: the seek drops exactly the
 nodes on which the check is false or null without raising.
 
+A search is planned once and run per input row.  :func:`plan_match`
+works out what depends only on the clause and the input's fields: the
+match bag's fields and the input fields it depends on (the engine's memo
+key); for each path its walk end, its anchor's kind (bound, seek, label
+index or scan) with the check a seek stands for, and its slots in walk
+order, each with its direction, range, names, next-node labels and check
+groups; the check groups in pattern order; and the twin rule.  A search
+holds only one row's state: the bindings, the relationships used, the
+placed elements, the check cursor and the twins placed.
+
 A twin is a relationship that shares its unordered endpoint pair with
 another one.  When every node pattern is named and every anonymous slot is
 one hop, two witnesses that bind one row differ in an anonymous slot between
@@ -65,10 +75,10 @@ themselves, each row at its first witness, as a keyed search lists them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterator, NamedTuple, Optional
 
 from . import ast
-from .ast import PathPattern, PatternTuple, RelPattern, expr_names, free_vars, range_of
+from .ast import PathPattern, PatternTuple, RelPattern, expr_names, range_of
 from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
@@ -90,6 +100,50 @@ class MatchStats:
     witnesses: int = 0
 
 
+class Hop(NamedTuple):
+    """A relationship slot of a walk and the node after it, in walk order."""
+
+    direction: str  # as walked: flipped on a far-end walk
+    types: frozenset[str]
+    lo: int
+    hi: Optional[int]
+    rigid: bool  # no range: the slot binds a relationship, not a list
+    name: Optional[str]  # an unnamed slot counts the twins it places when the plan's twins is set
+    gid: int  # the slot's check group, or -1
+    listed: bool  # the slot's relationships are read: it is named or checked
+    hop_checks: bool  # a ranged slot walked forward with checks: they run hop by hop
+    node: Optional[str]  # the name, labels and check group of the node after the slot
+    labels: frozenset[str]
+    ngid: int
+    more: bool  # another slot follows on this walk
+    complete: bool  # the last slot of the tuple's last path, which is unnamed
+
+
+class Walk(NamedTuple):
+    """One path of the tuple: its anchor, then its slots in walk order."""
+
+    path: Optional[str]  # the path name
+    far: bool  # walked from its last node
+    anchor: str  # "bound", "seek", "label" (the label index) or "scan"
+    node: Optional[str]  # the name, labels and check group of the anchor
+    labels: frozenset[str]
+    gid: int
+    seek: Optional[tuple[int, str, ast.Expr]]  # (group, k, e) of the check `anchor.k = e`
+    hops: tuple[Hop, ...]
+
+
+class MatchPlan(NamedTuple):
+    """Everything about a MATCH's search that no input row's values change."""
+
+    fields: tuple[str, ...]  # of the match bag: the pattern's names the input does not bind
+    relevant: tuple[str, ...]  # the input fields the bag depends on
+    walks: tuple[Walk, ...]
+    groups: tuple[tuple[tuple, bool], ...]  # (checks, is a slot's), then the WHERE's
+    placed: tuple  # the search's first ``placed``
+    unkeyed: bool  # witnesses enter unkeyed unless they place a twin (see _complete)
+    twins: bool  # unnamed slots count the twins they place
+
+
 def _far_end_first(pat: PathPattern, bound: set[str], seeks: dict[str, tuple]) -> bool:
     """Whether to walk pat from its last node: that end is bound and the
     first is not, or neither is and only the last has labels, properties
@@ -104,71 +158,100 @@ def _far_end_first(pat: PathPattern, bound: set[str], seeks: dict[str, tuple]) -
             and not (first.labels or first.props or first.name in seeks))
 
 
+def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPlan:
+    """The plan of a pattern tuple, or of a MATCH clause with its WHERE,
+    for input rows over ``fields``."""
+    pats, where = (c.patterns, c.where) if isinstance(c, ast.Match) else (c, None)
+    # x -> (k, e, names of e) for a WHERE `x.k = e` or `e = x.k`
+    where_seeks: dict[str, tuple] = {}
+    if isinstance(where, ast.Cmp) and where.op == "=":
+        for side, e in ((where.left, where.right), (where.right, where.left)):
+            if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
+                where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
+    groups: list[tuple[tuple, bool]] = []
+    walks: list[Walk] = []
+    unkeyed, anonymous = True, False  # see _complete
+    bound, free, read = set(fields), set(), set()
+    for pi, pat in enumerate(pats.paths):
+        far = _far_end_first(pat, bound, where_seeks)
+        steps, names = [], [] if pat.name is None else [pat.name]
+        for el in pat.elements:
+            gid = -1
+            if el.name is None:
+                anonymous = True
+                unkeyed &= isinstance(el, RelPattern) and el.range_ is None
+            else:
+                names.append(el.name)
+            if el.props:
+                gid = len(groups)
+                checks = tuple([(key, e, expr_names(e)) for key, e in el.props])
+                groups.append((checks, isinstance(el, RelPattern)))
+                for check in checks:
+                    read |= check[2]
+            steps.append((el, gid))
+        if far:
+            steps.reverse()
+        (el, gid), last = steps[0], pi + 1 == len(pats.paths)
+        seek = groups[gid][0][0] if gid >= 0 else where_seeks.get(el.name)
+        if el.name in bound:
+            anchor, seek = "bound", None
+        elif seek is not None and seek[2] <= bound:  # e reads only names bound before the anchor
+            # the anchor's own first check, or the WHERE, after every pattern check
+            gi = gid if gid >= 0 else sum(1 for p in pats.paths for x in p.elements if x.props)
+            anchor, seek = "seek", (gi, seek[0], seek[1])
+        else:
+            anchor, seek = "label" if el.labels else "scan", None
+        hops = []
+        for k in range(1, len(steps), 2):
+            (rel, rgid), (nel, ngid) = steps[k], steps[k + 1]
+            (lo, hi), rigid, more = range_of(rel), rel.range_ is None, k + 2 < len(steps)
+            hops.append(Hop(
+                _FLIP[rel.direction] if far else rel.direction, rel.types, lo, hi, rigid,
+                rel.name, rgid, rel.name is not None or rgid >= 0, rgid >= 0 and not far and not rigid,
+                nel.name, nel.labels, ngid, more, not more and last and pat.name is None))
+        walks.append(Walk(pat.name, far, anchor, el.name, el.labels, gid, seek, tuple(hops)))
+        bound.update(names)
+        free.update(names)
+    placed = (None,) * len(groups)
+    if where is not None:  # placed from the start, on no element
+        names = expr_names(where)
+        groups.append((((None, where, names),), False))
+        read |= names
+        placed += (True,)
+    return MatchPlan(
+        tuple(sorted(free.difference(fields))), tuple(f for f in fields if f in read or f in free),
+        tuple(walks), tuple(groups), placed + (None,), unkeyed, unkeyed and anonymous)  # placed[-1]
+
+
 class _Search:
-    """One enumeration of a pattern tuple's witnesses under a record.
+    """One enumeration of a plan's witnesses under a record: the plan
+    holds everything that no row's values change, the search the rest.
 
     ``b`` holds the bindings of the current prefix, ``used`` its
-    relationships.  The property checks are ``groups`` (one per pattern
-    element with a property map, in pattern order, then the WHERE as one
-    check with key None); ``placed[i]`` is the node of group i, or for a
-    relationship slot its relationships in pattern order and whether the
-    slot's hop count is final, or None while the element is not placed.
-    ``cursor`` is (group, hop, key, held error) of the first check not yet
-    run; frames save it before a placement and restore it when they undo
-    one.  ``placed[-1]`` takes the writes for elements with no checks.
+    relationships.  ``placed[i]`` is the node of the plan's check group i,
+    or for a relationship slot its relationships in pattern order and
+    whether the slot's hop count is final, or None while the element is
+    not placed.  ``cursor`` is (group, hop, key, held error) of the first
+    check not yet run; frames save it before a placement and restore it
+    when they undo one.  ``placed[-1]`` takes the writes for elements with
+    no checks.  ``twinned`` counts the twins placed in unnamed slots, and
+    ``merged`` holds the rows of the twinned witnesses.
     """
 
-    def __init__(self, pats: PatternTuple, where: Optional[ast.Expr], g: PropertyGraph,
-                 u: Record, functions: FunctionRegistry | None, stats: MatchStats, out: Table):
-        self.g, self.functions, self.stats, self.out = g, functions, stats, out
+    def __init__(self, plan: MatchPlan, g: PropertyGraph, u: Record,
+                 functions: FunctionRegistry | None, stats: MatchStats, out: Table):
+        self.plan, self.g, self.functions, self.stats, self.out = plan, g, functions, stats, out
         self.b = dict(u)
         self.used: set[RelId] = set()
-        self.groups: list[tuple[tuple, bool]] = []
-        self.walks: list[tuple[PathPattern, bool, list[tuple]]] = []
-        # x -> (k, e, names of e) for a WHERE `x.k = e` or `e = x.k`
-        self.where_seeks: dict[str, tuple] = {}
-        if isinstance(where, ast.Cmp) and where.op == "=":
-            for side, e in ((where.left, where.right), (where.right, where.left)):
-                if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
-                    self.where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
-        unkeyed, anonymous = True, False  # see _complete
-        bound = set(u)
-        for pat in pats.paths:
-            far = _far_end_first(pat, bound, self.where_seeks)
-            steps = []
-            for el in pat.elements:
-                gid = -1
-                if el.name is None:
-                    anonymous = True
-                    unkeyed &= isinstance(el, RelPattern) and el.range_ is None
-                if el.props:
-                    gid = len(self.groups)
-                    checks = tuple((key, e, expr_names(e)) for key, e in el.props)
-                    self.groups.append((checks, isinstance(el, RelPattern)))
-                if isinstance(el, RelPattern):
-                    direction = _FLIP[el.direction] if far else el.direction
-                    steps.append((el, gid, direction, *range_of(el)))
-                else:
-                    steps.append((el, gid))
-            if far:
-                steps.reverse()
-            self.walks.append((pat, far, steps))
-            bound |= free_vars(pat)
-        self.placed: list = [None] * len(self.groups)
-        if where is not None:  # placed from the start, on no element
-            self.groups.append((((None, where, expr_names(where)),), False))
-            self.placed.append(True)
-        self.placed.append(None)  # placed[-1]
+        self.placed: list = list(plan.placed)
         self.cursor: tuple = (0, 0, 0, None)
-        self.unchecked = not self.groups  # then the cursor never moves
         self.maps = g.trusted_maps()
-        self.unkeyed = unkeyed
-        self.twins = g.twins() if unkeyed and anonymous else None
-        self.twinned = 0  # twins placed in anonymous slots
+        self.twins = g.twins() if plan.twins else None
+        self.twinned = 0
         self.merged: dict[tuple, list] = {}  # row key -> slot of a twinned witness's row
 
     def run(self) -> None:
-        if not self.walks:  # the empty tuple has one witness
+        if not self.plan.walks:  # the empty tuple has one witness
             self._complete()
             return
         stack: list[_Frame] = [self._anchor(0)]
@@ -183,46 +266,39 @@ class _Search:
 
     def _anchor(self, pi: int) -> _Frame:
         """Start path pi at every candidate for its first walked node."""
-        steps = self.walks[pi][2]
-        el, gid = steps[0]
-        g, b, placed = self.g, self.b, self.placed
-        if el.name is not None and el.name in b:
-            v = b[el.name]
+        _, _, anchor, name, labels, gid, seek, hops = self.plan.walks[pi]
+        g, b, placed, unchecked = self.g, self.b, self.placed, not self.plan.groups
+        if anchor == "bound":
+            v = b[name]
             candidates = (v,) if isinstance(v, NodeId) and g.has_id(v) else ()
         else:
-            candidates = self._seek(el, gid)
+            candidates = None if seek is None else self._seek(*seek)
             if candidates is None:
-                candidates = g.nodes_with_labels(el.labels)
+                candidates = g.nodes_with_labels(labels)
         for n in candidates:
-            fresh = None if el.labels and not el.labels <= g.labels(n) else self._bind(el.name, n)
+            fresh = None if labels and not labels <= g.labels(n) else self._bind(name, n)
             if fresh is None:
                 continue
             saved = self.cursor
             placed[gid] = n
-            if self.unchecked or self._checks_pass():
-                if len(steps) > 1:
-                    yield self._hops(pi, 1, [n], [], [])
+            if unchecked or self._checks_pass():
+                if hops:
+                    yield self._hops(pi, 0, [n], [], [])
                 else:
                     yield self._path_end(pi, [n], [])
             self.cursor = saved
             placed[gid] = None
             if fresh:
-                del b[el.name]
+                del b[name]
 
-    def _seek(self, el: ast.NodePattern, gid: int) -> Optional[tuple[NodeId, ...]]:
-        """Candidates for the unbound anchor el from the property index, or
-        None to scan (see the module docstring for when a seek applies).  A
-        held error keeps the cursor at the check that raised, and the check
-        a seek stands in for cannot run while the anchor is unbound, so no
-        error is held when the cursor is at it."""
-        gi = self.cursor[0]
-        if gi == gid:
-            key, e, names = self.groups[gi][0][0]
-        elif gi == len(self.groups) - 1 and el.name in self.where_seeks:
-            key, e, names = self.where_seeks[el.name]
-        else:
-            return None
-        if not self.b.keys() >= names:
+    def _seek(self, gi: int, key: str, e: ast.Expr) -> Optional[tuple[NodeId, ...]]:
+        """Candidates for the anchor from the property index, or None to
+        scan (see the module docstring for when a seek applies), when the
+        cursor is at the check `anchor.key = e` of group gi.  A held error
+        keeps the cursor at the check that raised, and the check a seek
+        stands in for cannot run while the anchor is unbound, so no error
+        is held when the cursor is at it."""
+        if self.cursor[0] != gi:
             return None
         try:
             return self.g.nodes_with_prop(key, eval_expr(e, self.g, self.b, self.functions))
@@ -231,17 +307,17 @@ class _Search:
 
     def _hops(self, pi: int, k: int, nodes: list[NodeId], rels: list[RelId],
               seg: list[RelId]) -> _Frame:
-        """The relationship slot at walk step k, len(seg) hops in: stop with
-        no hop if the range starts at 0, then extend by each usable
-        relationship, stopping there (placing the slot and the next node
-        here) and going a hop deeper in a new frame as the range allows."""
-        pat, far, steps = self.walks[pi]
-        el, gid, direction, lo, hi = steps[k]
-        nel, ngid = steps[k + 1]
+        """Slot k of walk pi, len(seg) hops in: stop with no hop if the
+        range starts at 0, then extend by each usable relationship, stopping
+        there (placing the slot and the next node here) and going a hop
+        deeper in a new frame as the range allows."""
+        walk = self.plan.walks[pi]
+        (direction, types, lo, hi, rigid, name, gid, listed, hop_checks, nname, labels, ngid,
+         more, complete) = walk.hops[k]
         g, b, used, stats, placed = self.g, self.b, self.used, self.stats, self.placed
         src, tgt, rel_type, node_labels = self.maps  # the adjacency's ids need no check
-        m, cur, rigid, unchecked = len(seg), nodes[-1], el.range_ is None, self.unchecked
-        hop_checks = gid >= 0 and not far and not rigid and m == 0
+        m, cur, unchecked = len(seg), nodes[-1], not self.plan.groups
+        hop_checks = hop_checks and m == 0
         if hop_checks:  # a ranged slot walked forward: its checks run as hops are placed
             placed[gid] = (seg, False)
         extend = (hi is None or m < hi) and len(used) < len(g.rels)
@@ -250,14 +326,11 @@ class _Search:
             moves = (None, *moves)  # the stop with no hop
         ends = src if direction == ast.LEFT else tgt  # ast and adjacency directions coincide
         undirected, stops, deeper = direction == ast.UNDIRECTED, m + 1 >= lo, hi is None or m + 1 < hi
-        name, nname, labels = el.name, nel.name, nel.labels
-        listed = name is not None or gid >= 0  # the slot's relationships are read
         twins = self.twins if name is None else None
-        depth, more = len(rels) + 1, k + 2 < len(steps)
-        complete = not more and pi + 1 == len(self.walks) and pat.name is None
+        depth = len(rels) + 1
         for r in moves:
             if r is not None:
-                if r in used or (el.types and rel_type[r] not in el.types):
+                if r in used or (types and rel_type[r] not in types):
                     continue
                 used.add(r)
                 seg.append(r)
@@ -270,7 +343,7 @@ class _Search:
             if r is None or rigid or unchecked or self._checks_pass():
                 n = nodes[-1]
                 if (r is None or stops) and (not labels or labels <= node_labels[n]):
-                    in_order = ((r,) if rigid else tuple(reversed(seg) if far else seg)
+                    in_order = ((r,) if rigid else tuple(reversed(seg) if walk.far else seg)
                                 if listed else ())
                     rfresh = name is not None and self._bind(name, r if rigid else in_order)
                     nfresh = None if rfresh is None else nname is not None and self._bind(nname, n)
@@ -282,7 +355,7 @@ class _Search:
                             self.twinned += 1
                         if unchecked or self._checks_pass():
                             if more:
-                                yield self._hops(pi, k + 2, nodes, rels, [])
+                                yield self._hops(pi, k + 1, nodes, rels, [])
                             elif complete:
                                 self._complete()
                             else:
@@ -307,22 +380,22 @@ class _Search:
 
     def _path_end(self, pi: int, nodes: list[NodeId], rels: list[RelId]) -> _Frame:
         """Bind the path name, then start the next path or complete the tuple."""
-        pat, far, _ = self.walks[pi]
+        walk = self.plan.walks[pi]
         fresh = False
-        if pat.name is not None:
-            p = Path(tuple(reversed(nodes)), tuple(reversed(rels))) if far else Path(tuple(nodes), tuple(rels))
-            fresh = self._bind(pat.name, p)
+        if walk.path is not None:
+            p = Path(tuple(reversed(nodes)), tuple(reversed(rels))) if walk.far else Path(tuple(nodes), tuple(rels))
+            fresh = self._bind(walk.path, p)
             if fresh is None:
                 return
         saved = self.cursor
-        if self.unchecked or self._checks_pass():
-            if pi + 1 < len(self.walks):
+        if not self.plan.groups or self._checks_pass():
+            if pi + 1 < len(self.plan.walks):
                 yield self._anchor(pi + 1)
             else:
                 self._complete()
         self.cursor = saved
         if fresh:
-            del self.b[pat.name]
+            del self.b[walk.path]
 
     # -- bindings and checks ------------------------------------------------
 
@@ -338,11 +411,11 @@ class _Search:
         return True
 
     def _complete(self) -> None:
-        if self.unchecked or self._checks_pass(final=True):
+        if not self.plan.groups or self._checks_pass(final=True):
             self.stats.witnesses += 1
             b, out = self.b, self.out
             row = {f: b[f] for f in out.fields}
-            if not self.unkeyed:
+            if not self.plan.unkeyed:
                 out.add(row)
             elif not self.twinned:  # no other witness binds this row
                 out.add_new(row)
@@ -361,7 +434,7 @@ class _Search:
         error or a raising check propagates.
         """
         gi, h, ki, held = self.cursor
-        groups = self.groups
+        groups = self.plan.groups
         if held is not None:
             if final:
                 raise held
@@ -411,7 +484,7 @@ class _Search:
 
 
 def match_tuple(
-    pats: PatternTuple | ast.Match,
+    pats: PatternTuple | ast.Match | MatchPlan,
     g: PropertyGraph,
     u: Record,
     functions: FunctionRegistry | None = None,
@@ -423,10 +496,9 @@ def match_tuple(
     pairs witnessing it.  Names already bound in ``u`` act as constraints;
     a binding incompatible with the graph simply yields no rows.  Given a
     MATCH clause, the bag keeps the u′ whose WHERE is true on u and u′.
+    Given a plan, u ranges over the fields it was planned for.
     """
-    where = None
-    if isinstance(pats, ast.Match):
-        pats, where = pats.patterns, pats.where
-    out = Table(free_vars(pats) - set(u.keys()))
-    _Search(pats, where, g, u, functions, stats if stats is not None else MatchStats(), out).run()
+    plan = pats if isinstance(pats, MatchPlan) else plan_match(pats, u)
+    out = Table(plan.fields)
+    _Search(plan, g, u, functions, stats if stats is not None else MatchStats(), out).run()
     return out

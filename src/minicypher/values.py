@@ -129,9 +129,6 @@ class Map(_Frozen):
                 return v
         return None
 
-    def has(self, key: str) -> bool:
-        return any(k == key for k, _ in self.entries)
-
     @property
     def keys(self) -> frozenset[str]:
         return frozenset(k for k, _ in self.entries)
@@ -192,6 +189,12 @@ class Path(_Frozen):
 
 # A value is one of: None, bool, int, str, NodeId, RelId, tuple (list), Map, Path.
 Value = Union[None, bool, int, str, NodeId, RelId, tuple, Map, Path]
+
+# The deepest a value nests: a list or map is one level deeper than its
+# deepest element, any other value is at level 0.  Values are walked by
+# recursion (canon, equality, the JSON codecs, hashing of canon keys), so
+# this bound keeps every walk well under Python's recursion limit.
+MAX_DEPTH = 200
 
 # Each kind's Python type, in the order a subclass instance is tried
 # against them: bool before int, because bool <: int.

@@ -10,6 +10,7 @@ from minicypher.engine import output
 from minicypher.errors import EvalError
 from minicypher.graph import load_graph
 from minicypher.parser import parse_query
+from minicypher.values import MAX_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CITATION = str(FIXTURES / "citation.json")
@@ -238,6 +239,41 @@ def test_missing_graph_file_exits_3(capsys, tmp_path):
                      "--query", "RETURN 1 AS one")
     assert rc == 3
     assert "graph error" in err
+
+
+def _deep_graph(path, depth, kind):
+    v = 1
+    for _ in range(depth):
+        v = [v] if kind == "list" else {"k": v}
+    path.write_text(json.dumps({"nodes": [{"id": "n1", "properties": {"p": v}}], "relationships": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["list", "map"])
+def test_graph_value_depth_bound(capsys, tmp_path, kind):
+    q = "MATCH (n) RETURN n.p = n.p AS same, n.p AS p"
+    deepest = _deep_graph(tmp_path / "deepest.json", MAX_DEPTH, kind)
+    cell = ("[" * MAX_DEPTH + "1" + "]" * MAX_DEPTH if kind == "list"
+            else '{"@map":{"k":' * MAX_DEPTH + "1" + "}}" * MAX_DEPTH)
+    rc, out, err = run(capsys, "--graph", deepest, "--query", q, "--oracle")
+    assert (rc, out, err) == (0, f"p\tsame\n{cell}\ttrue\n", "")
+    rc, out, err = run(capsys, "--graph", deepest, "--query", q, "--oracle", "--format", "counted-json")
+    assert (rc, err) == (0, "")
+    g = load_graph(json.loads(Path(deepest).read_text()))
+    assert table_from_counted_json(json.loads(out)) == output(parse_query(q), g)
+    too_deep = _deep_graph(tmp_path / "too_deep.json", MAX_DEPTH + 1, kind)
+    rc, out, err = run(capsys, "--graph", too_deep, "--query", q, "--oracle")
+    assert (rc, out) == (3, "")
+    assert err == f"graph error: nodes[0].properties.p: value nests deeper than {MAX_DEPTH} levels\n"
+
+
+def test_graph_too_deep_to_parse_exits_3(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 100000
+    path.write_text('{"nodes": [{"id": "n1", "properties": {"p": ' + "[" * depth + "]" * depth
+                    + '}}], "relationships": []}')
+    rc, out, err = run(capsys, "--graph", str(path), "--query", "RETURN 1 AS one", "--oracle")
+    assert (rc, out, err) == (3, "", "graph error: graph file nests too deeply to parse\n")
 
 
 def test_malformed_graph_json_exits_3(capsys, tmp_path):

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from minicypher.errors import DanglingEndpoint, DuplicateId, SchemaError, UnknownId
 from minicypher.graph import BOTH, IN, OUT, PropertyGraph, load_graph
-from minicypher.values import Map, NodeId, RelId
+from minicypher.values import MAX_DEPTH, Map, NodeId, RelId
 
 
 def doc(nodes=(), rels=()):
@@ -181,6 +183,27 @@ def test_schema_errors(bad):
 def test_floats_are_rejected():
     with pytest.raises(SchemaError):
         load_graph(doc(nodes=[node("n1", props={"k": 1.5})]))
+
+
+def nested(depth, kind):
+    """1 inside depth lists or single-entry maps."""
+    v = 1
+    for _ in range(depth):
+        v = [v] if kind == "list" else {"k": v}
+    return v
+
+
+@pytest.mark.parametrize("kind", ["list", "map"])
+def test_property_depth_is_bounded(kind):
+    g = load_graph(doc(nodes=[node("n1", props={"p": nested(MAX_DEPTH, kind)})],
+                       rels=[rel("r1", "t", "n1", "n1", {"p": [[1], nested(MAX_DEPTH - 1, kind)]})]))
+    assert g.prop(NodeId("n1"), "p") is not None and g.prop(RelId("r1"), "p") is not None
+    too_deep = nested(MAX_DEPTH + 1, kind)
+    for bad, where in [(doc(nodes=[node("n1", props={"p": too_deep})]), "nodes[0].properties.p"),
+                       (doc(nodes=[node("n1")], rels=[rel("r1", "t", "n1", "n1", {"q": [1, too_deep]})]),
+                        "relationships[0].properties.q")]:
+        with pytest.raises(SchemaError, match=re.escape(f"{where}: value nests deeper than {MAX_DEPTH} levels")):
+            load_graph(bad)
 
 
 def test_empty_graph():

@@ -140,3 +140,26 @@ def test_unkeyed_sites_are_named_in_the_notes():
     determinism = notes.split("## Determinism", 1)[1].split("\n## ", 1)[0]
     missing = sorted(site for site in UNKEYED_SITES if f"`{site}`" not in determinism)
     assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"
+
+
+# The static analysis of a pattern runs in matcher.plan_match, once per
+# MATCH clause; a search runs once per input row that misses the memo.
+STATIC_ANALYSIS = {"free_vars", "expr_names", "range_of", "_far_end_first"}
+
+
+def _static_calls(fn):
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in STATIC_ANALYSIS:
+                yield called
+
+
+def test_the_search_does_no_static_analysis():
+    tree = ast.parse((SRC / "matcher.py").read_text(encoding="utf-8"))
+    functions = dict(_functions(tree, "matcher"))
+    methods = {name: fn for name, fn in functions.items() if name.startswith("matcher._Search.")}
+    assert {"matcher._Search._anchor", "matcher._Search._seek", "matcher._Search._hops"} <= methods.keys()
+    found = {name: sorted(set(_static_calls(fn))) for name, fn in methods.items() if any(_static_calls(fn))}
+    assert not found, f"methods of _Search analyse the pattern: {found}"
+    assert set(_static_calls(functions["matcher.plan_match"])) == STATIC_ANALYSIS - {"free_vars"}

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from minicypher import ast, matcher
+from minicypher import ast, engine, matcher
 from minicypher.engine import output
 from minicypher.errors import CypherError, EvalError
 from minicypher.graph import PropertyGraph, load_graph
@@ -685,14 +685,16 @@ def _plant_twins_of_ordered_pairs(monkeypatch):
 
 
 def _plant_unkeyed_ranged_slots(monkeypatch):
-    init = matcher._Search.__init__
+    plan_match = matcher.plan_match
 
-    def planted(self, pats, where, g, *args):
-        init(self, pats, where, g, *args)
-        if all(el.name is not None for pat in pats.paths for el in pat.elements[::2]):
-            self.unkeyed, self.twins = True, g.twins()
+    def planted(c, fields):
+        plan = plan_match(c, fields)
+        if all(walk.node is not None and all(hop.node is not None for hop in walk.hops)
+               for walk in plan.walks):
+            plan = plan._replace(unkeyed=True, twins=True)
+        return plan
 
-    monkeypatch.setattr(matcher._Search, "__init__", planted)
+    monkeypatch.setattr(matcher, "plan_match", planted)
 
 
 def _plant_merged_rows_at_the_end(monkeypatch):
@@ -701,7 +703,7 @@ def _plant_merged_rows_at_the_end(monkeypatch):
     def planted_complete(self):
         if not self.twinned:
             return complete(self)
-        if self.unchecked or self._checks_pass(final=True):
+        if not self.plan.groups or self._checks_pass(final=True):
             self.stats.witnesses += 1
             self.late.append({f: self.b[f] for f in self.out.fields})
 
@@ -755,3 +757,49 @@ class TestOneHop:
     def test_each_unsound_twin_rule_is_caught(self, monkeypatch, plant):
         plant(monkeypatch)
         assert not _rows_are_keyed_rows()
+
+
+def _plan(text, fields=()):
+    return matcher.plan_match(parse_query(f"{text} RETURN 1 AS one").clauses[-1], fields)
+
+
+class TestPlan:
+    """A MATCH is planned once: each path's anchor kind and walk end are
+    read off its plan."""
+
+    @pytest.mark.parametrize("text,fields,walks", [
+        # the seven lookup shapes
+        ("MATCH (a {name: 'v7'})", (), [("seek", False)]),
+        ("MATCH (a {name: 'v7'})-[:X]->(b)", (), [("seek", False)]),
+        ("OPTIONAL MATCH (a)-[:X]->(b:A)", ("a",), [("bound", False)]),
+        ("MATCH (a {name: 'v7'})<-[:X]-(b:A)", (), [("seek", False)]),
+        ("MATCH (a {name: 'v7'})-[*1..2]->(b)", (), [("seek", False)]),
+        ("MATCH (a)-[:X]->(b {name: 'v7'})", (), [("seek", True)]),
+        ("MATCH (a)-[:X]->(b) WHERE a.name = 'v7'", (), [("seek", False)]),
+        # the label index, a scan, a bound far end, and a seek on a name bound by an earlier path
+        ("MATCH (a:A)-[:X]->(b)", (), [("label", False)]),
+        ("MATCH (a)-[:X]->(b:A)", (), [("label", True)]),
+        ("MATCH (a)-[:X]->(b)", (), [("scan", False)]),
+        ("MATCH (a)-[:X]->(b)", ("b",), [("bound", True)]),
+        ("MATCH (a {name: 'v7'}), (b)-[:X]->(a)", (), [("seek", False), ("bound", True)]),
+        ("MATCH (a), (b {name: a.name})", (), [("scan", False), ("seek", False)]),
+        ("MATCH (a {name: b.name}), (b)", (), [("scan", False), ("scan", False)]),
+    ])
+    def test_anchor_kind_and_walk_end(self, text, fields, walks):
+        assert [(walk.anchor, walk.far) for walk in _plan(text, fields).walks] == walks
+
+    def test_fields_and_memo_key(self):
+        plan = _plan("MATCH (a {k: x})-[r]->(b) WHERE b.k = y", ("a", "x", "y", "z"))
+        assert plan.fields == ("b", "r")
+        assert plan.relevant == ("a", "x", "y")
+
+    def test_one_plan_per_match_clause(self, monkeypatch):
+        plans, plan_match = [], engine.plan_match
+        monkeypatch.setattr(engine, "plan_match", lambda c, fields: plans.append(c) or plan_match(c, fields))
+        query = parse_query("UNWIND [1, 2, 3] AS x MATCH (a {k: x}) MATCH (b) WHERE b.k = x RETURN a, b")
+        assert output(query, CHECKS) == oracle_output(query, CHECKS)
+        assert plans == list(query.clauses[1:])
+        plans.clear()
+        empty = parse_query("UNWIND [] AS x MATCH (a {k: x}) RETURN a, x")
+        assert output(empty, CHECKS) == table(["a", "x"])
+        assert plans == []

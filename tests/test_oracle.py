@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from minicypher import ast, engine, matcher, tables
+from minicypher import ast, engine, tables
 from minicypher.evaluator import eval_expr
 from minicypher.graph import BOTH, load_graph
 from minicypher.matcher import match_tuple
@@ -375,15 +375,15 @@ def test_the_clause_guard_catches_an_unwind_on_the_new_row_path(monkeypatch):
 
 def _plant_unkeyed_witnesses_with_an_anonymous_relationship(monkeypatch):
     """Witnesses enter the match bag unkeyed once every node is named."""
-    init = matcher._Search.__init__
+    plan_match = engine.plan_match
 
-    def planted(self, pats, *args):
-        init(self, pats, *args)
-        self.unkeyed = all(el.name is not None for pat in pats.paths for el in pat.elements
-                           if isinstance(el, ast.NodePattern))
-        self.twins = None  # no twin is ever counted
+    def planted(c, fields):
+        plan = plan_match(c, fields)
+        named = all(walk.node is not None and all(hop.node is not None for hop in walk.hops)
+                    for walk in plan.walks)
+        return plan._replace(unkeyed=named, twins=False)  # no twin is ever counted
 
-    monkeypatch.setattr(matcher._Search, "__init__", planted)
+    monkeypatch.setattr(engine, "plan_match", planted)
 
 
 def _plant_unkeyed_projection_dropping_a_field(monkeypatch):

@@ -186,8 +186,6 @@ def test_map_lookup():
     assert m.get("a") == 1
     assert m.get("b") is None
     assert m.get("zzz") is None
-    assert m.has("b")
-    assert not m.has("zzz")
     assert m.keys == frozenset({"a", "b"})
 
 
