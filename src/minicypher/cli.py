@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import CypherError, EvalError, GraphLoadError, ParseError
@@ -36,7 +38,7 @@ from .oracle import (
 )
 from .parser import parse_query
 from .tables import Table
-from .values import Map, NodeId, Path, RelId, Value, kind
+from .values import KINDS, Map, NodeId, Path, RelId, Value, kind
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -66,40 +68,46 @@ def value_to_json(v: Value):
         return v
     if k in ("node", "rel"):
         return {"@" + k: v.key}
-    if k == "path":  # node and relationship keys, alternating
-        ids = [None] * (2 * len(v.nodes) - 1)
-        ids[0::2], ids[1::2] = [n.key for n in v.nodes], [r.key for r in v.rels]
-        return {"@path": ids}
+    if k == "path":
+        return {"@path": _path_ids(v)}
     if k == "list":
         return [value_to_json(x) for x in v]
     return {"@map": {key: value_to_json(x) for key, x in sorted(v.entries)}}
 
 
+def _path_ids(p: Path) -> list[str]:  # the node and relationship keys, alternating
+    ids = [None] * (2 * len(p.nodes) - 1)
+    ids[0::2], ids[1::2] = [n.key for n in p.nodes], [r.key for r in p.rels]
+    return ids
+
+
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # one for every cell
 
 
+# The text of a TSV cell of each kind.  Composites are canonical compact
+# JSON of the tagged encoding, which a path's text writes out directly.
+_CELL_TEXT = {
+    "null": lambda v: "null", "bool": lambda v: "true" if v else "false", "int": str,
+    "str": str.__str__, "node": attrgetter("key"), "rel": attrgetter("key"),
+    "path": lambda v: '{"@path":[' + ",".join(map(encode_basestring_ascii, _path_ids(v))) + "]}",
+}
+_CELL_TEXT["list"] = _CELL_TEXT["map"] = lambda v: _COMPACT.encode(value_to_json(v))
+_CELL_TEXT_OF_TYPE = {t: _CELL_TEXT[k] for t, k in KINDS}  # exact types; others go through kind()
+
+
 def _cell_text(v: Value) -> str:
-    k = _render_kind(v)
-    if k == "null":
-        return "null"
-    if k == "bool":
-        return "true" if v else "false"
-    if k == "int":
-        return str(v)
-    if k == "str":
-        return v
-    if k in ("node", "rel"):
-        return v.key
-    # Composites: canonical compact JSON of the tagged encoding.
-    return _COMPACT.encode(value_to_json(v))
+    return _CELL_TEXT[_render_kind(v)](v)
 
 
 def render_tsv(t: Table) -> str:
     lines = ["\t".join(t.fields)]
     body = []
     for u, count in t.rows():
-        row = "\t".join(_cell_text(u[f]) for f in t.fields)
-        body.extend([row] * count)
+        row = "\t".join([_CELL_TEXT_OF_TYPE.get(type(v), _cell_text)(v) for v in map(u.__getitem__, t.fields)])
+        if count == 1:
+            body.append(row)
+        else:
+            body.extend([row] * count)
     lines.extend(sorted(body))
     return "\n".join(lines) + "\n"
 

@@ -38,8 +38,10 @@ def _match_rows(
         sub = memo.get(key)
         if sub is None:
             sub = memo[key] = match_tuple(plan, g, u, functions)
+        if count == 1 and not t.fields and not (c.optional and sub.is_empty()):
+            return sub  # the one empty row joins its match bag as it is
         for u2, c2 in sub.rows():  # distinct rows joined with distinct extensions
-            out.add_new({**u, **u2} if u else u2, count * c2)
+            out.add_new({**u, **u2}, count * c2)
         if c.optional and sub.is_empty():
             padding = {f: None for f in out.fields if f not in u}
             out.add_new({**u, **padding}, count)
@@ -72,6 +74,8 @@ def _project(
         raise AliasClash(f"duplicate output name(s): {dupes}", span=items[later][0].span)
     if not names:
         raise AliasClash("projection with no output names")
+    if len(pairs) == len(fields) and all(a == c for a, c in pairs):
+        return t  # every field read into itself: the identity
     out = Table(names)
     # When every input field is read into some output name, distinct input
     # rows project to distinct rows.

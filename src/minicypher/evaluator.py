@@ -21,7 +21,7 @@ from . import ast
 from .errors import EvalError, type_mismatch, unknown_name
 from .graph import PropertyGraph
 from .tables import Record
-from .values import FunctionRegistry, Map, Value, apply_base_fn, kind
+from .values import MAX_DEPTH, FunctionRegistry, Map, NodeId, Path, RelId, Value, apply_base_fn, kind
 
 Trilean = Optional[bool]
 
@@ -184,10 +184,11 @@ def eval_expr(
         last: dict[str, Value] = {}
         for k, v in evaluated:
             last[k] = v
-        return Map(tuple(last.items()))
+        return _shallow(Map(tuple(last.items())), last.values(), e.span)
 
     if isinstance(e, ast.ListLit):
-        return tuple(eval_expr(sub, g, u, functions) for sub in e.items)
+        items = tuple(eval_expr(sub, g, u, functions) for sub in e.items)
+        return _shallow(items, items, e.span)
 
     if isinstance(e, ast.Not):
         return tri_not(_as_trilean(eval_expr(e.expr, g, u, functions), "NOT", e.span))
@@ -207,6 +208,23 @@ def eval_expr(
             raise
 
     raise TypeError(f"not an expression: {e!r}")
+
+
+_FLAT = frozenset({type(None), bool, int, str, NodeId, RelId, Path})  # exact types holding no value
+
+
+def _shallow(v: Value, elements, span) -> Value:
+    """v, a list or map just built from elements, unless it nests deeper
+    than MAX_DEPTH: walked level by level when an element holds a value,
+    each element shared within a level once."""
+    level = {} if _FLAT.issuperset(map(type, elements)) else {id(v): v}
+    for _ in range(MAX_DEPTH + 1):
+        if not level:
+            return v
+        level = {id(y): y for x in level.values()
+                 for y in ((w for _, w in x.entries) if isinstance(x, Map) else x)
+                 if isinstance(y, (tuple, Map))}
+    raise EvalError("TooDeep", f"value nests deeper than {MAX_DEPTH} levels", span)
 
 
 def _eval_chain(e: ast.Expr, g: PropertyGraph, u: Record, functions: FunctionRegistry | None) -> Value:

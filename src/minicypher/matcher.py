@@ -248,7 +248,7 @@ class _Search:
         self.maps = g.trusted_maps()
         self.twins = g.twins() if plan.twins else None
         self.twinned = 0
-        self.merged: dict[tuple, list] = {}  # row key -> slot of a twinned witness's row
+        self.merged: dict[tuple, int] = {}  # row key -> position of a twinned witness's row
 
     def run(self) -> None:
         if not self.plan.walks:  # the empty tuple has one witness
@@ -421,11 +421,11 @@ class _Search:
                 out.add_new(row)
             else:  # only other twinned witnesses can: merged at the first
                 key = row_key(out.fields, row)
-                slot = self.merged.get(key)
-                if slot is None:
+                i = self.merged.get(key)
+                if i is None:
                     self.merged[key] = out.add_new(row)
                 else:
-                    slot[1] += 1
+                    out.add_at(i)
 
     def _checks_pass(self, final: bool = False) -> bool:
         """Run the checks that can run now; False when one prunes the prefix.

@@ -9,12 +9,14 @@ Structural identity of records (what makes two rows "the same" for
 counting, distinct() and table equality) is value identity per
 :func:`minicypher.values.canon`: null equals null, and True is not 1.  A
 row key encodes it more cheaply: a cell of an exact type in
-``values.UNTAGGED`` is its own key; only bools, composites and subclass
-instances go through ``canon``.  Rows keep insertion order; the key index
-is built at most once, when identity is first observed (``add``,
-``multiplicity``, ``==``), and until then ``add_new`` appends rows known
-to be new unkeyed.  A table keeps the records it is given, uncopied: no
-caller changes a record once it is in a table.
+``values.UNTAGGED``, or an exact path of exact ids, is its own key; only
+bools, other composites and subclass instances go through ``canon``.  A
+table keeps its records and their counts in two parallel lists, in
+insertion order; the key index, from row key to position, is built at
+most once, when identity is first observed (``add``, ``multiplicity``,
+``==``), and until then ``add_new`` appends rows known to be new unkeyed.
+A table keeps the records it is given, uncopied: no caller changes a
+record once it is in a table.
 """
 
 from __future__ import annotations
@@ -22,18 +24,23 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import FieldMismatch
-from .values import UNTAGGED, NodeId, RelId, Value, canon
+from .values import UNTAGGED, NodeId, Path, RelId, Value, canon
 
 Record = dict[str, Value]
 
 
-# A subclass instance of an untagged kind keys as a value equal to its base value.
-_BASE = {"int": lambda x: x, "str": lambda x: x, "node": NodeId, "rel": RelId}
+# A subclass instance of an untagged kind, or a path holding one, keys as
+# the exact value its canon form names.
+_BASE = {"int": lambda c: c[1], "str": lambda c: c[1], "node": lambda c: NodeId(c[1]), "rel": lambda c: RelId(c[1]),
+         "path": lambda c: Path(tuple(map(NodeId, c[1])), tuple(map(RelId, c[2])))}
+_NODE, _REL = frozenset({NodeId}), frozenset({RelId})
 
 
 def _tagged_key(v: Value):
+    if type(v) is Path and _NODE.issuperset(map(type, v.nodes)) and _REL.issuperset(map(type, v.rels)):
+        return v  # ids are interned, so == on such paths is identity of canon forms
     c = canon(v)
-    return _BASE[c[0]](c[1]) if c[0] in _BASE else c
+    return _BASE[c[0]](c) if c[0] in _BASE else c
 
 
 def row_key(fields: tuple[str, ...], u: Record) -> tuple:
@@ -47,82 +54,85 @@ def row_key(fields: tuple[str, ...], u: Record) -> tuple:
 class Table:
     """A bag of uniform records.
 
-    ``fields`` is stored sorted (the field *set* is what matters).  Rows
-    are ``[record, count]`` slots; the index from row key to slot makes
-    equality of tables decidable and exact.
+    ``fields`` is stored sorted (the field *set* is what matters).  Row i
+    is ``_records[i]`` with multiplicity ``_counts[i]``; the index from row
+    key to position makes equality of tables decidable and exact.
     """
 
-    __slots__ = ("fields", "_names", "_slots", "_index")
+    __slots__ = ("fields", "_names", "_records", "_counts", "_index")
 
     def __init__(self, fields: Iterable[str], records: Iterable[Record] = ()):
         self.fields: tuple[str, ...] = tuple(sorted(set(fields)))
         self._names = frozenset(self.fields)
-        self._slots: list[list] = []  # [record, count], in insertion order
-        self._index: dict[tuple, list] | None = None  # row key -> slot, once built
+        self._records: list[Record] = []  # in insertion order
+        self._counts: list[int] = []  # parallel to _records
+        self._index: dict[tuple, int] | None = None  # row key -> position, once built
         for u in records:
             self.add(u)
 
-    def _keyed(self) -> dict[tuple, list]:
-        """The key index, built from the slots on first use."""
+    def _keyed(self) -> dict[tuple, int]:
+        """The key index, built from the records on first use."""
         if self._index is None:
-            index = {row_key(self.fields, slot[0]): slot for slot in self._slots}
-            if len(index) != len(self._slots):
+            index = {row_key(self.fields, u): i for i, u in enumerate(self._records)}
+            if len(index) != len(self._records):
                 raise AssertionError("add_new was given a row already in the table")
             self._index = index
         return self._index
 
-    def add(self, u: Record, count: int = 1) -> list:
+    def add(self, u: Record, count: int = 1) -> int:
+        """Add count copies of u; return the position of its row."""
         if u.keys() != self._names:
             raise AssertionError(
                 f"non-uniform record: has {sorted(u)}, table fields are {list(self.fields)}"
             )
         index = self._index if self._index is not None else self._keyed()
-        key = row_key(self.fields, u)
-        slot = index.get(key)
-        if slot is None:
-            index[key] = slot = [u, count]
-            self._slots.append(slot)
+        n = len(self._records)
+        i = index.setdefault(row_key(self.fields, u), n)  # the key is hashed once
+        if i == n:
+            self._records.append(u)
+            self._counts.append(count)
         else:
-            slot[1] += count
-        return slot
+            self._counts[i] += count
+        return i
 
-    def add_new(self, u: Record, count: int = 1) -> list:
-        """Add u, known to differ from every row in the table; return the
-        [record, count] slot it takes."""
+    def add_new(self, u: Record, count: int = 1) -> int:
+        """Add u, known to differ from every row of the table; return its position."""
         if self._index is not None or u.keys() != self._names:
             return self.add(u, count)  # keys u, or rejects it as non-uniform
-        self._slots.append(slot := [u, count])
-        return slot
+        self._records.append(u)
+        self._counts.append(count)
+        return len(self._counts) - 1
+
+    def add_at(self, i: int, count: int = 1) -> None:
+        """Add count copies of the row at position i."""
+        self._counts[i] += count
 
     # -- inspection ---------------------------------------------------------
 
     def rows(self) -> Iterator[tuple[Record, int]]:
         """Yield (record, multiplicity) pairs."""
-        for record, count in self._slots:
-            yield record, count
+        return zip(self._records, self._counts)
 
     def records(self) -> Iterator[Record]:
         """Yield each record as many times as its multiplicity."""
-        for record, count in self._slots:
-            for _ in range(count):
-                yield record
+        return (record for record, count in self.rows() for _ in range(count))
 
     def multiplicity(self, u: Record) -> int:
-        slot = self._keyed().get(row_key(self.fields, u))
-        return 0 if slot is None else slot[1]
+        i = self._keyed().get(row_key(self.fields, u))
+        return 0 if i is None else self._counts[i]
 
     def total_rows(self) -> int:
-        return sum(count for _, count in self._slots)
+        return sum(self._counts)
 
     def is_empty(self) -> bool:
-        return not self._slots
+        return not self._records
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
         return self.fields == other.fields and {
-            k: c for k, (_, c) in self._keyed().items()
-        } == {k: c for k, (_, c) in other._keyed().items()}
+            k: self._counts[i] for k, i in self._keyed().items()
+        } == {k: other._counts[i] for k, i in other._keyed().items()}
 
     def __repr__(self) -> str:
         return f"Table(fields={list(self.fields)}, rows={self.total_rows()})"

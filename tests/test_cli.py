@@ -1,16 +1,20 @@
 """Command-line behavior: rendering, exit codes, determinism."""
 
 import json
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
-from minicypher.cli import main, table_from_counted_json, value_to_json
+from minicypher import values
+from minicypher.cli import _cell_text, main, render_tsv, table_from_counted_json, value_to_json
 from minicypher.engine import output
 from minicypher.errors import EvalError
 from minicypher.graph import load_graph
+from minicypher.oracle import differential_case
 from minicypher.parser import parse_query
-from minicypher.values import MAX_DEPTH
+from minicypher.tables import Table
+from minicypher.values import MAX_DEPTH, Map, NodeId, RelId
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CITATION = str(FIXTURES / "citation.json")
@@ -267,6 +271,33 @@ def test_graph_value_depth_bound(capsys, tmp_path, kind):
     assert err == f"graph error: nodes[0].properties.p: value nests deeper than {MAX_DEPTH} levels\n"
 
 
+def _deep_query(depth, kind):
+    step = "WITH [x] AS x" if kind == "list" else "WITH {k: x} AS x"
+    return " ".join(["WITH 1 AS x", *[step] * depth, "RETURN x"])
+
+
+@pytest.mark.parametrize("kind", ["list", "map"])
+def test_query_value_depth_bound(capsys, kind):
+    empty = load_graph({"nodes": [], "relationships": []})
+    deepest, too_deep = _deep_query(MAX_DEPTH, kind), _deep_query(MAX_DEPTH + 1, kind)
+    cell = ("[" * MAX_DEPTH + "1" + "]" * MAX_DEPTH if kind == "list"
+            else '{"@map":{"k":' * MAX_DEPTH + "1" + "}}" * MAX_DEPTH)
+    assert render_tsv(output(parse_query(deepest), empty)) == f"x\n{cell}\n"
+    with pytest.raises(EvalError) as info:
+        output(parse_query(too_deep), empty)
+    start = too_deep.rindex("[x]" if kind == "list" else "{k: x}")
+    assert (info.value.kind, info.value.span) == ("TooDeep", (start, start + (3 if kind == "list" else 6)))
+    assert str(info.value) == f"TooDeep: value nests deeper than {MAX_DEPTH} levels at offset {start}"
+    assert differential_case(empty, parse_query(too_deep)) == (True, {
+        "query": too_deep, "engine": "error:TooDeep", "oracle": "error:TooDeep"})
+    for flags in ([], ["--oracle"]):
+        rc, out, err = run(capsys, "--query", deepest, *flags)
+        assert (rc, out, err) == (0, f"x\n{cell}\n", "")
+        rc, out, err = run(capsys, "--query", too_deep, *flags)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"evaluation error: TooDeep: value nests deeper than {MAX_DEPTH} levels")
+
+
 def test_graph_too_deep_to_parse_exits_3(capsys, tmp_path):
     path = tmp_path / "deep.json"
     depth = 100000
@@ -373,3 +404,31 @@ def test_gen_subcommand_agrees(capsys, tmp_path):
 def test_gen_rejects_bad_flags(capsys):
     rc, _, _ = run(capsys, "gen", "--cases", "many")
     assert rc == 64
+
+
+class _One(IntEnum):
+    ONE = 1
+
+
+class _Name(str):
+    def __str__(self):
+        return "not the text"
+
+
+class _Node(NodeId):
+    pass
+
+
+def test_tsv_cells_render_by_exact_type_as_by_kind():
+    p = values.Path((NodeId("n1"), _Node("n\u00e9\t2")), (RelId('r"1'),))
+    text = '{"@path":["n1","r\\"1","n\\u00e9\\t2"]}'
+    cells = [(None, "null"), (True, "true"), (False, "false"), (0, "0"), (-7, "-7"), (10**30, "1" + "0" * 30),
+             (_One.ONE, "1"), ("", ""), ("a b", "a b"), (_Name("v"), "v"), (NodeId("n1"), "n1"),
+             (_Node("n2"), "n2"), (RelId("r1"), "r1"), (p, text), (values.Path((NodeId("n1"),)), '{"@path":["n1"]}'),
+             ((1, True, None), "[1,true,null]"), (Map((("k", p),)), '{"@map":{"k":' + text + "}}")]
+    assert [_cell_text(v) for v, _ in cells] == [want for _, want in cells]
+    assert type(_cell_text(_Name("v"))) is str
+    t = Table([f"c{i:02}" for i in range(len(cells))])
+    t.add_new(dict(zip(t.fields, [v for v, _ in cells])), 2)
+    row = "\t".join(want for _, want in cells)
+    assert render_tsv(t) == "\t".join(t.fields) + f"\n{row}\n{row}\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from minicypher import ast
+from minicypher import ast, engine
 from minicypher.errors import (
     AliasClash,
     EvalError,
@@ -148,6 +148,52 @@ def test_with_star_expands_all_fields(teachers):
 def test_with_star_plus_items(teachers):
     q = parse_query("MATCH (x:Student) WITH *, 1 AS one RETURN x, one")
     assert output(q, teachers) == Table(["one", "x"], [{"x": n(2), "one": 1}])
+
+
+def _ab():
+    return Table(["a", "b"], [{"a": 1, "b": 2}, {"a": 1, "b": 2}, {"a": 3, "b": None}])
+
+
+@pytest.mark.parametrize("text", ["RETURN a, b", "RETURN b, a", "RETURN a AS a, b", "RETURN *"])
+def test_an_identity_projection_passes_its_table_through(teachers, text):
+    t = _ab()
+    assert run_query(parse_query(text), teachers, t) is t
+    assert run_clause(clause_of(text.replace("RETURN", "WITH")), teachers, t) is t
+
+
+@pytest.mark.parametrize("text, want", [
+    ("RETURN a AS b", [({"b": 1}, 2), ({"b": 3}, 1)]),
+    ("RETURN b AS a, a AS b", [({"a": 2, "b": 1}, 2), ({"a": None, "b": 3}, 1)]),
+    ("RETURN a", [({"a": 1}, 2), ({"a": 3}, 1)]),
+    ("RETURN *, a AS c", [({"a": 1, "b": 2, "c": 1}, 2), ({"a": 3, "b": None, "c": 3}, 1)]),
+    ("WITH * WHERE a = 1 RETURN *", [({"a": 1, "b": 2}, 2)]),
+])
+def test_other_projections_build_a_new_table(teachers, text, want):
+    t = _ab()
+    got = run_query(parse_query(text), teachers, t)
+    assert got is not t
+    assert got == Table(want[0][0], [u for u, count in want for _ in range(count)])
+    assert list(t.rows()) == list(_ab().rows())  # the input is unchanged
+
+
+def test_a_repeated_name_raises_before_the_identity_check(teachers):
+    text = "RETURN a, a"
+    with pytest.raises(AliasClash) as info:
+        run_query(parse_query(text), teachers, Table(["a"], [{"a": 1}]))
+    assert info.value.span == (10, 11)
+
+
+def test_a_match_on_the_unit_table_passes_its_match_bag_through(teachers, monkeypatch):
+    bags = []
+    match_tuple = engine.match_tuple
+    monkeypatch.setattr(engine, "match_tuple", lambda *args: bags.append(match_tuple(*args)) or bags[-1])
+    got = run_clause(clause_of("MATCH (x:Teacher)-[:KNOWS]->(y)"), teachers, unit_table())
+    assert got is bags[-1] and got.total_rows() == 2
+    # two empty rows, and an OPTIONAL MATCH whose bag is empty, build a table
+    twice = run_clause(clause_of("MATCH (x:Teacher)-[:KNOWS]->(y)"), teachers, Table((), [{}, {}]))
+    assert twice is not bags[-1] and twice == Table(got.fields, [*got.records(), *got.records()])
+    padded = run_clause(clause_of("OPTIONAL MATCH (x:Nobody)"), teachers, unit_table())
+    assert padded is not bags[-1] and padded == Table(["x"], [{"x": None}])
 
 
 def test_star_on_no_fields_is_an_error(teachers):

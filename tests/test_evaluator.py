@@ -19,7 +19,7 @@ from minicypher.evaluator import (
     tri_xor,
 )
 from minicypher.parser import parse_expr, unparse_expr
-from minicypher.values import Map, NodeId, Path, RelId, canon
+from minicypher.values import MAX_DEPTH, Map, NodeId, Path, RelId, canon
 
 from expr_cases import CASES, Err, build_env, build_graph
 
@@ -262,3 +262,34 @@ def test_errors_carry_spans():
     with pytest.raises(EvalError) as exc:
         eval_expr(parse_expr("  missing  "), build_graph(), {})
     assert exc.value.span == (2, 9)
+
+
+def _nest(depth, wrap):
+    v = 1
+    for _ in range(depth):
+        v = wrap(v)
+    return v
+
+
+@pytest.mark.parametrize("src, wrap", [
+    ("[x]", lambda v: (v,)),
+    ("[0, 'a', x, null]", lambda v: (v,)),
+    ("{k: x}", lambda v: Map((("k", v),))),
+    ("{j: [], k: x}", lambda v: Map((("k", v),))),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_literals_nest_at_most_max_depth(src, wrap):
+    # x is MAX_DEPTH - 1 deep, the literal's other elements at most 1
+    e = parse_expr(src)
+    assert eval_expr(e, build_graph(), {"x": _nest(MAX_DEPTH - 1, wrap)}) is not None
+    with pytest.raises(EvalError) as exc:
+        eval_expr(e, build_graph(), {"x": _nest(MAX_DEPTH, wrap)})
+    assert (exc.value.kind, exc.value.span) == ("TooDeep", (0, len(src)))
+
+
+def test_a_shared_value_is_walked_once_per_level():
+    # 2 ** 40 leaves, but one list per level
+    v = 1
+    for _ in range(40):
+        v = (v, v)
+    got = eval_expr(parse_expr("[x, x]"), build_graph(), {"x": v})
+    assert got == (v, v)

@@ -163,3 +163,22 @@ def test_the_search_does_no_static_analysis():
     found = {name: sorted(set(_static_calls(fn))) for name, fn in methods.items() if any(_static_calls(fn))}
     assert not found, f"methods of _Search analyse the pattern: {found}"
     assert set(_static_calls(functions["matcher.plan_match"])) == STATIC_ANALYSIS - {"free_vars"}
+
+
+# Table's layout (parallel lists of records and counts, and the key index
+# from row key to position) is read by tables.py alone.
+TABLE_PRIVATE = {"_records", "_counts", "_index"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "tables.py"],
+                         ids=lambda p: p.name)
+def test_only_tables_reads_the_table_layout(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted({(n.attr, n.lineno) for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr in TABLE_PRIVATE})
+    assert not found, f"{path.name} reads Table's private fields: {found}"
+
+
+def test_the_layout_scan_sees_tables():
+    tree = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
+    assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} >= TABLE_PRIVATE

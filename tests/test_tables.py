@@ -109,6 +109,14 @@ class Node(NodeId):
     pass
 
 
+class Rel(RelId):
+    pass
+
+
+class Trail(Path):
+    __slots__ = ()
+
+
 def _path(*keys):
     return Path(tuple(NodeId(k) for k in keys[0::2]), tuple(RelId(k) for k in keys[1::2]))
 
@@ -123,6 +131,9 @@ SEPARATE = [
     (None, ()),
     (Map((("a", True),)), Map((("a", 1),))),
     (_path("n1", "r1", "n2"), _path("n2", "r1", "n1")),
+    (_path("x"), (NodeId("x"),)),
+    (_path("x"), ("x",)),
+    (_path("x", "r", "y"), (NodeId("x"), RelId("r"), NodeId("y"))),
 ]
 MERGE = [
     (One.ONE, 1),
@@ -131,6 +142,10 @@ MERGE = [
     (Node("x"), NodeId("x")),
     (Map((("a", 1), ("b", True))), Map((("b", True), ("a", 1)))),
     (_path("n1", "r1", "n2"), _path("n1", "r1", "n2")),
+    (Path((Node("x"),)), _path("x")),
+    (Path((NodeId("x"), Node("y")), (RelId("r"),)), _path("x", "r", "y")),
+    (Path((NodeId("x"), NodeId("y")), (Rel("r"),)), _path("x", "r", "y")),
+    (Trail((NodeId("x"), NodeId("y")), (RelId("r"),)), _path("x", "r", "y")),
 ]
 
 
@@ -169,7 +184,8 @@ def test_new_rows_match_equal_values_under_eq_and_multiplicity(a, b):
 def test_keys_are_equal_exactly_when_canon_is():
     pool = [None, True, False, 0, 1, One.ONE, "", "x", Name("x"), NodeId("x"), Node("x"), RelId("x"),
             (), (1,), (True,), (One.ONE,), Map(()), Map((("a", 1),)), Map((("a", True),)),
-            _path("x"), _path("x", "r", "y")]
+            _path("x"), _path("x", "r", "y"), Path((Node("x"),)), Trail((NodeId("x"),)),
+            Trail((NodeId("x"), Node("y")), (Rel("r"),)), (NodeId("x"),), (_path("x"),)]
     for a in pool:
         for b in pool:
             t = Table(["x"], [{"x": a}, {"x": b}])
@@ -213,3 +229,28 @@ def test_a_repeated_new_row_is_caught_when_the_index_is_built():
     assert t.total_rows() == 2
     with pytest.raises(AssertionError, match="already in the table"):
         t.multiplicity({"a": 1})
+
+
+def test_an_exact_path_of_exact_ids_is_its_own_key():
+    p = _path("x", "r", "y")
+    assert tables.row_key(("p",), {"p": p}) == (p,)
+    assert tables.row_key(("p",), {"p": p})[0] is p
+    # a path holding a subclass id, or a Path subclass, keys as the exact
+    # path of its canon form, which == merges with p
+    for q in (Path((NodeId("x"), Node("y")), (RelId("r"),)), Trail(p.nodes, p.rels)):
+        key = tables.row_key(("p",), {"p": q})[0]
+        assert type(key) is Path and key == p and key is not q
+
+
+def test_positions():
+    t = Table(["a"])
+    assert t.add_new({"a": 1}) == 0
+    assert t.add_new({"a": 2}, 3) == 1
+    t.add_at(0)  # a merge into the row at position 0, as a twinned witness makes
+    t.add_at(1, 2)
+    assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 5)]
+    assert t.add({"a": 3}) == 2
+    assert t.add({"a": 1}, 4) == 0
+    assert t.add_new({"a": 4}) == 3  # keyed, once there is an index
+    assert list(t.rows()) == [({"a": 1}, 6), ({"a": 2}, 5), ({"a": 3}, 1), ({"a": 4}, 1)]
+    assert t == Table(["a"], [{"a": 1}] * 6 + [{"a": 2}] * 5 + [{"a": 3}, {"a": 4}])
