@@ -70,6 +70,18 @@ one hop, two witnesses that bind one row differ in an anonymous slot between
 the same two nodes, both placing a twin there.  So the witnesses that place
 no twin in an anonymous slot enter unkeyed, and the rest merge among
 themselves, each row at its first witness, as a keyed search lists them.
+
+The plan marks a hop as a *leaf* when its slot is rigid and is the last of
+the tuple's last path, which is unnamed; neither the slot nor the node
+after it has a property map; and each of their names is anonymous or
+fresh: not an input field, not bound earlier in the tuple, and not the
+other's name.  Where a frame would start a leaf hop while the check cursor
+is past every group (no check is left and no error is held), one plain
+loop runs it instead: it places each usable relationship and the node
+after it as the frame would and emits the row.  Every row, the leaf's or a
+completed witness's, enters the match bag through ``_Search._emit``,
+keyed, unkeyed or merged by the twin rule, so rows, their order, counts
+and counters are the generic frame's.
 """
 
 from __future__ import annotations
@@ -117,6 +129,7 @@ class Hop(NamedTuple):
     ngid: int
     more: bool  # another slot follows on this walk
     complete: bool  # the last slot of the tuple's last path, which is unnamed
+    leaf: bool  # rigid, complete, unchecked, and binding only fresh names: see _leaf
 
 
 class Walk(NamedTuple):
@@ -140,7 +153,7 @@ class MatchPlan(NamedTuple):
     walks: tuple[Walk, ...]
     groups: tuple[tuple[tuple, bool], ...]  # (checks, is a slot's), then the WHERE's
     placed: tuple  # the search's first ``placed``
-    unkeyed: bool  # witnesses enter unkeyed unless they place a twin (see _complete)
+    unkeyed: bool  # witnesses enter unkeyed unless they place a twin (see _emit)
     twins: bool  # unnamed slots count the twins they place
 
 
@@ -170,7 +183,7 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
                 where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
     groups: list[tuple[tuple, bool]] = []
     walks: list[Walk] = []
-    unkeyed, anonymous = True, False  # see _complete
+    unkeyed, anonymous = True, False  # see _emit
     bound, free, read = set(fields), set(), set()
     for pi, pat in enumerate(pats.paths):
         far = _far_end_first(pat, bound, where_seeks)
@@ -205,10 +218,14 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
         for k in range(1, len(steps), 2):
             (rel, rgid), (nel, ngid) = steps[k], steps[k + 1]
             (lo, hi), rigid, more = range_of(rel), rel.range_ is None, k + 2 < len(steps)
+            complete = not more and last and pat.name is None
+            leaf = (complete and rigid and rgid < 0 and ngid < 0
+                    and (rel.name is None or rel.name != nel.name)
+                    and bound.union(e.name for e, _ in steps[:k]).isdisjoint({rel.name, nel.name} - {None}))
             hops.append(Hop(
                 _FLIP[rel.direction] if far else rel.direction, rel.types, lo, hi, rigid,
                 rel.name, rgid, rel.name is not None or rgid >= 0, rgid >= 0 and not far and not rigid,
-                nel.name, nel.labels, ngid, more, not more and last and pat.name is None))
+                nel.name, nel.labels, ngid, more, complete, leaf))
         walks.append(Walk(pat.name, far, anchor, el.name, el.labels, gid, seek, tuple(hops)))
         bound.update(names)
         free.update(names)
@@ -282,10 +299,12 @@ class _Search:
             saved = self.cursor
             placed[gid] = n
             if unchecked or self._checks_pass():
-                if hops:
-                    yield self._hops(pi, 0, [n], [], [])
-                else:
+                if not hops:
                     yield self._path_end(pi, [n], [])
+                elif hops[0].leaf and self.cursor[0] == len(self.plan.groups):
+                    self._leaf(hops[0], n, 1)
+                else:
+                    yield self._hops(pi, 0, [n], [], [])
             self.cursor = saved
             placed[gid] = None
             if fresh:
@@ -313,10 +332,11 @@ class _Search:
         deeper in a new frame as the range allows."""
         walk = self.plan.walks[pi]
         (direction, types, lo, hi, rigid, name, gid, listed, hop_checks, nname, labels, ngid,
-         more, complete) = walk.hops[k]
+         more, complete, _) = walk.hops[k]
         g, b, used, stats, placed = self.g, self.b, self.used, self.stats, self.placed
         src, tgt, rel_type, node_labels = self.maps  # the adjacency's ids need no check
-        m, cur, unchecked = len(seg), nodes[-1], not self.plan.groups
+        m, cur, groups = len(seg), nodes[-1], len(self.plan.groups)
+        unchecked, leaf = not groups, more and walk.hops[k + 1].leaf
         hop_checks = hop_checks and m == 0
         if hop_checks:  # a ranged slot walked forward: its checks run as hops are placed
             placed[gid] = (seg, False)
@@ -354,7 +374,9 @@ class _Search:
                         if twin:
                             self.twinned += 1
                         if unchecked or self._checks_pass():
-                            if more:
+                            if leaf and self.cursor[0] == groups:
+                                self._leaf(walk.hops[k + 1], n, depth + 1)
+                            elif more:
                                 yield self._hops(pi, k + 1, nodes, rels, [])
                             elif complete:
                                 self._complete()
@@ -397,6 +419,34 @@ class _Search:
         if fresh:
             del self.b[walk.path]
 
+    def _leaf(self, hop: Hop, cur: NodeId, depth: int) -> None:
+        """A leaf hop from cur with no check left: what its frame would do,
+        in one loop, emitting a row per usable relationship."""
+        direction, types, labels, name, nname = hop.direction, hop.types, hop.labels, hop.name, hop.node
+        g, b, used, stats = self.g, self.b, self.used, self.stats
+        if len(used) >= len(g.rels):
+            return
+        src, tgt, rel_type, node_labels = self.maps
+        ends, undirected = src if direction == ast.LEFT else tgt, direction == ast.UNDIRECTED
+        twins, twinned = self.twins if name is None and self.twins else (), self.twinned
+        base, extended = {f: b.get(f) for f in self.out.fields}, 0  # the leaf's names set per row
+        for r in g.incident(cur, direction):
+            if r in used or (types and rel_type[r] not in types):
+                continue
+            extended += 1
+            n = src[r] if undirected and ends[r] is cur else ends[r]
+            if labels and not labels <= node_labels[n]:
+                continue
+            row = base.copy()
+            if name is not None:
+                row[name] = r
+            if nname is not None:
+                row[nname] = n
+            self._emit(row, twinned or r in twins)
+        if extended:
+            stats.walks_extended += extended
+            stats.max_partial_hops = max(stats.max_partial_hops, depth)
+
     # -- bindings and checks ------------------------------------------------
 
     def _bind(self, name: Optional[str], value) -> Optional[bool]:
@@ -412,20 +462,25 @@ class _Search:
 
     def _complete(self) -> None:
         if not self.plan.groups or self._checks_pass(final=True):
-            self.stats.witnesses += 1
-            b, out = self.b, self.out
-            row = {f: b[f] for f in out.fields}
-            if not self.plan.unkeyed:
-                out.add(row)
-            elif not self.twinned:  # no other witness binds this row
-                out.add_new(row)
-            else:  # only other twinned witnesses can: merged at the first
-                key = row_key(out.fields, row)
-                i = self.merged.get(key)
-                if i is None:
-                    self.merged[key] = out.add_new(row)
-                else:
-                    out.add_at(i)
+            b = self.b
+            self._emit({f: b[f] for f in self.out.fields}, self.twinned)
+
+    def _emit(self, row: Record, twin) -> None:
+        """Enter a witness's row into the match bag; twin is true when the
+        witness placed a twin in an unnamed slot."""
+        self.stats.witnesses += 1
+        out = self.out
+        if not self.plan.unkeyed:
+            out.add(row)
+        elif not twin:  # no other witness binds this row
+            out.add_new(row)
+        else:  # only other twinned witnesses can: merged at the first
+            key = row_key(out.fields, row)
+            i = self.merged.get(key)
+            if i is None:
+                self.merged[key] = out.add_new(row)
+            else:
+                out.add_at(i)
 
     def _checks_pass(self, final: bool = False) -> bool:
         """Run the checks that can run now; False when one prunes the prefix.

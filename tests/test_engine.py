@@ -267,6 +267,40 @@ def test_unwind_multiplies_input_counts(teachers):
     assert got.multiplicity({"a": 1, "b": 2}) == 2
 
 
+def _unwound(text, g):
+    t = Table(["k"])
+    t.add({"k": 1}, 2)
+    t.add({"k": 2}, 3)
+    out = run_clause(clause_of(text), g, t)
+    return [(sorted((f, type(v), v) for f, v in u.items()), c) for u, c in out.rows()]
+
+
+def _row(k, x, count):
+    return [("k", int, k), ("x", type(x), x)], count
+
+
+# Each input row's elements in list order, equal elements merged, each
+# weighted by its row's count.
+UNWOUND = [
+    ("UNWIND [1, 1, 2] AS x", [_row(1, 1, 4), _row(1, 2, 2), _row(2, 1, 6), _row(2, 2, 3)]),
+    ("UNWIND [true, 1, true] AS x", [_row(1, True, 4), _row(1, 1, 2), _row(2, True, 6), _row(2, 1, 3)]),
+    ("UNWIND [null, null] AS x", [_row(1, None, 4), _row(2, None, 6)]),
+    ("UNWIND [k, 1, k] AS x", [_row(1, 1, 6), _row(2, 2, 6), _row(2, 1, 3)]),
+    ("UNWIND 7 AS x", [_row(1, 7, 2), _row(2, 7, 3)]),
+    ("UNWIND [] AS x", []),
+]
+
+
+@pytest.mark.parametrize("text,want", UNWOUND, ids=[text for text, _ in UNWOUND])
+def test_unwind_merges_equal_elements_of_one_list(teachers, text, want):
+    assert _unwound(text, teachers) == want
+
+
+def test_unwind_without_the_per_list_merge_is_caught(teachers, monkeypatch):
+    monkeypatch.setattr(engine, "row_key", lambda fields, u: object())  # every row new
+    assert any(_unwound(text, teachers) != want for text, want in UNWOUND)
+
+
 def test_unwind_alias_clash_with_existing_field(teachers):
     q = parse_query("MATCH (x) UNWIND [1] AS x RETURN x")
     with pytest.raises(NameClash):

@@ -1,10 +1,12 @@
 """Static checks over the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+from minicypher.errors import EvalError
 from minicypher.values import NodeId, RelId
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minicypher"
@@ -110,7 +112,7 @@ UNKEYED_SITES = {
     "engine._match_rows",
     "engine._project",
     "engine.run_clause",
-    "matcher._Search._complete",
+    "matcher._Search._emit",
     "tables.distinct",
 }
 
@@ -133,6 +135,21 @@ def test_unkeyed_sites_are_pinned():
             if any(isinstance(n, ast.Attribute) and n.attr == "add_new" for n in ast.walk(fn)):
                 found.add(name)
     assert found == UNKEYED_SITES
+
+
+def test_rows_enter_the_match_bag_through_emit_alone():
+    # _emit holds the choice between keyed, unkeyed and twin-merged rows, so
+    # the leaf loop and _complete enter rows alike.  (`used`, the set of
+    # relationships used, is the one other receiver of an `add`.)
+    def adds_rows(fn):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr in {"add", "add_new", "add_at"}
+                   and getattr(n.func.value, "id", None) != "used" for n in ast.walk(fn))
+
+    tree = ast.parse((SRC / "matcher.py").read_text(encoding="utf-8"))
+    found = {name for name, fn in _functions(tree, "matcher")
+             if name.startswith("matcher._Search.") and adds_rows(fn)}
+    assert found == {"matcher._Search._emit"}
 
 
 def test_unkeyed_sites_are_named_in_the_notes():
@@ -182,3 +199,18 @@ def test_only_tables_reads_the_table_layout(path):
 def test_the_layout_scan_sees_tables():
     tree = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
     assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} >= TABLE_PRIVATE
+
+
+def test_every_eval_error_kind_is_built_and_documented():
+    # The kinds EvalError's docstring names are the ones some module builds,
+    # as a literal first argument of EvalError, and the notes catalogue.
+    named = set(re.findall(r"``(\w+)``", EvalError.__doc__)) - {"kind"}
+    built = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EvalError"
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                built.add(node.args[0].value)
+    notes = (SRC.parent.parent / "docs" / "semantics-notes.md").read_text(encoding="utf-8")
+    assert named == built
+    assert not sorted(kind for kind in named if f"`{kind}`" not in notes)

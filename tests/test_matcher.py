@@ -698,14 +698,13 @@ def _plant_unkeyed_ranged_slots(monkeypatch):
 
 
 def _plant_merged_rows_at_the_end(monkeypatch):
-    complete, run = matcher._Search._complete, matcher._Search.run
+    emit, run = matcher._Search._emit, matcher._Search.run
 
-    def planted_complete(self):
-        if not self.twinned:
-            return complete(self)
-        if not self.plan.groups or self._checks_pass(final=True):
-            self.stats.witnesses += 1
-            self.late.append({f: self.b[f] for f in self.out.fields})
+    def planted_emit(self, row, twin):
+        if not (self.plan.unkeyed and twin):
+            return emit(self, row, twin)
+        self.stats.witnesses += 1
+        self.late.append(row)
 
     def planted_run(self):
         self.late = []
@@ -713,7 +712,7 @@ def _plant_merged_rows_at_the_end(monkeypatch):
         for row in self.late:
             self.out.add(row)
 
-    monkeypatch.setattr(matcher._Search, "_complete", planted_complete)
+    monkeypatch.setattr(matcher._Search, "_emit", planted_emit)
     monkeypatch.setattr(matcher._Search, "run", planted_run)
 
 
@@ -764,8 +763,8 @@ def _plan(text, fields=()):
 
 
 class TestPlan:
-    """A MATCH is planned once: each path's anchor kind and walk end are
-    read off its plan."""
+    """A MATCH is planned once: each path's anchor kind and walk end, and
+    which hop is a leaf, are read off its plan."""
 
     @pytest.mark.parametrize("text,fields,walks", [
         # the seven lookup shapes
@@ -788,6 +787,32 @@ class TestPlan:
     def test_anchor_kind_and_walk_end(self, text, fields, walks):
         assert [(walk.anchor, walk.far) for walk in _plan(text, fields).walks] == walks
 
+    @pytest.mark.parametrize("text,fields,leaf", [
+        ("MATCH (a)-[:X]->(b)", (), True),
+        ("MATCH (a)-[r]->(b)", (), True),
+        ("MATCH (a)-[]->()", (), True),
+        ("MATCH ()-[]->()-[]->()", (), True),
+        ("MATCH (a)-[]->(b)-[]->(c)", (), True),
+        ("MATCH (a)-[]->(b), (c)-[]->(d)", (), True),
+        ("MATCH (a)-[:X]->(b)", ("b",), True),  # walked from b: a is the leaf's node
+        ("MATCH (a)-[]->(a)", (), False),
+        ("MATCH (a)-[]->(b)-[]->(a)", (), False),
+        ("MATCH (a)-[r]->(b)", ("r",), False),
+        ("MATCH (a)-[]->(b)", ("b", "a"), False),
+        ("MATCH (a), (b), (a)-[]->(b)", (), False),
+        ("MATCH (a)-[b]->(b)", (), False),
+        ("MATCH p = (a)-[]->(b)", (), False),
+        ("MATCH (a)-[*]->(b)", (), False),
+        ("MATCH (a)-[*1..1]->(b)", (), False),
+        ("MATCH (a)-[{w: 1}]->(b)", (), False),
+        ("MATCH (a {k: 1})-[]->(b {k: 1})", (), False),
+        ("MATCH (a)-[]->(b {k: 1})", (), True),  # walked from b: the map is the anchor's
+    ])
+    def test_leaf_flag(self, text, fields, leaf):
+        hops = [hop for walk in _plan(text, fields).walks for hop in walk.hops]
+        assert hops[-1].leaf is leaf
+        assert not any(hop.leaf for hop in hops[:-1])
+
     def test_fields_and_memo_key(self):
         plan = _plan("MATCH (a {k: x})-[r]->(b) WHERE b.k = y", ("a", "x", "y", "z"))
         assert plan.fields == ("b", "r")
@@ -803,3 +828,105 @@ class TestPlan:
         empty = parse_query("UNWIND [] AS x MATCH (a {k: x}) RETURN a, x")
         assert output(empty, CHECKS) == table(["a", "x"])
         assert plans == []
+
+
+def _clause(text):
+    return parse_query(f"{text} RETURN 1 AS one").clauses[-1]
+
+
+def _without_leaves(plan):
+    return plan._replace(walks=tuple(walk._replace(hops=tuple(hop._replace(leaf=False) for hop in walk.hops))
+                                     for walk in plan.walks))
+
+
+def _match(plan, g, u):
+    stats = MatchStats()
+    try:
+        rows = list(match_tuple(plan, g, u, stats=stats).rows())
+    except EvalError as exc:
+        rows = ("error", exc.kind, exc.span)
+    return rows, (stats.walks_extended, stats.max_partial_hops, stats.witnesses)
+
+
+# (clause, graph, input row, whether a leaf frame runs)
+LEAF_CASES = [
+    ("MATCH (a)-[:X]->(b)", TWINNED, {}, True),
+    ("MATCH (a)-[:X]->(b)", TWINS, {}, True),
+    ("MATCH (a)-[]-(b)", TWINNED, {}, True),  # undirected, over self-loops
+    ("MATCH (a)-[]-(b)", TWINS, {}, True),
+    ("MATCH (a)<-[]-(b)-[]-(c)", TWINS, {}, True),
+    ("MATCH (a:K)-[]->(b:L)", TWINS, {}, True),
+    ("MATCH (a)-[]->(b:L)-[:X]-(c:K)", TWINS, {}, True),
+    ("MATCH (a)-[r:X]->(b)", TWINS, {}, True),
+    ("MATCH ()-[:X]->()-[]-()", TWINNED, {}, True),  # every row keyed
+    ("MATCH (a)-[:X]->(b)-[:X]->(c)", TWINNED, {}, True),
+    ("MATCH (a)-[:X]->(b), (c)-[:X]->(d)", TWINS, {}, True),  # the second leaf skips used ones
+    ("MATCH (a)-[]->(b), (b)-[]-(c)", TWINS, {}, True),
+    ("OPTIONAL MATCH (a)-[:X]->(b)", TWINS, {"a": NodeId("m1")}, True),
+    ("MATCH (a)-[{w: 1}]->(b)-[:X]->(c)", TWINS, {}, True),  # a property map on an earlier element
+    ("MATCH (a)-[{w: 'x'}]->(b)-[]->(c)", TWINS, {}, False),  # a held error
+    ("MATCH (a)-[:X]->(b)-[]->(c) WHERE a <> b", TWINS, {}, True),
+    ("MATCH (a)-[:X]->(b)-[]->(c) WHERE c <> a", TWINS, {}, False),
+    ("MATCH (a)-[:X]->(b) WHERE b <> a", TWINS, {}, False),
+]
+
+
+def _leaf_agrees(text, g, u):
+    plan = matcher.plan_match(_clause(text), tuple(u))
+    return _match(plan, g, u) == _match(_without_leaves(plan), g, u)
+
+
+def _leaves_agree():
+    return all(_leaf_agrees(text, g, u) for text, g, u, _ in LEAF_CASES)
+
+
+def _plant_leaf(monkeypatch, change):
+    leaf = matcher._Search._leaf
+
+    def planted(self, hop, cur, depth):
+        saved = self.used, self.twins
+        try:
+            leaf(self, change(self, hop), cur, depth)
+        finally:
+            self.used, self.twins = saved
+
+    monkeypatch.setattr(matcher._Search, "_leaf", planted)
+
+
+def _plant_leaf_ignores_used(monkeypatch):
+    def change(search, hop):
+        search.used = set()
+        return hop
+    _plant_leaf(monkeypatch, change)
+
+
+def _plant_leaf_ignores_twins(monkeypatch):
+    def change(search, hop):
+        search.twins = None
+        return hop
+    _plant_leaf(monkeypatch, change)
+
+
+def _plant_leaf_skips_labels(monkeypatch):
+    _plant_leaf(monkeypatch, lambda search, hop: hop._replace(labels=frozenset()))
+
+
+class TestLeaf:
+    """A rigid last hop with no check left and only fresh names emits its
+    witnesses in one loop, with the rows, order, counts and counters of the
+    generic frame."""
+
+    @pytest.mark.parametrize("text,g,u,runs", LEAF_CASES, ids=[case[0] for case in LEAF_CASES])
+    def test_the_leaf_is_the_generic_frame(self, monkeypatch, text, g, u, runs):
+        calls, leaf = [], matcher._Search._leaf
+        monkeypatch.setattr(matcher._Search, "_leaf", lambda *args: calls.append(1) or leaf(*args))
+        assert _leaf_agrees(text, g, u)
+        assert bool(calls) is runs
+
+    @pytest.mark.parametrize("plant", [_plant_leaf_ignores_used, _plant_leaf_ignores_twins,
+                                       _plant_leaf_skips_labels],
+                             ids=lambda p: p.__name__[len("_plant_"):])
+    def test_each_unsound_leaf_is_caught(self, monkeypatch, plant):
+        assert _leaves_agree()
+        plant(monkeypatch)
+        assert not _leaves_agree()
