@@ -14,8 +14,8 @@ from .values import Value
 
 Span = tuple[int, int]
 
-# Relationship pattern directions (also used by the graph adjacency index):
-# "->" left-to-right, "<-" right-to-left, "--" undirected.
+# Relationship pattern directions: "->" left-to-right, "<-" right-to-left,
+# "--" undirected.  graph.py imports them as its adjacency's OUT, IN and BOTH.
 RIGHT = "->"
 LEFT = "<-"
 UNDIRECTED = "--"

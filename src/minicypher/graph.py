@@ -1,26 +1,24 @@
 """Immutable in-memory property graph with an adjacency index.
 
 A graph is the tuple (nodes, relationships, src, tgt, properties, labels,
-types).  Property lookup is total: unset keys read as null.  Instances are
-frozen after :func:`load_graph`; all query methods are read-only and safe
-to share between threads.  Ids are interned (``values.NodeId``), so the
-id-keyed indexes hash and compare by identity, and loading is safe from
-any thread.  The undirected adjacency is built at load.  The per-key
-property index and the twin set are built on first use and cached; a
-build is idempotent, so threads that race to build one store equal copies.
+types).  Properties are stored per element, one ``{key: value}`` map each
+(empty when it has none), and property lookup is total: unset keys read as
+null.  Instances are frozen after :func:`load_graph`; all query methods are
+read-only and safe to share between threads.  Ids are interned
+(``values.NodeId``), so every store and index, keyed by the id itself,
+hashes and compares by identity, and loading is safe from any thread.
+The undirected adjacency is built at load.  The per-key property index and
+the twin set are built on first use and cached; a build is idempotent, so
+threads that race to build one store equal copies.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from .ast import LEFT as IN, RIGHT as OUT, UNDIRECTED as BOTH  # adjacency directions
 from .errors import DanglingEndpoint, DuplicateId, SchemaError, UnknownId
 from .values import MAX_DEPTH, Map, NodeId, RelId, Value, kind
-
-# Directions for the adjacency index.
-OUT = "->"
-IN = "<-"
-BOTH = "--"
 
 
 def _value_from_json(raw: Any, where: str) -> Value:
@@ -52,16 +50,18 @@ def _too_deep(raw: Any) -> bool:
     return False
 
 
-def _load_props(props: dict[tuple[str, str], Value], raw_id: str, raw_props: Any, where: str) -> None:
+def _load_props(raw_props: Any, where: str) -> dict[str, Value]:
     if not isinstance(raw_props, dict):
         raise SchemaError(f"{where}: `properties` must be an object")
+    props: dict[str, Value] = {}
     for k, raw in raw_props.items():
         at = f"{where}.properties.{k}"
         if isinstance(raw, (list, dict)) and _too_deep(raw):
             raise SchemaError(f"{at}: value nests deeper than {MAX_DEPTH} levels")
         v = _value_from_json(raw, at)
         if v is not None:
-            props[(raw_id, k)] = v
+            props[k] = v
+    return props
 
 
 def _value_to_json(v: Value) -> Any:
@@ -73,6 +73,10 @@ def _value_to_json(v: Value) -> Any:
     if k == "map":
         return {key: _value_to_json(w) for key, w in v.entries}
     raise SchemaError(f"cannot store {v!r} as a document property")
+
+
+def _props_to_json(props: dict[str, Value]) -> dict:
+    return {k: _value_to_json(props[k]) for k in sorted(props)}
 
 
 class PropertyGraph:
@@ -91,7 +95,7 @@ class PropertyGraph:
         tgt: dict[RelId, NodeId],
         labels: dict[NodeId, frozenset[str]],
         types: dict[RelId, str],
-        props: dict[tuple[str, str], Value],
+        props: dict[NodeId | RelId, dict[str, Value]],
     ):
         self.nodes = nodes
         self.rels = rels
@@ -124,9 +128,7 @@ class PropertyGraph:
     # -- lookups ----------------------------------------------------------
 
     def has_id(self, i: NodeId | RelId) -> bool:
-        if isinstance(i, NodeId):
-            return i in self._labels
-        return i in self._types
+        return i in self._props
 
     def src(self, r: RelId) -> NodeId:
         self._check_rel(r)
@@ -160,7 +162,7 @@ class PropertyGraph:
         if index is None:
             found: dict[tuple[str, Value], list[NodeId]] = {}
             for n in self.nodes:
-                w = self._props.get((n.key, key))
+                w = self._props[n].get(key)
                 k = kind(w)
                 if k not in ("null", "list", "map", "path"):
                     found.setdefault((k, w), []).append(n)
@@ -178,9 +180,10 @@ class PropertyGraph:
 
     def prop(self, i: NodeId | RelId, key: str) -> Value:
         """Stored property value, or null when no property is stored."""
-        if not self.has_id(i):
+        props = self._props.get(i)
+        if props is None:
             raise UnknownId(f"unknown id {i.key}")
-        return self._props.get((i.key, key))
+        return props.get(key)
 
     def incident(self, n: NodeId, direction: str) -> tuple[RelId, ...]:
         """Relationships with src(r)=n (OUT), tgt(r)=n (IN), or either (BOTH)."""
@@ -229,11 +232,7 @@ class PropertyGraph:
                 {
                     "id": n.key,
                     "labels": sorted(self._labels[n]),
-                    "properties": {
-                        k: _value_to_json(v)
-                        for (i, k), v in sorted(self._props.items())
-                        if i == n.key
-                    },
+                    "properties": _props_to_json(self._props[n]),
                 }
                 for n in self.nodes
             ],
@@ -243,11 +242,7 @@ class PropertyGraph:
                     "type": self._types[r],
                     "src": self._src[r].key,
                     "tgt": self._tgt[r].key,
-                    "properties": {
-                        k: _value_to_json(v)
-                        for (i, k), v in sorted(self._props.items())
-                        if i == r.key
-                    },
+                    "properties": _props_to_json(self._props[r]),
                 }
                 for r in self.rels
             ],
@@ -280,7 +275,7 @@ def load_graph(document: dict) -> PropertyGraph:
     seen: set[str] = set()
     nodes: list[NodeId] = []
     labels: dict[NodeId, frozenset[str]] = {}
-    props: dict[tuple[str, str], Value] = {}
+    props: dict[NodeId | RelId, dict[str, Value]] = {}
 
     for idx, nd in enumerate(node_docs):
         where = f"nodes[{idx}]"
@@ -292,7 +287,7 @@ def load_graph(document: dict) -> PropertyGraph:
         raw_labels = nd.get("labels", [])
         if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
             raise SchemaError(f"{where}: `labels` must be a list of strings")
-        _load_props(props, raw_id, nd.get("properties", {}), where)
+        props[n] = _load_props(nd.get("properties", {}), where)
         nodes.append(n)
         labels[n] = frozenset(raw_labels)
 
@@ -316,7 +311,7 @@ def load_graph(document: dict) -> PropertyGraph:
             raise DanglingEndpoint(f"{where}: src {s!r} is not a declared node")
         if t not in node_of:
             raise DanglingEndpoint(f"{where}: tgt {t!r} is not a declared node")
-        _load_props(props, raw_id, rd.get("properties", {}), where)
+        props[r] = _load_props(rd.get("properties", {}), where)
         rels.append(r)
         src[r] = node_of[s]
         tgt[r] = node_of[t]

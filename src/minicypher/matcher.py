@@ -285,6 +285,7 @@ class _Search:
         """Start path pi at every candidate for its first walked node."""
         _, _, anchor, name, labels, gid, seek, hops = self.plan.walks[pi]
         g, b, placed, unchecked = self.g, self.b, self.placed, not self.plan.groups
+        node_labels = self.maps[3]  # every candidate is a node of g
         if anchor == "bound":
             v = b[name]
             candidates = (v,) if isinstance(v, NodeId) and g.has_id(v) else ()
@@ -293,7 +294,7 @@ class _Search:
             if candidates is None:
                 candidates = g.nodes_with_labels(labels)
         for n in candidates:
-            fresh = None if labels and not labels <= g.labels(n) else self._bind(name, n)
+            fresh = None if labels and not labels <= node_labels[n] else self._bind(name, n)
             if fresh is None:
                 continue
             saved = self.cursor
@@ -344,7 +345,7 @@ class _Search:
         moves = g.incident(cur, direction) if extend else ()
         if m == 0 == lo:
             moves = (None, *moves)  # the stop with no hop
-        ends = src if direction == ast.LEFT else tgt  # ast and adjacency directions coincide
+        ends = src if direction == ast.LEFT else tgt
         undirected, stops, deeper = direction == ast.UNDIRECTED, m + 1 >= lo, hi is None or m + 1 < hi
         twins = self.twins if name is None else None
         depth = len(rels) + 1

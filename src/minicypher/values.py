@@ -51,17 +51,6 @@ class _Frozen:
 _INTERN_LOCK = threading.Lock()
 
 
-class _InternTable(dict):
-    """key -> weakref.KeyedRef of the live id; ``get`` returns the id itself."""
-
-    __slots__ = ()
-
-    def get(self, key: str, default=None):
-        ref = dict.get(self, key)
-        obj = None if ref is None else ref()
-        return default if obj is None else obj
-
-
 class _Id(_Frozen):
     """A graph id, interned: one live object per (class, key), created under
     a lock, re-interned by copy and pickle, dropped once unreferenced."""
@@ -70,14 +59,14 @@ class _Id(_Frozen):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._interned = interned = _InternTable()
+        cls._interned = interned = {}  # key -> weakref.KeyedRef of the live id
         # the callback of every ref: a dead id's key goes unless a newer id holds it
         cls._drop = staticmethod(lambda ref: _remove_dead_weakref(interned, ref.key))
 
     def __new__(cls, key: str):
         interned = cls._interned
         with _INTERN_LOCK:
-            ref = dict.get(interned, key)
+            ref = interned.get(key)
             self = None if ref is None else ref()
             if self is None:
                 self = object.__new__(cls)

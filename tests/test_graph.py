@@ -1,4 +1,7 @@
+import json
+import random
 import re
+import time
 
 import pytest
 
@@ -51,6 +54,16 @@ def test_unknown_ids_raise(g):
         g.labels(NodeId("n99"))
     with pytest.raises(UnknownId):
         g.src(RelId("r99"))
+
+
+def test_has_id_and_prop_by_kind_of_id(g):
+    for i in (NodeId("n2"), RelId("r2")):  # declared, with no properties
+        assert g.has_id(i) and g.prop(i, "k") is None
+    # an undeclared key, and a declared key under the other class of id
+    for i in (NodeId("n99"), RelId("r99"), NodeId("r1"), RelId("n1")):
+        assert not g.has_id(i)
+        with pytest.raises(UnknownId, match=f"^unknown id {i.key}$"):
+            g.prop(i, "k")
 
 
 def test_incident_directions(g):
@@ -135,6 +148,31 @@ def test_to_document_round_trips(g):
     assert g2.to_document() == g.to_document()
     assert set(g2.nodes) == set(g.nodes)
     assert set(g2.rels) == set(g.rels)
+
+
+def test_a_large_graph_round_trips_in_linear_time():
+    rng = random.Random(15)
+
+    def props():
+        keys = rng.sample(["k", "name", "w", "xs", "m", "flag", "gone"], rng.randint(1, 5))
+        values = {"k": rng.randint(-9, 9), "name": f"s{rng.randint(0, 99)}", "w": rng.randint(0, 3),
+                  "xs": [rng.randint(0, 3), "a", [True]], "m": {"b": 1, "a": [None, "x"]},
+                  "flag": rng.random() < 0.5, "gone": None}
+        return {key: values[key] for key in keys}  # unsorted keys; a null is not stored
+
+    nodes = [node(f"n{i}", rng.sample(["A", "B", "C"], rng.randint(0, 2)), props()) for i in range(2000)]
+    rels = [rel(f"r{i}", rng.choice("XY"), f"n{rng.randrange(2000)}", f"n{rng.randrange(2000)}", props())
+            for i in range(8000)]
+    expected = doc(nodes, rels)
+    for element in nodes + rels:
+        element["properties"] = {k: v for k, v in sorted(element["properties"].items()) if v is not None}
+    for element in nodes:
+        element["labels"].sort()
+    start = time.perf_counter()
+    document = load_graph(expected).to_document()
+    again = load_graph(document).to_document()
+    assert time.perf_counter() - start < 5
+    assert json.dumps(document) == json.dumps(again) == json.dumps(expected)
 
 
 def test_list_and_map_properties():

@@ -162,7 +162,7 @@ def test_racing_threads_create_one_id_per_key(round_):
 
 def test_an_unreferenced_id_leaves_the_intern_table():
     n = NodeId("fleeting")
-    assert NodeId._interned.get("fleeting") is n
+    assert NodeId._interned["fleeting"]() is n
     del n
     gc.collect()
     assert "fleeting" not in NodeId._interned
@@ -170,14 +170,14 @@ def test_an_unreferenced_id_leaves_the_intern_table():
 
 def test_a_late_removal_keeps_the_reinterned_id():
     n = NodeId("reborn")
-    stale = dict.get(NodeId._interned, "reborn")  # the weak reference to n
+    stale = NodeId._interned["reborn"]  # the weak reference to n
     remove = stale.__callback__
     del n
     gc.collect()
     m = NodeId("reborn")
     remove(stale)  # the dead id's removal, run once more after the key was re-interned
     gc.collect()
-    assert NodeId._interned.get("reborn") is m
+    assert NodeId._interned["reborn"]() is m
     assert NodeId("reborn") is m
 
 
