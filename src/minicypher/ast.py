@@ -142,6 +142,22 @@ LEFT_OPERAND = {
     StrOp: "left", InList: "item", Or: "left", Xor: "left", And: "left",
 }
 
+# The expression operators by precedence level, loosest first: each level
+# lists the token that starts an operator and the node it builds.  NOT is
+# prefix, IS (NULL) and the last level postfix, the rest infix; comparison
+# chains become conjunctions.  The parser climbs these levels, and the
+# unparser and evaluator read levels and keywords from here.
+OPERATORS = (
+    (("OR", Or),),
+    (("XOR", Xor),),
+    (("AND", And),),
+    (("NOT", Not),),
+    (("IN", InList), ("STARTS", StrOp), ("ENDS", StrOp), ("CONTAINS", StrOp)),
+    (("IS", IsNull),),
+    (("<", Cmp), ("<=", Cmp), (">=", Cmp), (">", Cmp), ("=", Cmp), ("<>", Cmp)),
+    ((".", Prop), ("[", Index), ("[", Slice)),
+)
+
 
 def expr_names(e: Expr) -> frozenset[str]:
     """The set of names an expression reads from the assignment."""

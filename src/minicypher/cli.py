@@ -233,7 +233,7 @@ def _load_graph_file(path: Optional[str]) -> PropertyGraph:
             doc = json.load(fh)
     except OSError as exc:
         raise GraphLoadError(f"cannot read graph file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise GraphLoadError(f"graph file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise GraphLoadError("graph file nests too deeply to parse") from exc

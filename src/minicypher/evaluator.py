@@ -147,8 +147,10 @@ def _need_int(v: Value, what: str, span) -> int:
     return _need(v, ("int",), what, "an integer", span)
 
 
-# Each binary connective: its keyword (for type errors) and its truth table.
-_CONNECTIVES = {ast.Or: ("OR", tri_or), ast.Xor: ("XOR", tri_xor), ast.And: ("AND", tri_and)}
+# Each binary connective: its keyword in ast.OPERATORS (for type errors) and its truth table.
+_TRUTH_TABLES = {ast.Or: tri_or, ast.Xor: tri_xor, ast.And: tri_and}
+_CONNECTIVES = {node: (word, _TRUTH_TABLES[node])
+                for ops in ast.OPERATORS for word, node in ops if node in _TRUTH_TABLES}
 
 
 def eval_expr(

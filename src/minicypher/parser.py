@@ -1,4 +1,4 @@
-"""Tokenizer, recursive-descent parser, and canonical unparser.
+"""Tokenizer, parser, and canonical unparser.
 
 The tokenizer makes one ``_TOKEN`` match per token: whitespace (space, tab,
 CR, LF), then a token class of docs/grammar.md: punctuation (``<= >= <>
@@ -10,16 +10,13 @@ itself, IDENT, INT, STRING or EOF), ``value``, ``start``, ``end`` and the
 upper-cased ``keyword`` an IDENT spells (``""`` otherwise), so the parser
 never upper-cases on a probe.
 
-The parser is layered by operator precedence, tightest first:
-
-  1. property access / indexing / slicing (postfix)
-  2. comparisons  < <= >= > = <>   (chains become conjunctions:
-     ``a < b < c`` parses as ``a < b AND b < c``)
-  3. IS NULL / IS NOT NULL
-  4. string operators (STARTS WITH, ENDS WITH, CONTAINS) and IN
-  5. NOT
-  6-8. the connectives AND, XOR, OR (the ``CONNECTIVES`` table, which the
-     unparser reads too)
+Expressions are parsed by precedence climbing over ``ast.OPERATORS``, the
+operator levels loosest first: OR, XOR, AND, prefix NOT, IN and the string
+operators (STARTS WITH, ENDS WITH, CONTAINS), IS [NOT] NULL, the
+comparisons < <= >= > = <> (chains become conjunctions: ``a < b < c``
+parses as ``a < b AND b < c``), then property access, indexing and slicing,
+which ``_parse_postfix`` takes.  The unparser reads the same table.
+Patterns, clauses and queries are parsed by recursive descent.
 
 Parenthesized expressions are accepted as grouping; at most
 ``MAX_NESTING`` levels of sub-expressions and NOTs may nest.  Keywords are
@@ -54,11 +51,9 @@ KEYWORDS = {
 
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
 
-# The boolean connectives, loosest first.  Parsing and unparsing both take
-# the precedence of OR, XOR and AND from this one table.
-CONNECTIVES = (("OR", ast.Or), ("XOR", ast.Xor), ("AND", ast.And))
-
-_STRING_IN = ("IN", "STARTS", "ENDS", "CONTAINS")
+# Each operator token's precedence level in ast.OPERATORS and the node it builds.
+_OPERATOR = {token: (level, node) for level, ops in enumerate(ast.OPERATORS) for token, node in ops}
+_NOT, _CMP = _OPERATOR["NOT"][0], _OPERATOR["="][0]
 _KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
 
 # Nesting levels below a top-level expression: each sub-expression parsed
@@ -206,7 +201,7 @@ class Parser:
     def parse_expr(self) -> ast.Expr:
         """One whole expression; inside another one it opens a nesting level."""
         self._open_level(self.tokens[self.pos - 1])
-        e = self._parse_connective(0)
+        e = self._parse_operand(0)
         self.depth -= 1
         return e
 
@@ -216,63 +211,47 @@ class Parser:
             raise ParseError(f"expression nested too deeply (more than {MAX_NESTING} levels)",
                              (opener.start, opener.end))
 
-    def _parse_connective(self, i: int) -> ast.Expr:
-        word, node = CONNECTIVES[i]
-        tighter = i + 1 < len(CONNECTIVES)
-        left = self._parse_connective(i + 1) if tighter else self._parse_not()
-        while self.take_kw(word):
-            right = self._parse_connective(i + 1) if tighter else self._parse_not()
-            left = node(left, right, span=self._span_from(left.span[0]))
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self.at_kw("NOT"):
-            tok = self.advance()
+    def _parse_operand(self, level: int) -> ast.Expr:
+        """An expression whose operators sit at ``level`` or tighter in
+        ast.OPERATORS, by precedence climbing.  A prefix NOT is taken while
+        ``level`` admits it; each right operand is parsed one level tighter.
+        An operator tighter than the last one applied ends the operand, so
+        ``a IS NULL = b`` leaves ``=`` unparsed."""
+        tok = self.tokens[self.pos]
+        if tok.keyword == "NOT" and level <= _NOT:
+            self.pos += 1
             self._open_level(tok)
-            operand = self._parse_not()
+            operand = self._parse_operand(_NOT)
             self.depth -= 1
-            return ast.Not(operand, span=self._span_from(tok.start))
-        return self._parse_string_in()
-
-    def _parse_string_in(self) -> ast.Expr:
-        left = self._parse_is_null()
-        while (op := self.tokens[self.pos].keyword) in _STRING_IN:
-            self.advance()
+            left, ceiling = ast.Not(operand, span=self._span_from(tok.start)), _NOT - 1  # connectives
+        else:
+            left, ceiling = self._parse_postfix(), _CMP  # it took the postfix operators
+        pivot = left  # the left operand of the next comparison in a chain
+        while True:
+            tok = self.tokens[self.pos]
+            op = tok.keyword or tok.kind
+            at, node = _OPERATOR.get(op, (-1, None))
+            if node is ast.Not or not level <= at <= ceiling:
+                return left
+            self.pos += 1
+            ceiling, start = at, left.span[0]
+            if node is ast.IsNull:
+                negated = self.take_kw("NOT")
+                self.expect_kw("NULL")
+                left = ast.IsNull(left, negated, span=self._span_from(start))
+                continue
             if op in ("STARTS", "ENDS"):
                 self.expect_kw("WITH")
                 op += " WITH"
-            right = self._parse_is_null()
-            span = self._span_from(left.span[0])
-            left = (ast.InList(left, right, span=span) if op == "IN"
-                    else ast.StrOp(op, left, right, span=span))
-        return left
-
-    def _parse_is_null(self) -> ast.Expr:
-        e = self._parse_comparison()
-        while self.take_kw("IS"):
-            negated = self.take_kw("NOT")
-            self.expect_kw("NULL")
-            e = ast.IsNull(e, negated, span=self._span_from(e.span[0]))
-        return e
-
-    def _parse_comparison(self) -> ast.Expr:
-        first = self._parse_postfix()
-        chain: list[tuple[str, ast.Expr]] = []
-        while self.peek().kind in ("<", "<=", ">=", ">", "=", "<>"):
-            op = self.advance().kind
-            chain.append((op, self._parse_postfix()))
-        if not chain:
-            return first
-        # A chain a < b <= c means (a < b) AND (b <= c).
-        comparisons: list[ast.Expr] = []
-        left = first
-        for op, right in chain:
-            comparisons.append(ast.Cmp(op, left, right, span=(left.span[0], right.span[1])))
-            left = right
-        out = comparisons[0]
-        for cmp_ in comparisons[1:]:
-            out = ast.And(out, cmp_, span=(out.span[0], cmp_.span[1]))
-        return out
+            right = self._parse_operand(at + 1)
+            if node is ast.Cmp:  # a chain a < b <= c means (a < b) AND (b <= c)
+                cmp_ = ast.Cmp(op, pivot, right, span=(pivot.span[0], right.span[1]))
+                left = cmp_ if left is pivot else ast.And(left, cmp_, span=(start, cmp_.span[1]))
+                pivot = right
+            elif node is ast.StrOp:
+                left = ast.StrOp(op, left, right, span=self._span_from(start))
+            else:
+                left = node(left, right, span=self._span_from(start))
 
     def _parse_postfix(self) -> ast.Expr:
         e = self._parse_primary()
@@ -301,14 +280,14 @@ class Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return ast.Lit(int(tok.value), span=(tok.start, tok.end))
+            return ast.Lit(self._int(tok), span=(tok.start, tok.end))
         if tok.kind == "-":
             nxt = self.peek(1)
             if nxt.kind != "INT":
                 raise ParseError("`-` is only valid before an integer literal", (tok.start, tok.end))
             self.advance()
             self.advance()
-            return ast.Lit(-int(nxt.value), span=(tok.start, nxt.end))
+            return ast.Lit(-self._int(nxt), span=(tok.start, nxt.end))
         if tok.kind == "STRING":
             self.advance()
             return ast.Lit(tok.value, span=(tok.start, tok.end))
@@ -319,13 +298,8 @@ class Parser:
             if self.peek(1).kind == "(":
                 name = self.expect_name().value
                 self.expect("(")
-                args: list[ast.Expr] = []
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.take(","):
-                        args.append(self.parse_expr())
-                self.expect(")")
-                return ast.FnCall(name, tuple(args), span=self._span_from(tok.start))
+                args = self._parse_list(self.parse_expr, ")")
+                return ast.FnCall(name, args, span=self._span_from(tok.start))
             name = self.expect_name().value
             return ast.Name(name, span=(tok.start, tok.end))
         if tok.kind == "(":
@@ -335,13 +309,7 @@ class Parser:
             return dataclasses.replace(inner, span=self._span_from(tok.start))
         if tok.kind == "[":
             self.advance()
-            items: list[ast.Expr] = []
-            if not self.at("]"):
-                items.append(self.parse_expr())
-                while self.take(","):
-                    items.append(self.parse_expr())
-            self.expect("]")
-            return ast.ListLit(tuple(items), span=self._span_from(tok.start))
+            return ast.ListLit(self._parse_list(self.parse_expr, "]"), span=self._span_from(tok.start))
         if tok.kind == "{":
             entries = self._parse_map_entries(allow_duplicates=True)
             return ast.MapLit(entries, span=self._span_from(tok.start))
@@ -349,21 +317,36 @@ class Parser:
 
     def _parse_map_entries(self, allow_duplicates: bool) -> tuple[tuple[str, ast.Expr], ...]:
         open_tok = self.expect("{")
-        entries: list[tuple[str, ast.Expr]] = []
-        if not self.at("}"):
-            while True:
-                key_tok = self.expect_name()
-                self.expect(":")
-                entries.append((key_tok.value, self.parse_expr()))
-                if not self.take(","):
-                    break
-        self.expect("}")
+        entries = self._parse_list(self._parse_map_entry, "}")
         if not allow_duplicates:
             keys = [k for k, _ in entries]
             if len(keys) != len(set(keys)):
                 raise ParseError("duplicate property key in pattern map",
                                  self._span_from(open_tok.start))
-        return tuple(entries)
+        return entries
+
+    def _parse_map_entry(self) -> tuple[str, ast.Expr]:
+        key = self.expect_name().value
+        self.expect(":")
+        return key, self.parse_expr()
+
+    def _parse_list(self, item: Callable[[], T], closer: str) -> tuple[T, ...]:
+        """Comma-separated items, maybe none, then ``closer``; the opener is taken."""
+        items = []
+        if not self.at(closer):
+            items.append(item())
+            while self.take(","):
+                items.append(item())
+        self.expect(closer)
+        return tuple(items)
+
+    @staticmethod
+    def _int(tok: Token) -> int:
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer literal too long ({len(tok.value)} digits)",
+                             (tok.start, tok.end)) from None
 
     # -- patterns -------------------------------------------------------------
 
@@ -439,15 +422,14 @@ class Parser:
         if not self.take("*"):
             return None
         if self.peek().kind == "INT":
-            lo = int(self.advance().value)
+            lo = self._int(self.advance())
             if self.take(".."):
                 if self.peek().kind == "INT":
-                    return (lo, int(self.advance().value))
+                    return (lo, self._int(self.advance()))
                 return (lo, None)
             return (lo, lo)
         if self.take(".."):
-            hi_tok = self.expect("INT")
-            return (None, int(hi_tok.value))
+            return (None, self._int(self.expect("INT")))
         return (None, None)
 
     # -- clauses and queries ----------------------------------------------------
@@ -549,14 +531,9 @@ def parse_expr(text: str) -> ast.Expr:
 # Unparsing (canonical text; also the alias function for RETURN items)
 # ---------------------------------------------------------------------------
 
-# Unparse levels: the connectives take 1.. in CONNECTIVES order, then the
-# tighter operators follow.
-_CONNECTIVE_LEVEL = {node: (word, level) for level, (word, node) in enumerate(CONNECTIVES, 1)}
-_LEVEL_NOT = len(CONNECTIVES) + 1
-_LEVEL_STR_IN = _LEVEL_NOT + 1
-_LEVEL_IS_NULL = _LEVEL_NOT + 2
-_LEVEL_CMP = _LEVEL_NOT + 3
-_LEVEL_POSTFIX = _LEVEL_NOT + 4
+# Each operator node's precedence level in ast.OPERATORS and its token; StrOp
+# and Cmp spell their own operator.
+_LEVEL = {node: (level, token) for level, ops in enumerate(ast.OPERATORS) for token, node in ops}
 
 
 def _string_lit(s: str) -> str:
@@ -577,7 +554,7 @@ def unparse_expr(e: ast.Expr, parent_level: int = 0) -> str:
         chain.append(e)
         e = getattr(e, ast.LEFT_OPERAND[type(e)])
     # A chained operator's own level is also the level its left operand needs.
-    levels = [_CHAIN_LEVEL[type(x)] for x in chain]
+    levels = [_LEVEL[type(x)][0] for x in chain]
     text = _unparse_leaf(e, levels[-1] if chain else parent_level)
     for i in reversed(range(len(chain))):
         text = _wrap(_chain_text(chain[i], text), levels[i], levels[i - 1] if i else parent_level)
@@ -609,19 +586,14 @@ def _unparse_leaf(e: ast.Expr, parent_level: int) -> str:
         return "{" + inner + "}"
     if isinstance(e, ast.ListLit):
         return "[" + ", ".join(unparse_expr(x) for x in e.items) + "]"
-    if isinstance(e, ast.Cmp):
-        text = f"{unparse_expr(e.left, _LEVEL_POSTFIX)} {e.op} {unparse_expr(e.right, _LEVEL_POSTFIX)}"
-        return _wrap(text, _LEVEL_CMP, parent_level)
+    if isinstance(e, ast.Cmp):  # not chained: both operands bind tighter
+        level = _LEVEL[ast.Cmp][0]
+        text = f"{unparse_expr(e.left, level + 1)} {e.op} {unparse_expr(e.right, level + 1)}"
+        return _wrap(text, level, parent_level)
     if isinstance(e, ast.Not):
-        return _wrap(f"NOT {unparse_expr(e.expr, _LEVEL_NOT)}", _LEVEL_NOT, parent_level)
+        level, word = _LEVEL[ast.Not]
+        return _wrap(f"{word} {unparse_expr(e.expr, level)}", level, parent_level)
     raise TypeError(f"not an expression: {e!r}")
-
-
-_CHAIN_LEVEL = {
-    ast.Prop: _LEVEL_POSTFIX, ast.Index: _LEVEL_POSTFIX, ast.Slice: _LEVEL_POSTFIX,
-    ast.IsNull: _LEVEL_IS_NULL, ast.StrOp: _LEVEL_STR_IN, ast.InList: _LEVEL_STR_IN,
-    **{node: level for node, (_, level) in _CONNECTIVE_LEVEL.items()},
-}
 
 
 def _chain_text(e: ast.Expr, left: str) -> str:
@@ -636,12 +608,12 @@ def _chain_text(e: ast.Expr, left: str) -> str:
         return f"{left}[{lo}..{hi}]"
     if isinstance(e, ast.IsNull):
         return f"{left} IS NOT NULL" if e.negated else f"{left} IS NULL"
-    if isinstance(e, ast.StrOp):
-        return f"{left} {e.op} {unparse_expr(e.right, _LEVEL_STR_IN + 1)}"
+    # an infix operator: its right operand binds one level tighter
+    level, word = _LEVEL[type(e)]
     if isinstance(e, ast.InList):
-        return f"{left} IN {unparse_expr(e.container, _LEVEL_STR_IN + 1)}"
-    word, level = _CONNECTIVE_LEVEL[type(e)]
-    return f"{left} {word} {unparse_expr(e.right, level + 1)}"
+        return f"{left} {word} {unparse_expr(e.container, level + 1)}"
+    op = e.op if isinstance(e, ast.StrOp) else word
+    return f"{left} {op} {unparse_expr(e.right, level + 1)}"
 
 
 def _unparse_prop_map(props: tuple[tuple[str, ast.Expr], ...]) -> str:

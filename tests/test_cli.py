@@ -136,6 +136,17 @@ def test_unicode_digit_exits_1_with_caret(capsys, query, offset):
     assert caret.index("^") - text.index(query) == offset
 
 
+def test_huge_integer_literal_exits_1_with_caret(capsys):
+    # int() refuses more than 4300 digits: a parse error at the literal, not an internal error
+    query = "RETURN " + "7" * 5000 + " AS x"
+    rc, out, err = run(capsys, "--query", query)
+    assert (rc, out) == (1, "")
+    first, text, caret = err.splitlines()[:3]
+    assert first == "parse error: integer literal too long (5000 digits) at offset 7"
+    assert caret.strip() == "^" * 5000
+    assert caret.index("^") - text.index(query) == 7
+
+
 def test_eval_error_exits_2(capsys):
     rc, _, err = run(capsys, "--query", "RETURN 1 < 'a'")
     assert rc == 2
@@ -313,6 +324,18 @@ def test_malformed_graph_json_exits_3(capsys, tmp_path):
     rc, _, err = run(capsys, "--graph", str(bad), "--query", "RETURN 1 AS one")
     assert rc == 3
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"nodes": [{"id": "n1", "properties": {"p": ' + b"7" * 5000 + b'}}], "relationships": []}',
+    b'\xff{"nodes": [], "relationships": []}',  # not UTF-8
+])
+def test_unreadable_graph_json_exits_3(capsys, tmp_path, raw):
+    path = tmp_path / "graph.json"
+    path.write_bytes(raw)
+    rc, out, err = run(capsys, "--graph", str(path), "--query", "RETURN 1 AS one")
+    assert (rc, out) == (3, "")
+    assert err.startswith("graph error: graph file is not valid JSON: ")
 
 
 def test_dangling_endpoint_exits_3(capsys, tmp_path):

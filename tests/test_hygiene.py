@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from minicypher.ast import LEFT_OPERAND, OPERATORS, Cmp, Not
 from minicypher.errors import EvalError
+from minicypher.evaluator import _CHAIN_RULES
 from minicypher.values import NodeId, RelId
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minicypher"
@@ -214,3 +216,11 @@ def test_every_eval_error_kind_is_built_and_documented():
     notes = (SRC.parent.parent / "docs" / "semantics-notes.md").read_text(encoding="utf-8")
     assert named == built
     assert not sorted(kind for kind in named if f"`{kind}`" not in notes)
+
+
+def test_chained_operators_agree():
+    # Every operator of the table but the prefix NOT and the comparisons,
+    # whose chains become conjunctions, chains left-deep: the parser builds
+    # it so, and the unparser and evaluator walk it iteratively.
+    chained = {node for ops in OPERATORS for _, node in ops} - {Not, Cmp}
+    assert set(LEFT_OPERAND) == set(_CHAIN_RULES) == chained

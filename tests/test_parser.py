@@ -6,7 +6,9 @@ precedence; the generator-driven round trip covers the long tail.
 """
 
 import dataclasses
+import itertools
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -166,6 +168,39 @@ def test_tokens_are_ascii_outside_strings(src, char, offset):
 ])
 def test_precedence(src, expected):
     assert parse_expr(src) == expected
+
+
+def test_precedence_table_matches_the_doc():
+    # The doc lists each level's tokens tightest first; ast.OPERATORS, loosest first.
+    text = GRAMMAR_DOC.read_text(encoding="utf-8")
+    section = text.split("## Expressions", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| ((?:`[^`]+` ?)+) \|", section, re.MULTILINE)
+    assert [int(level) for level, _ in rows] == list(range(1, len(ast.OPERATORS) + 1))
+    doc = [set(re.findall(r"`([^`]+)`", tokens)) for _, tokens in rows]
+    assert doc == [{token for token, _ in ops} for ops in reversed(ast.OPERATORS)]
+
+
+# Every operator node with its operand count; a unary node's one operand is
+# both its left and its right.
+OPERATOR_NODES = [
+    (2, ast.Or), (2, ast.Xor), (2, ast.And), (1, ast.Not), (2, ast.InList),
+    (2, partial(ast.StrOp, "STARTS WITH")), (2, partial(ast.StrOp, "ENDS WITH")),
+    (2, partial(ast.StrOp, "CONTAINS")), (1, ast.IsNull), (1, partial(ast.IsNull, negated=True)),
+    (2, partial(ast.Cmp, "=")), (2, partial(ast.Cmp, "<")),
+    (1, partial(ast.Prop, key="k")), (2, ast.Index), (2, ast.Slice),
+]
+
+
+def test_every_operator_nests_in_every_other():
+    a, b, c = ast.Name("a"), ast.Name("b"), ast.Name("c")
+    trees = []
+    for (n, outer), (m, inner) in itertools.product(OPERATOR_NODES, repeat=2):
+        nested = inner(*(b, c)[:m])
+        trees += [outer(*(nested, a)[:n]), outer(*(a, nested)[-n:])]  # as left, as right operand
+    assert len(trees) == 450
+    assert {type(t) for t in trees} == {node for ops in ast.OPERATORS for _, node in ops}
+    for e in trees:
+        assert parse_expr(unparse_expr(e)) == e, unparse_expr(e)
 
 
 @pytest.mark.parametrize("opener,closer,token", [
@@ -387,6 +422,8 @@ def test_span_cases_cover_every_node_type():
     assert covered == node_types
 
 
+HUGE = "7" * 5000  # more digits than int() converts by default
+
 # One row per place the tokenizer or parser raises: (query, message, span,
 # expected).  The caret the CLI prints is placed from the span.
 PARSE_ERRORS = [
@@ -415,6 +452,20 @@ PARSE_ERRORS = [
     ("RETURN ", "unexpected end of input", (7, 7), "an expression"),
     ("WHERE a RETURN a", "unexpected 'WHERE'", (0, 5), "MATCH, OPTIONAL MATCH, WITH, UNWIND or RETURN"),
     ("MATCH (a)", "unexpected end of input", (9, 9), "MATCH, OPTIONAL MATCH, WITH, UNWIND or RETURN"),
+    # an operator tighter than the one applied before it ends the operand
+    ("RETURN a IS NULL = b AS x", "trailing input '='", (17, 18), None),
+    ("RETURN (a IS NULL = b) AS x", "unexpected '='", (18, 19), ")"),
+    ("RETURN a IS NULL < b IN c AS x", "trailing input '<'", (17, 18), None),
+    # NOT is prefix only, and only where a connective's operand starts
+    ("RETURN a NOT b AS x", "trailing input 'NOT'", (9, 12), None),
+    ("RETURN a = NOT b AS x", "keyword 'NOT' cannot be used as a name", (11, 14), None),
+    ("RETURN a IN NOT b AS x", "keyword 'NOT' cannot be used as a name", (12, 15), None),
+    # an integer literal longer than int() converts, at each site that reads one
+    *(pytest.param(src, "integer literal too long (5000 digits)", (at, at + 5000), None, id=f"huge {site}")
+      for site, src, at in [("INT", f"RETURN {HUGE} AS x", 7), ("-INT", f"RETURN -{HUGE} AS x", 8),
+                            ("*lo", f"MATCH (a)-[*{HUGE}]->(b) RETURN a", 12),
+                            ("*lo..hi", f"MATCH (a)-[*1..{HUGE}]->(b) RETURN a", 15),
+                            ("*..hi", f"MATCH (a)-[*..{HUGE}]->(b) RETURN a", 14)]),
 ]
 
 
