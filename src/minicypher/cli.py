@@ -253,7 +253,7 @@ def _run(args: argparse.Namespace) -> int:
         try:
             with open(args.query_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:  # missing, unreadable, or not UTF-8
             print(f"cannot read query file: {exc}", file=sys.stderr)
             return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
 from .matcher import match_tuple, plan_match
 from .parser import unparse_expr
-from .tables import Table, bag_union, distinct, row_key, unit_table
+from .tables import Table, bag_union, distinct, unit_table
 from .values import FunctionRegistry, canon
 
 
@@ -110,15 +110,9 @@ def run_clause(
         out, unwound = Table(t.fields + (c.name,)), (c.name,)
         for u, count in t.rows():
             v = eval_expr(c.expr, g, u, functions)
-            at: dict[tuple, int] = {}  # row key -> position, for this row's elements alone
+            among: dict[tuple, int] = {}  # this row's elements alone can equal each other
             for x in v if isinstance(v, tuple) else (v,):  # a non-list value unwinds to itself
-                row = {**u, c.name: x}
-                key = row_key(unwound, row)
-                i = at.get(key)
-                if i is None:
-                    at[key] = out.add_new(row, count)
-                else:
-                    out.add_at(i, count)
+                out.add_among({**u, c.name: x}, count, among, unwound)
         return out
 
     raise TypeError(f"not a clause: {c!r}")

@@ -94,7 +94,7 @@ from .ast import PathPattern, PatternTuple, RelPattern, expr_names, range_of
 from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
-from .tables import Record, Table, row_key
+from .tables import Record, Table
 from .values import FunctionRegistry, NodeId, Path, RelId, same_value
 
 _FLIP = {ast.RIGHT: ast.LEFT, ast.LEFT: ast.RIGHT, ast.UNDIRECTED: ast.UNDIRECTED}
@@ -151,7 +151,7 @@ class MatchPlan(NamedTuple):
     fields: tuple[str, ...]  # of the match bag: the pattern's names the input does not bind
     relevant: tuple[str, ...]  # the input fields the bag depends on
     walks: tuple[Walk, ...]
-    groups: tuple[tuple[tuple, bool], ...]  # (checks, is a slot's), then the WHERE's
+    groups: tuple[tuple, ...]  # the checks of each element with a property map, then the WHERE's
     placed: tuple  # the search's first ``placed``
     unkeyed: bool  # witnesses enter unkeyed unless they place a twin (see _emit)
     twins: bool  # unnamed slots count the twins they place
@@ -181,7 +181,7 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
         for side, e in ((where.left, where.right), (where.right, where.left)):
             if isinstance(side, ast.Prop) and isinstance(side.base, ast.Name):
                 where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
-    groups: list[tuple[tuple, bool]] = []
+    groups: list[tuple] = []
     walks: list[Walk] = []
     unkeyed, anonymous = True, False  # see _emit
     bound, free, read = set(fields), set(), set()
@@ -198,14 +198,14 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
             if el.props:
                 gid = len(groups)
                 checks = tuple([(key, e, expr_names(e)) for key, e in el.props])
-                groups.append((checks, isinstance(el, RelPattern)))
+                groups.append(checks)
                 for check in checks:
                     read |= check[2]
             steps.append((el, gid))
         if far:
             steps.reverse()
         (el, gid), last = steps[0], pi + 1 == len(pats.paths)
-        seek = groups[gid][0][0] if gid >= 0 else where_seeks.get(el.name)
+        seek = groups[gid][0] if gid >= 0 else where_seeks.get(el.name)
         if el.name in bound:
             anchor, seek = "bound", None
         elif seek is not None and seek[2] <= bound:  # e reads only names bound before the anchor
@@ -232,9 +232,9 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
     placed = (None,) * len(groups)
     if where is not None:  # placed from the start, on no element
         names = expr_names(where)
-        groups.append((((None, where, names),), False))
+        groups.append(((None, where, names),))
         read |= names
-        placed += (True,)
+        placed += ((None,),)
     return MatchPlan(
         tuple(sorted(free.difference(fields))), tuple(f for f in fields if f in read or f in free),
         tuple(walks), tuple(groups), placed + (None,), unkeyed, unkeyed and anonymous)  # placed[-1]
@@ -245,14 +245,16 @@ class _Search:
     holds everything that no row's values change, the search the rest.
 
     ``b`` holds the bindings of the current prefix, ``used`` its
-    relationships.  ``placed[i]`` is the node of the plan's check group i,
-    or for a relationship slot its relationships in pattern order and
-    whether the slot's hop count is final, or None while the element is
-    not placed.  ``cursor`` is (group, hop, key, held error) of the first
-    check not yet run; frames save it before a placement and restore it
-    when they undo one.  ``placed[-1]`` takes the writes for elements with
-    no checks.  ``twinned`` counts the twins placed in unnamed slots, and
-    ``merged`` holds the rows of the twinned witnesses.
+    relationships.  ``placed[i]`` is the sequence of ids that the plan's
+    check group i runs on, or None while its element is not placed: a
+    node's ``(n,)``, a relationship slot's relationships in pattern order,
+    ``(None,)`` for the WHERE.  A ranged slot walked forward holds its live
+    list of hops while it may still grow, and a tuple once it stops.
+    ``cursor`` is (group, id, key, held error) of the first check not yet
+    run; frames save it before a placement and restore it when they undo
+    one.  ``placed[-1]`` takes the writes for elements with no checks.
+    ``twinned`` counts the twins placed in unnamed slots, and ``merged``
+    is the map through which the twinned witnesses' rows merge.
     """
 
     def __init__(self, plan: MatchPlan, g: PropertyGraph, u: Record,
@@ -265,7 +267,7 @@ class _Search:
         self.maps = g.trusted_maps()
         self.twins = g.twins() if plan.twins else None
         self.twinned = 0
-        self.merged: dict[tuple, int] = {}  # row key -> position of a twinned witness's row
+        self.merged: dict[tuple, int] = {}
 
     def run(self) -> None:
         if not self.plan.walks:  # the empty tuple has one witness
@@ -298,7 +300,7 @@ class _Search:
             if fresh is None:
                 continue
             saved = self.cursor
-            placed[gid] = n
+            placed[gid] = (n,)
             if unchecked or self._checks_pass():
                 if not hops:
                     yield self._path_end(pi, [n], [])
@@ -340,7 +342,7 @@ class _Search:
         unchecked, leaf = not groups, more and walk.hops[k + 1].leaf
         hop_checks = hop_checks and m == 0
         if hop_checks:  # a ranged slot walked forward: its checks run as hops are placed
-            placed[gid] = (seg, False)
+            placed[gid] = seg
         extend = (hi is None or m < hi) and len(used) < len(g.rels)
         moves = g.incident(cur, direction) if extend else ()
         if m == 0 == lo:
@@ -370,7 +372,7 @@ class _Search:
                     nfresh = None if rfresh is None else nname is not None and self._bind(nname, n)
                     if nfresh is not None:
                         hop_cursor, before = self.cursor, placed[gid]
-                        placed[gid], placed[ngid] = (in_order, True), n
+                        placed[gid], placed[ngid] = in_order, (n,)
                         twin = twins is not None and r in twins
                         if twin:
                             self.twinned += 1
@@ -476,12 +478,7 @@ class _Search:
         elif not twin:  # no other witness binds this row
             out.add_new(row)
         else:  # only other twinned witnesses can: merged at the first
-            key = row_key(out.fields, row)
-            i = self.merged.get(key)
-            if i is None:
-                self.merged[key] = out.add_new(row)
-            else:
-                out.add_at(i)
+            out.add_among(row, 1, self.merged, out.fields)
 
     def _checks_pass(self, final: bool = False) -> bool:
         """Run the checks that can run now; False when one prunes the prefix.
@@ -499,26 +496,21 @@ class _Search:
             return True
         g, b, placed = self.g, self.b, self.placed
         while gi < len(groups):
-            checks, is_rel = groups[gi]
-            slot = placed[gi]
-            if slot is None:
+            ids = placed[gi]
+            if ids is None:
                 break
-            if is_rel:
-                hops, fixed = slot
-                if h == len(hops):
-                    if not fixed:
-                        break
-                    gi, h = gi + 1, 0
-                    continue
-                ident = hops[h]
-            else:
-                ident = slot
+            if h == len(ids):
+                if type(ids) is list:  # a ranged slot that may still grow
+                    break
+                gi, h = gi + 1, 0
+                continue
+            checks = groups[gi]
             key, expr, names = checks[ki]
             if not final and not b.keys() >= names:
                 break
             try:
                 v = eval_expr(expr, g, b, self.functions)
-                ok = (v if key is None else eq_values(g.prop(ident, key), v)) is True
+                ok = (v if key is None else eq_values(g.prop(ids[h], key), v)) is True
             except Exception as exc:  # held whatever it is
                 if key is not None and isinstance(exc, EvalError) and exc.span is None:
                     exc.span = expr.span  # the entry's equality raised, as eval_expr places it
@@ -530,11 +522,7 @@ class _Search:
                 return False
             ki += 1
             if ki == len(checks):
-                ki = 0
-                if is_rel:
-                    h += 1
-                else:
-                    gi += 1
+                ki, h = 0, h + 1
         self.cursor = (gi, h, ki, held)
         return True
 

@@ -14,9 +14,11 @@ bools, other composites and subclass instances go through ``canon``.  A
 table keeps its records and their counts in two parallel lists, in
 insertion order; the key index, from row key to position, is built at
 most once, when identity is first observed (``add``, ``multiplicity``,
-``==``), and until then ``add_new`` appends rows known to be new unkeyed.
-A table keeps the records it is given, uncopied: no caller changes a
-record once it is in a table.
+``==``), and until then ``add_new`` appends rows known to be new unkeyed
+and ``add_among`` merges a row into the first equal row of the caller's
+own map.  Row keys and positions are read in this module alone.  A table
+keeps the records it is given, uncopied: no caller changes a record once
+it is in a table.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class Table:
             self._index = index
         return self._index
 
-    def add(self, u: Record, count: int = 1) -> int:
-        """Add count copies of u; return the position of its row."""
+    def add(self, u: Record, count: int = 1) -> None:
+        """Add count copies of u."""
         if u.keys() != self._names:
             raise AssertionError(
                 f"non-uniform record: has {sorted(u)}, table fields are {list(self.fields)}"
@@ -93,19 +95,27 @@ class Table:
             self._counts.append(count)
         else:
             self._counts[i] += count
-        return i
 
-    def add_new(self, u: Record, count: int = 1) -> int:
-        """Add u, known to differ from every row of the table; return its position."""
+    def add_new(self, u: Record, count: int = 1) -> None:
+        """Add u, known to differ from every row of the table."""
         if self._index is not None or u.keys() != self._names:
             return self.add(u, count)  # keys u, or rejects it as non-uniform
         self._records.append(u)
         self._counts.append(count)
-        return len(self._counts) - 1
 
-    def add_at(self, i: int, count: int = 1) -> None:
-        """Add count copies of the row at position i."""
-        self._counts[i] += count
+    def add_among(self, u: Record, count: int, among: dict[tuple, int], fields: tuple[str, ...]) -> None:
+        """Add count copies of u, which can equal only rows entered with the
+        same ``among`` (the caller's map, empty at first) and differs from
+        them only in ``fields``: u merges into the first it equals."""
+        n = len(self._counts)
+        i = among.setdefault(row_key(fields, u), n)
+        if i != n:
+            self._counts[i] += count
+        elif self._index is not None or u.keys() != self._names:
+            self.add(u, count)  # keys u, or rejects it as non-uniform
+        else:
+            self._records.append(u)
+            self._counts.append(count)
 
     # -- inspection ---------------------------------------------------------
 

@@ -371,6 +371,14 @@ def test_unreadable_query_file(capsys, tmp_path):
     assert "cannot read query file" in err
 
 
+def test_query_file_not_in_utf8_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "q.cypher"
+    f.write_bytes(b"RETURN 1 AS \xff")
+    rc, out, err = run(capsys, "--query-file", str(f))
+    assert (rc, out) == (64, "")
+    assert err.startswith("cannot read query file: ") and "internal error" not in err
+
+
 def test_query_file_runs(capsys, tmp_path):
     f = tmp_path / "q.cypher"
     f.write_text(AUTHORS)

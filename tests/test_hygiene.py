@@ -108,8 +108,9 @@ def test_ids_hash_and_compare_by_identity(cls):
     assert cls.__eq__ is object.__eq__
 
 
-# Each site that enters rows unkeyed, with Table.add_new, rests on a reason
-# that its rows are distinct by construction, stated in the notes.
+# Each site that enters rows unkeyed, with Table.add_new or Table.add_among,
+# rests on a reason that its rows are distinct by construction, or can equal
+# only each other, stated in the notes.
 UNKEYED_SITES = {
     "engine._match_rows",
     "engine._project",
@@ -134,7 +135,7 @@ def test_unkeyed_sites_are_pinned():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, fn in _functions(tree, path.stem):
-            if any(isinstance(n, ast.Attribute) and n.attr == "add_new" for n in ast.walk(fn)):
+            if any(isinstance(n, ast.Attribute) and n.attr in {"add_new", "add_among"} for n in ast.walk(fn)):
                 found.add(name)
     assert found == UNKEYED_SITES
 
@@ -145,7 +146,7 @@ def test_rows_enter_the_match_bag_through_emit_alone():
     # relationships used, is the one other receiver of an `add`.)
     def adds_rows(fn):
         return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                   and n.func.attr in {"add", "add_new", "add_at"}
+                   and n.func.attr in {"add", "add_new", "add_among"}
                    and getattr(n.func.value, "id", None) != "used" for n in ast.walk(fn))
 
     tree = ast.parse((SRC / "matcher.py").read_text(encoding="utf-8"))
@@ -157,8 +158,16 @@ def test_rows_enter_the_match_bag_through_emit_alone():
 def test_unkeyed_sites_are_named_in_the_notes():
     notes = (SRC.parent.parent / "docs" / "semantics-notes.md").read_text(encoding="utf-8")
     determinism = notes.split("## Determinism", 1)[1].split("\n## ", 1)[0]
-    missing = sorted(site for site in UNKEYED_SITES if f"`{site}`" not in determinism)
+    missing = sorted(site for site in UNKEYED_SITES | {"Table.add_among"} if f"`{site}`" not in determinism)
     assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "tables.py"],
+                         ids=lambda p: p.name)
+def test_only_tables_keys_rows(path):
+    # A row's key and its position belong to tables.py: the other modules
+    # merge rows through Table methods, never by a key of their own.
+    assert "row_key" not in path.read_text(encoding="utf-8")
 
 
 # The static analysis of a pattern runs in matcher.plan_match, once per

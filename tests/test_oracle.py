@@ -1,6 +1,7 @@
 """The brute-force oracle, the case generator, and the differential harness."""
 
 import json
+import random
 import sys
 
 import pytest
@@ -25,7 +26,7 @@ from minicypher.oracle import (
 )
 from minicypher.parser import parse_pattern_tuple, parse_query, unparse_query
 from minicypher.tables import Table
-from minicypher.values import NodeId, Path, RelId
+from minicypher.values import NodeId, Path, RelId, canon
 
 PATTERNS = [
     "(x)",
@@ -402,8 +403,15 @@ def _plant_unkeyed_projection_dropping_a_field(monkeypatch):
     monkeypatch.setattr(engine, "_project", planted)
 
 
+def _plant_add_among_never_merging(monkeypatch):
+    """Table.add_among enters every row as new: twinned witnesses and equal
+    elements of one UNWIND list no longer merge."""
+    monkeypatch.setattr(Table, "add_among", lambda self, u, count, among, fields: self.add_new(u, count))
+
+
 UNSOUND_UNKEYED = [_plant_unkeyed_witnesses_with_an_anonymous_relationship,
-                   _plant_unkeyed_projection_dropping_a_field]
+                   _plant_unkeyed_projection_dropping_a_field,
+                   _plant_add_among_never_merging]
 
 
 @pytest.mark.parametrize("plant", UNSOUND_UNKEYED, ids=lambda p: p.__name__[len("_plant_"):])
@@ -446,7 +454,63 @@ def test_unkeyed_sites_keep_multiplicities(query, rows):
 @pytest.mark.parametrize("plant,query", [
     (_plant_unkeyed_witnesses_with_an_anonymous_relationship, UNKEYED_CASES[0][0]),
     (_plant_unkeyed_projection_dropping_a_field, UNKEYED_CASES[1][0]),
-], ids=["witnesses", "projection"])
+    (_plant_add_among_never_merging, UNKEYED_CASES[0][0]),
+], ids=["witnesses", "projection", "twins"])
 def test_parallel_relationships_catch_each_unsound_unkeyed_site(monkeypatch, plant, query):
     plant(monkeypatch)
     assert list(engine.output(parse_query(query), PARALLEL).rows()) == [({"a": N1, "b": N2}, 1)] * 2
+
+
+# ---------------------------------------------------------------------------
+# Table.add_among ablated: merging among a caller's rows is keying them
+# ---------------------------------------------------------------------------
+
+
+def _twin_graph(seed=0, nodes=300):
+    """Each node has four relationships to itself or the next two nodes, so
+    parallel relationships and self-loops abound."""
+    rng = random.Random(seed)
+    rels = [{"id": f"r{j}", "type": rng.choice("XY"), "src": f"n{j // 4}",
+             "tgt": f"n{(j // 4 + rng.randrange(3)) % nodes}"} for j in range(4 * nodes)]
+    return load_graph({"nodes": [{"id": f"n{i}", "properties": {"k": rng.randrange(4)}}
+                                 for i in range(nodes)], "relationships": rels})
+
+
+# bulk-like shapes; the first and the UNWIND return their last table as it is
+MERGE_SHAPES = [
+    "MATCH (a)-[:X]->(b) RETURN a, b",
+    "MATCH (a)-[:X]->(b)-[:X]->(c) RETURN a, c",
+    "MATCH (a)-[:Y]-(b) RETURN a, b",
+    "MATCH (a)-[:Y]->(b) UNWIND [a.k, b.k, 3] AS x RETURN a, b, x",
+    "MATCH (a)-[:X]->(b) RETURN b AS n UNION MATCH (a)-[:Y]->(b) RETURN a AS n",
+    "MATCH (a)-[:X]->(b) RETURN b AS n UNION ALL MATCH (a)-[:Y]->(b) RETURN a AS n",
+]
+
+
+def _outcome(g, q):
+    """The rows in order with their counts (true and 1 kept apart), or the error."""
+    try:
+        rows = engine.output(q, g).rows()
+        return [(sorted((f, canon(v)) for f, v in u.items()), c) for u, c in rows]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "span", None)
+
+
+def _merge_cases():
+    g = _twin_graph()
+    return [(g, parse_query(q)) for q in MERGE_SHAPES] + [gen_case(GenConfig(seed=s)) for s in range(2000)]
+
+
+def test_add_among_merges_as_keying_every_row_does(monkeypatch):
+    cases = _merge_cases()
+    want = [_outcome(g, q) for g, q in cases]
+    monkeypatch.setattr(Table, "add_among", lambda self, u, count, among, fields: self.add(u, count))
+    assert [_outcome(g, q) for g, q in cases] == want
+
+
+@pytest.mark.parametrize("query", [MERGE_SHAPES[0], MERGE_SHAPES[3]], ids=["twins", "unwind"])
+def test_the_ablation_graph_catches_an_add_among_that_never_merges(monkeypatch, query):
+    g, q = _twin_graph(), parse_query(query)
+    want = _outcome(g, q)
+    _plant_add_among_never_merging(monkeypatch)
+    assert _outcome(g, q) != want

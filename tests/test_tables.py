@@ -215,9 +215,13 @@ def test_uniformity_is_checked_on_the_new_row_path():
     t = Table(["a"])
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
+    with pytest.raises(AssertionError):
+        t.add_among({"b": 1}, 1, {}, ("b",))
     t.add({"a": 1})
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
+    with pytest.raises(AssertionError):
+        t.add_among({"b": 1}, 1, {}, ("b",))
 
 
 def test_a_repeated_new_row_is_caught_when_the_index_is_built():
@@ -244,13 +248,30 @@ def test_an_exact_path_of_exact_ids_is_its_own_key():
 
 def test_positions():
     t = Table(["a"])
-    assert t.add_new({"a": 1}) == 0
-    assert t.add_new({"a": 2}, 3) == 1
-    t.add_at(0)  # a merge into the row at position 0, as a twinned witness makes
-    t.add_at(1, 2)
+    among = {}
+    t.add_among({"a": 1}, 1, among, ("a",))
+    t.add_among({"a": 2}, 3, among, ("a",))
+    assert list(t.rows()) == [({"a": 1}, 1), ({"a": 2}, 3)]
+    t.add_among({"a": 1}, 1, among, ("a",))  # merged at the first, as a twinned witness is
+    t.add_among({"a": 2}, 2, among, ("a",))
     assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 5)]
-    assert t.add({"a": 3}) == 2
-    assert t.add({"a": 1}, 4) == 0
-    assert t.add_new({"a": 4}) == 3  # keyed, once there is an index
+    t.add({"a": 3})
+    t.add({"a": 1}, 4)
+    t.add_new({"a": 4})  # keyed, once there is an index
     assert list(t.rows()) == [({"a": 1}, 6), ({"a": 2}, 5), ({"a": 3}, 1), ({"a": 4}, 1)]
-    assert t == Table(["a"], [{"a": 1}] * 6 + [{"a": 2}] * 5 + [{"a": 3}, {"a": 4}])
+    t.add_among({"a": 5}, 1, among, ("a",))  # keyed too, and its position entered in among
+    t.add_among({"a": 5}, 2, among, ("a",))
+    assert list(t.rows())[-1] == ({"a": 5}, 3)
+    assert t == Table(["a"], [{"a": 1}] * 6 + [{"a": 2}] * 5 + [{"a": 3}, {"a": 4}] + [{"a": 5}] * 3)
+
+
+def test_add_among_merges_only_within_its_map():
+    # rows entered through another map are not looked at
+    t = Table(["a", "x"])
+    first, second = {}, {}
+    for among in (first, second, first):
+        t.add_among({"a": 1, "x": True}, 1, among, ("x",))
+    t.add_among({"a": 1, "x": 1}, 1, first, ("x",))  # true and 1 stay two rows
+    assert [c for _, c in t.rows()] == [2, 1, 1]
+    with pytest.raises(AssertionError, match="already in the table"):
+        t.multiplicity({"a": 1, "x": True})  # the caller broke add_among's contract
