@@ -211,16 +211,27 @@ def _build_run_parser() -> _ArgumentParser:
     return p
 
 
+def _count(text: str) -> int:
+    """An option value that counts something: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _build_gen_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="minicypher gen",
                         description="Differential testing against the reference implementation.")
-    p.add_argument("--cases", type=int, default=100, metavar="N",
+    p.add_argument("--cases", type=_count, default=100, metavar="N",
                    help="number of generated cases (default: 100)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="base seed; case i uses seed+i (default: 0)")
     p.add_argument("--out", metavar="DIR", default="failures",
                    help="directory for serialized disagreements (default: failures)")
-    p.add_argument("--max-failures", type=int, default=10, metavar="N",
+    p.add_argument("--max-failures", type=_count, default=10, metavar="N",
                    help="stop after this many disagreements (default: 10)")
     return p
 

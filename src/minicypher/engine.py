@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import ast
 from .ast import free_vars
-from .errors import AliasClash, NameClash, StarOnEmptyFields
+from .errors import AliasClash, FieldMismatch, NameClash, StarOnEmptyFields
 from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
 from .matcher import match_tuple, plan_match
@@ -133,7 +133,12 @@ def run_query(
             q = q.left
         out = run_query(q, g, t, functions)
         for union in reversed(chain):
-            combined = bag_union(out, run_query(union.right, g, t, functions))
+            right = run_query(union.right, g, t, functions)
+            try:
+                combined = bag_union(out, right)
+            except FieldMismatch as exc:
+                exc.span = union.right.span  # the branch whose fields differ
+                raise
             out = combined if union.all else distinct(combined)
         return out
     if isinstance(q, ast.ClauseQuery):

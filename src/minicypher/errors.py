@@ -73,7 +73,9 @@ class EvalError(CypherError):
     """An expression has no semantic rule for the values it was given.
 
     ``kind`` is one of ``TypeMismatch``, ``UnknownName``, ``UnknownFunction``,
-    ``ArityMismatch``, ``TooDeep`` (a literal nests past ``values.MAX_DEPTH``).
+    ``ArityMismatch``, ``TooDeep`` (a literal nests past ``values.MAX_DEPTH``),
+    ``TooLarge`` (an arithmetic result has more than ``values.MAX_DIGITS``
+    digits).
     """
 
     def __init__(self, kind: str, message: str, span: Span | None = None):

@@ -10,15 +10,25 @@ ordinary evaluator in both implementations — the differential target is
 the matching and table algebra, and the evaluator is verified separately
 by its own exhaustive suites.
 
+The slot rules are stated once, in `_read`: one pass over a path under a
+rigid choice, in pattern order, checks labels, relationship types and
+orientation, forces the names the path binds, and lists the property
+checks.  The witnesses are enumerated once, by `_witnesses`: every rigid
+pattern tuple and path tuple with cross-path-distinct relationships that
+`_read` accepts, path by path, each with the extension of its input
+assignment that it forces.  `oracle_match` keeps the extensions whose
+checks hold and counts them.
+
 `exhaustive_match` goes one step further for very small inputs: instead of
-deriving the unique candidate assignment from each witness pair, it tries
-every assignment built from path components and counts satisfaction.  It
+deriving the unique candidate assignment from each witness, it tries every
+assignment built from path components and runs the same enumeration under
+it, where a witness forces nothing new and only agrees or disagrees.  It
 exists to cross-check the derivation logic and is exponential.
 
 The satisfaction relation on concrete paths (`satisfies_path`,
-`satisfies_node`) and rigid expansion (`rigid_patterns`) live here too,
-composed from the same rule-by-rule helpers as `oracle_match`, so each
-slot rule is stated once and none is borrowed from the matcher.
+`satisfies_node`) and rigid expansion (`rigid_patterns`) live here too:
+`satisfies_path` is `_read` under a complete assignment, so no slot rule
+is borrowed from the matcher.
 
 `gen_case` produces deterministic pseudo-random (graph, query) cases. The
 generator is biased toward the sharp corners: zero-length ranges, repeated
@@ -138,115 +148,81 @@ def _seg_choices(rel_pats: tuple[ast.RelPattern, ...], max_total: int) -> list[t
 # ---------------------------------------------------------------------------
 
 
-def _struct_ok(
+def _read(
     pat: ast.PathPattern,
     seg: tuple[int, ...],
     nodes: tuple[NodeId, ...],
     rels: tuple[RelId, ...],
     g: PropertyGraph,
-) -> bool:
-    """Labels, relationship types, and endpoint orientation per direction."""
-    node_pats = pat.node_patterns()
-    rel_pats = pat.rel_patterns()
-    pos = 0
-    for i, chi in enumerate(node_pats):
-        if chi.labels and not chi.labels <= g.labels(nodes[pos]):
-            return False
-        if i == len(rel_pats):
-            break
-        rho = rel_pats[i]
-        for j in range(seg[i]):
-            r = rels[pos + j]
-            a, b = nodes[pos + j], nodes[pos + j + 1]
-            if rho.direction == ast.RIGHT:
-                if not (g.src(r) == a and g.tgt(r) == b):
-                    return False
-            elif rho.direction == ast.LEFT:
-                if not (g.src(r) == b and g.tgt(r) == a):
-                    return False
-            else:
-                if not ((g.src(r) == a and g.tgt(r) == b) or (g.src(r) == b and g.tgt(r) == a)):
-                    return False
-            if rho.types and g.rel_type(r) not in rho.types:
-                return False
-        pos += seg[i]
-    return True
-
-
-def _derive(
-    pat: ast.PathPattern,
-    seg: tuple[int, ...],
-    nodes: tuple[NodeId, ...],
-    rels: tuple[RelId, ...],
-) -> Optional[dict]:
-    """The unique name assignment a witness pair forces, or None when the
-    same name would need two different values."""
-    cand: dict = {}
-
-    def put(name: str, value) -> bool:
-        if name in cand:
-            return same_value(cand[name], value)
-        cand[name] = value
-        return True
-
-    node_pats = pat.node_patterns()
-    rel_pats = pat.rel_patterns()
-    pos = 0
-    for i, chi in enumerate(node_pats):
-        if chi.name is not None and not put(chi.name, nodes[pos]):
-            return None
-        if i == len(rel_pats):
-            break
-        rho = rel_pats[i]
-        m = seg[i]
-        if rho.name is not None:
-            value = rels[pos] if rho.range_ is None else tuple(rels[pos:pos + m])
-            if not put(rho.name, value):
-                return None
-        pos += m
-    if pat.name is not None and not put(pat.name, Path(nodes, rels)):
-        return None
-    return cand
-
-
-def _names_ok(
-    pat: ast.PathPattern,
-    seg: tuple[int, ...],
-    nodes: tuple[NodeId, ...],
-    rels: tuple[RelId, ...],
-    assignment: Record,
-) -> bool:
-    """The name conditions of the rules under a complete assignment."""
-    derived = _derive(pat, seg, nodes, rels)
-    if derived is None:
-        return False
-    return all(
-        name in assignment and same_value(assignment[name], value)
-        for name, value in derived.items()
-    )
-
-
-def _prop_check_list(
-    pat: ast.PathPattern,
-    seg: tuple[int, ...],
-    nodes: tuple[NodeId, ...],
-    rels: tuple[RelId, ...],
-) -> list[tuple]:
+    u: Record,
+) -> Optional[tuple[Record, list[tuple]]]:
+    """Read the path (nodes, rels) as pat with seg[i] hops in slot i, in
+    pattern order: labels, relationship types and endpoint orientation per
+    direction must hold, and every name the path forces must agree with u
+    and with itself.  Returns (u extended by the forced names, the property
+    checks as (id, props) in pattern order), or None."""
+    forced: list[tuple[str, object]] = []
     checks: list[tuple] = []
-    node_pats = pat.node_patterns()
     rel_pats = pat.rel_patterns()
     pos = 0
-    for i, chi in enumerate(node_pats):
+    for i, chi in enumerate(pat.node_patterns()):
+        n = nodes[pos]
+        if chi.labels and not chi.labels <= g.labels(n):
+            return None
+        if chi.name is not None:
+            forced.append((chi.name, n))
         if chi.props:
-            checks.append((nodes[pos], chi.props))
+            checks.append((n, chi.props))
         if i == len(rel_pats):
             break
-        rho = rel_pats[i]
-        if rho.props:
-            for j in range(seg[i]):
-                checks.append((rels[pos + j], rho.props))
-        pos += seg[i]
-    return checks
+        rho, end = rel_pats[i], pos + seg[i]
+        for j in range(pos, end):
+            r, a, b = rels[j], nodes[j], nodes[j + 1]
+            s, t = g.src(r), g.tgt(r)  # forward unless it points left, backward unless right
+            if not (rho.direction != ast.LEFT and s == a and t == b
+                    or rho.direction != ast.RIGHT and s == b and t == a):
+                return None
+            if rho.types and g.rel_type(r) not in rho.types:
+                return None
+            if rho.props:
+                checks.append((r, rho.props))
+        if rho.name is not None:
+            forced.append((rho.name, rels[pos] if rho.range_ is None else rels[pos:end]))
+        pos = end
+    if pat.name is not None:
+        forced.append((pat.name, Path(nodes, rels)))
+    v = dict(u)
+    for name, value in forced:
+        old = v.setdefault(name, value)
+        if not (old is value or same_value(old, value)):  # ids are interned
+            return None
+    return v, checks
+
+
+def _witnesses(
+    pats: ast.PatternTuple,
+    g: PropertyGraph,
+    u: Record,
+    walks: dict[int, list[Walk]],
+) -> Iterator[tuple[Record, list[tuple]]]:
+    """(u extended by the forced names, the property checks) for every rigid
+    pattern tuple and path tuple with cross-path-distinct relationships that
+    `_read` accepts, path by path, hop choices before walks."""
+    choices = [_seg_choices(pat.rel_patterns(), len(g.rels)) for pat in pats.paths]
+
+    def rec(i: int, used: frozenset[RelId], v: Record, checks: list[tuple]) -> Iterator:
+        if i == len(pats.paths):
+            yield v, checks
+            return
+        pat = pats.paths[i]
+        for seg in choices[i]:
+            for nodes, rels in walks[sum(seg)]:
+                if used.isdisjoint(rels):
+                    read = _read(pat, seg, nodes, rels, g, v)
+                    if read is not None:
+                        yield from rec(i + 1, used.union(rels), read[0], checks + read[1])
+
+    return rec(0, frozenset(), u, [])
 
 
 def _eval_checks(
@@ -271,15 +247,15 @@ def satisfies_path(
 ) -> bool:
     """(p, g, u) satisfies pat: relationships pairwise distinct and some
     segmentation of p into the slots obeys every rule under the complete
-    assignment u.  Property checks run last, per segmentation in order."""
+    assignment u, forcing no name u lacks.  Property checks run last, per
+    segmentation in order."""
     if len(set(p.rels)) != len(p.rels):
         return False
     for seg in _seg_choices(pat.rel_patterns(), len(p.rels)):
         if sum(seg) != len(p.rels):
             continue
-        if (_names_ok(pat, seg, p.nodes, p.rels, u)
-                and _struct_ok(pat, seg, p.nodes, p.rels, g)
-                and _eval_checks(_prop_check_list(pat, seg, p.nodes, p.rels), g, u, functions)):
+        read = _read(pat, seg, p.nodes, p.rels, g, u)
+        if read is not None and len(read[0]) == len(u) and _eval_checks(read[1], g, u, functions):
             return True
     return False
 
@@ -339,50 +315,13 @@ def oracle_match(
 
     Enumerate every rigid pattern tuple (one hop-count choice per slot) and
     every path tuple of matching lengths with cross-path-distinct
-    relationships; each structurally satisfied pair forces exactly one
-    binding extension and contributes one to its multiplicity.
+    relationships; each satisfied pair forces exactly one binding extension
+    and contributes one to its multiplicity.
     """
     new_fields = tuple(sorted(free_vars(pats) - set(u.keys())))
-    found: list[tuple[Record, int]] = []
-    walks = _all_walks(g)
-    max_hops = len(g.rels)
-    paths = pats.paths
-
-    def rec(i: int, used: frozenset[RelId], cand: dict, checks: list[tuple]) -> None:
-        if i == len(paths):
-            assignment = {**u, **cand}
-            if _eval_checks(checks, g, assignment, functions):
-                found.append(({f: cand[f] for f in new_fields}, 1))
-            return
-        pat = paths[i]
-        for seg in _seg_choices(pat.rel_patterns(), max_hops):
-            for nodes, rels in walks[sum(seg)]:
-                if used & set(rels):
-                    continue
-                if not _struct_ok(pat, seg, nodes, rels, g):
-                    continue
-                derived = _derive(pat, seg, nodes, rels)
-                if derived is None:
-                    continue
-                merged = dict(cand)
-                conflict = False
-                for name, value in derived.items():
-                    if name in u:
-                        if not same_value(u[name], value):
-                            conflict = True
-                            break
-                    elif name in merged:
-                        if not same_value(merged[name], value):
-                            conflict = True
-                            break
-                    else:
-                        merged[name] = value
-                if conflict:
-                    continue
-                rec(i + 1, used | set(rels), merged,
-                    checks + _prop_check_list(pat, seg, nodes, rels))
-
-    rec(0, frozenset(), {}, [])
+    found = [({f: v[f] for f in new_fields}, 1)
+             for v, checks in _witnesses(pats, g, u, _all_walks(g))
+             if _eval_checks(checks, g, v, functions)]
     return Bag(new_fields, found)
 
 
@@ -396,55 +335,22 @@ def exhaustive_match(
 
     Tries every assignment of path components to the unbound names instead
     of deriving the forced one, then counts the witnessing (rigid pattern,
-    path tuple) pairs per assignment.  Exists to validate `oracle_match`'s
-    derivation step; exponential in everything.
+    path tuple) pairs per assignment: under a complete assignment a witness
+    forces nothing new, it only agrees or not.  Exists to validate
+    `oracle_match`'s derivation step; exponential in everything.
     """
     new_fields = tuple(sorted(free_vars(pats) - set(u.keys())))
     walks = _all_walks(g)
-    max_hops = len(g.rels)
-
-    pool: list = list(g.nodes) + list(g.rels)
-    for h, ws in walks.items():
-        for nodes, rels in ws:
-            pool.append(Path(nodes, rels))
-    for k in range(max_hops + 1):
-        for seq in itertools.permutations(g.rels, k):
-            pool.append(tuple(seq))
-
-    def witness_tuples() -> Iterator[list[tuple]]:
-        """Yield [(pat, seg, nodes, rels)] with cross-path-distinct rels."""
-
-        def rec(i: int, used: frozenset[RelId], acc: list[tuple]) -> Iterator[list[tuple]]:
-            if i == len(pats.paths):
-                yield list(acc)
-                return
-            pat = pats.paths[i]
-            for seg in _seg_choices(pat.rel_patterns(), max_hops):
-                for nodes, rels in walks[sum(seg)]:
-                    if used & set(rels):
-                        continue
-                    acc.append((pat, seg, nodes, rels))
-                    yield from rec(i + 1, used | set(rels), acc)
-                    acc.pop()
-
-        yield from rec(0, frozenset(), [])
+    pool: list = [*g.nodes, *g.rels]
+    pool += [Path(nodes, rels) for ws in walks.values() for nodes, rels in ws]
+    pool += [seq for k in range(len(g.rels) + 1) for seq in itertools.permutations(g.rels, k)]
 
     found: list[tuple[Record, int]] = []
     for values in itertools.product(pool, repeat=len(new_fields)):
         extension = dict(zip(new_fields, values))
         assignment = {**u, **extension}
-        count = 0
-        for witness in witness_tuples():
-            checks: list[tuple] = []
-            ok = True
-            for pat, seg, nodes, rels in witness:
-                if not (_names_ok(pat, seg, nodes, rels, assignment)
-                        and _struct_ok(pat, seg, nodes, rels, g)):
-                    ok = False
-                    break
-                checks.extend(_prop_check_list(pat, seg, nodes, rels))
-            if ok and _eval_checks(checks, g, assignment, functions):
-                count += 1
+        count = sum(_eval_checks(checks, g, v, functions)
+                    for v, checks in _witnesses(pats, g, assignment, walks))
         if count:
             found.append((extension, count))
     return Bag(new_fields, found)

@@ -185,6 +185,12 @@ Value = Union[None, bool, int, str, NodeId, RelId, tuple, Map, Path]
 # this bound keeps every walk well under Python's recursion limit.
 MAX_DEPTH = 200
 
+# The most decimal digits an integer value has: the most int() converts
+# from text, which a literal already meets in the parser, so every integer
+# renders.  plus/minus/mult raise TooLarge past it.
+MAX_DIGITS = 4300
+_TOO_LARGE = 10 ** MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
+
 # Each kind's Python type, in the order a subclass instance is tried
 # against them: bool before int, because bool <: int.
 KINDS: tuple[tuple[type, str], ...] = (
@@ -264,7 +270,10 @@ def _arith(name: str, op: Callable[[int, int], int]) -> Callable[..., Value]:
             raise type_mismatch(f"{name}() expects integers")
         if kinds != ("int", "int"):
             raise type_mismatch(f"{name}() expects integers, got {a!r}, {b!r}")
-        return op(a, b)
+        n = op(a, b)
+        if -_TOO_LARGE < n < _TOO_LARGE:
+            return n
+        raise EvalError("TooLarge", f"{name}() result has more than {MAX_DIGITS} digits")
 
     return fn
 

@@ -147,6 +147,26 @@ def test_huge_integer_literal_exits_1_with_caret(capsys):
     assert caret.index("^") - text.index(query) == 7
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle"], ["--format", "json"]])
+def test_integer_past_the_digit_bound_exits_2_with_caret(capsys, flags):
+    # 10 squared 12 times has 4097 digits and renders; squared once more it
+    # would have 8193, past values.MAX_DIGITS: TooLarge at the call
+    def squared(times):
+        return " ".join(["WITH 10 AS x", *["WITH mult(x, x) AS x"] * times, "RETURN x"])
+
+    rc, out, err = run(capsys, "--query", squared(12), *flags)
+    assert (rc, err) == (0, "")
+    assert str(10 ** 4096) in out
+    query = squared(13)
+    rc, out, err = run(capsys, "--query", query, *flags)
+    assert (rc, out) == (2, "")
+    first, text, caret = err.splitlines()
+    start = query.rindex("mult(x, x)")
+    assert first == f"evaluation error: TooLarge: mult() result has more than {values.MAX_DIGITS} digits at offset {start}"
+    assert caret.index("^") - text.index(query) == start
+    assert caret.count("^") == len("mult(x, x)")
+
+
 def test_eval_error_exits_2(capsys):
     rc, _, err = run(capsys, "--query", "RETURN 1 < 'a'")
     assert rc == 2
@@ -181,6 +201,9 @@ def test_alias_clash_exits_2(capsys):
     # the UNWIND clause
     ("MATCH (a) UNWIND [1] AS a RETURN a", "NameClash: UNWIND alias `a` is already a field",
      10, len("UNWIND [1] AS a")),
+    # the right-hand branch of the UNION
+    ("RETURN 1 AS x UNION RETURN 1 AS y", "FieldMismatch: field sets differ: ['x'] vs ['y']",
+     20, len("RETURN 1 AS y")),
 ])
 def test_clash_errors_exit_2_with_caret(capsys, query, first, start, width):
     rc, out, err = run(capsys, "--query", query)
@@ -433,8 +456,10 @@ def test_gen_subcommand_agrees(capsys, tmp_path):
 
 
 def test_gen_rejects_bad_flags(capsys):
-    rc, _, _ = run(capsys, "gen", "--cases", "many")
-    assert rc == 64
+    for flag, value in [("--cases", "many"), ("--cases", "1.5"), ("--cases", "-3"), ("--max-failures", "-1")]:
+        rc, out, err = run(capsys, "gen", flag, value)
+        assert (rc, out) == (64, "")
+        assert f"argument {flag}: expected a non-negative integer, got '{value}'" in err
 
 
 class _One(IntEnum):

@@ -173,6 +173,9 @@ def test_exhaustive_agrees_on_tiny_graphs():
         "(x)-[*0..2]->(y)",
         "(x)-[q]->(x)",
         "p = (x)-[*1..2]->(y)",
+        "(x)-[q*0..2]->()",  # a named ranged slot: its value is a relationship list
+        "(x)-[]->(y), (y)-[]->(x)",  # a two-path tuple
+        "(x {k: 1})-[q]-()",
     ]
     for g in small_graphs():
         for source in sources:
@@ -184,9 +187,10 @@ def test_exhaustive_agrees_on_tiny_graphs():
 
 def test_exhaustive_agrees_with_bound_input():
     g = small_graphs()[2]
-    pats = parse_pattern_tuple("(x)-[q]->(y)")
-    u = {"x": NodeId("n1")}
-    assert exhaustive_match(pats, g, u) == match_tuple(pats, g, u)
+    for source, u in [("(x)-[q]->(y)", {"x": NodeId("n1")}),
+                      ("(x)-[]->(y), (y)-[]->(z)", {"z": NodeId("n2")})]:
+        pats = parse_pattern_tuple(source)
+        assert exhaustive_match(pats, g, u) == match_tuple(pats, g, u), source
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from minicypher.errors import EvalError
 from minicypher.tables import Table
 from minicypher.values import (
     BASE_FUNCTIONS,
+    MAX_DIGITS,
     Map,
     NodeId,
     Path,
@@ -223,3 +224,16 @@ def test_custom_registry_extends_base():
 def test_arithmetic_is_unbounded():
     big = 10 ** 40
     assert apply_base_fn("mult", (big, big)) == big * big
+
+
+def test_arithmetic_results_stop_at_the_digit_bound():
+    # the longest integers that render are MAX_DIGITS digits, of either sign
+    top = 10 ** MAX_DIGITS - 1
+    assert apply_base_fn("plus", (top - 1, 1)) == top
+    assert apply_base_fn("minus", (-top + 1, 1)) == -top
+    assert len(str(apply_base_fn("mult", (-top, 1)))) == MAX_DIGITS + 1
+    for name, args in [("plus", (top, 1)), ("minus", (-top, 1)), ("mult", (top, -top)),
+                       ("mult", (10 ** 2150, 10 ** 2150))]:
+        with pytest.raises(EvalError) as exc:
+            apply_base_fn(name, args)
+        assert (exc.value.kind, exc.value.message) == ("TooLarge", f"{name}() result has more than {MAX_DIGITS} digits")
