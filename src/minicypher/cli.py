@@ -314,9 +314,10 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _gen(args: argparse.Namespace) -> int:
-    disagreements = 0
-    for i in range(args.cases):
-        cfg = GenConfig(seed=args.seed + i)
+    disagreements = ran = 0
+    for seed in range(args.seed, args.seed + args.cases):
+        ran += 1
+        cfg = GenConfig(seed=seed)
         g, q = gen_case(cfg)
         ok, detail = differential_case(g, q)
         if ok:
@@ -333,7 +334,7 @@ def _gen(args: argparse.Namespace) -> int:
         if disagreements >= args.max_failures:
             print("too many disagreements; stopping early", file=sys.stderr)
             break
-    print(f"cases: {args.cases}  disagreements: {disagreements}")
+    print(f"cases: {ran}  disagreements: {disagreements}")
     return EXIT_OK if disagreements == 0 else EXIT_DISAGREE
 
 

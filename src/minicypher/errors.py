@@ -89,9 +89,9 @@ class EvalError(CypherError):
         return f"{self.kind}: {self.message}{where}"
 
 
-def type_mismatch(message: str, span: Span | None = None) -> EvalError:
-    return EvalError("TypeMismatch", message, span)
+def type_mismatch(message: str) -> EvalError:
+    return EvalError("TypeMismatch", message)
 
 
-def unknown_name(name: str, span: Span | None = None) -> EvalError:
-    return EvalError("UnknownName", f"name `{name}` is not bound", span)
+def unknown_name(name: str) -> EvalError:
+    return EvalError("UnknownName", f"name `{name}` is not bound")

@@ -126,25 +126,25 @@ def is_true(v: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _need(v: Value, kinds: tuple[str, ...], what: str, noun: str, span) -> Value:
+def _need(v: Value, kinds: tuple[str, ...], what: str, noun: str) -> Value:
     """``v`` itself when its kind is one of ``kinds``, else the TypeMismatch
     "<what> expects <noun>, got <kind>"."""
     k = kind(v)
     if k in kinds:
         return v
-    raise type_mismatch(f"{what} expects {noun}, got {k}", span)
+    raise type_mismatch(f"{what} expects {noun}, got {k}")
 
 
-def _as_trilean(v: Value, what: str, span) -> Trilean:
-    return _need(v, ("null", "bool"), what, "booleans", span)
+def _as_trilean(v: Value, what: str) -> Trilean:
+    return _need(v, ("null", "bool"), what, "booleans")
 
 
-def _need_list(v: Value, what: str, span) -> tuple:
-    return _need(v, ("list",), what, "a list", span)
+def _need_list(v: Value, what: str) -> tuple:
+    return _need(v, ("list",), what, "a list")
 
 
-def _need_int(v: Value, what: str, span) -> int:
-    return _need(v, ("int",), what, "an integer", span)
+def _need_int(v: Value, what: str) -> int:
+    return _need(v, ("int",), what, "an integer")
 
 
 # Each binary connective: its keyword in ast.OPERATORS (for type errors) and its truth table.
@@ -159,55 +159,50 @@ def eval_expr(
     u: Record,
     functions: FunctionRegistry | None = None,
 ) -> Value:
+    """The value of ``e``.  An EvalError takes the span of the innermost
+    expression whose own rule raised it: each rule raises unplaced, and
+    the error is placed here (or, for a chained operator, in
+    ``_eval_chain``) unless an inner expression already placed it."""
     if type(e) in _CHAIN_RULES:
         return _eval_chain(e, g, u, functions)
+    try:
+        if isinstance(e, ast.Lit):
+            return e.value
 
-    if isinstance(e, ast.Lit):
-        return e.value
+        if isinstance(e, ast.Name):
+            if e.name not in u:
+                raise unknown_name(e.name)
+            return u[e.name]
 
-    if isinstance(e, ast.Name):
-        if e.name not in u:
-            raise unknown_name(e.name, e.span)
-        return u[e.name]
-
-    if isinstance(e, ast.FnCall):
-        args = tuple(eval_expr(a, g, u, functions) for a in e.args)
-        try:
+        if isinstance(e, ast.FnCall):
+            args = tuple(eval_expr(a, g, u, functions) for a in e.args)
             return apply_base_fn(e.name, args, functions)
-        except EvalError as exc:
-            if exc.span is None:
-                exc.span = e.span
-            raise
 
-    if isinstance(e, ast.MapLit):
-        # Evaluate every entry (so errors in shadowed entries still surface),
-        # then keep only the last occurrence of each key.
-        evaluated = [(k, eval_expr(sub, g, u, functions)) for k, sub in e.entries]
-        last: dict[str, Value] = {}
-        for k, v in evaluated:
-            last[k] = v
-        return _shallow(Map(tuple(last.items())), last.values(), e.span)
+        if isinstance(e, ast.MapLit):
+            # Evaluate every entry (so errors in shadowed entries still surface);
+            # the last occurrence of each key wins.
+            last = {k: eval_expr(sub, g, u, functions) for k, sub in e.entries}
+            return _shallow(Map(tuple(last.items())), last.values())
 
-    if isinstance(e, ast.ListLit):
-        items = tuple(eval_expr(sub, g, u, functions) for sub in e.items)
-        return _shallow(items, items, e.span)
+        if isinstance(e, ast.ListLit):
+            items = tuple(eval_expr(sub, g, u, functions) for sub in e.items)
+            return _shallow(items, items)
 
-    if isinstance(e, ast.Not):
-        return tri_not(_as_trilean(eval_expr(e.expr, g, u, functions), "NOT", e.span))
+        if isinstance(e, ast.Not):
+            return tri_not(_as_trilean(eval_expr(e.expr, g, u, functions), "NOT"))
 
-    if isinstance(e, ast.Cmp):
-        left = eval_expr(e.left, g, u, functions)
-        right = eval_expr(e.right, g, u, functions)
-        try:
+        if isinstance(e, ast.Cmp):
+            left = eval_expr(e.left, g, u, functions)
+            right = eval_expr(e.right, g, u, functions)
             if e.op == "=":
                 return eq_values(left, right)
             if e.op == "<>":
                 return tri_not(eq_values(left, right))
             return compare_values(e.op, left, right)
-        except EvalError as exc:
-            if exc.span is None:
-                exc.span = e.span
-            raise
+    except EvalError as exc:
+        if exc.span is None:
+            exc.span = e.span
+        raise
 
     raise TypeError(f"not an expression: {e!r}")
 
@@ -215,7 +210,7 @@ def eval_expr(
 _FLAT = frozenset({type(None), bool, int, str, NodeId, RelId, Path})  # exact types holding no value
 
 
-def _shallow(v: Value, elements, span) -> Value:
+def _shallow(v: Value, elements) -> Value:
     """v, a list or map just built from elements, unless it nests deeper
     than MAX_DEPTH: walked level by level when an element holds a value,
     each element shared within a level once."""
@@ -226,7 +221,7 @@ def _shallow(v: Value, elements, span) -> Value:
         level = {id(y): y for x in level.values()
                  for y in ((w for _, w in x.entries) if isinstance(x, Map) else x)
                  if isinstance(y, (tuple, Map))}
-    raise EvalError("TooDeep", f"value nests deeper than {MAX_DEPTH} levels", span)
+    raise EvalError("TooDeep", f"value nests deeper than {MAX_DEPTH} levels")
 
 
 def _eval_chain(e: ast.Expr, g: PropertyGraph, u: Record, functions: FunctionRegistry | None) -> Value:
@@ -239,7 +234,12 @@ def _eval_chain(e: ast.Expr, g: PropertyGraph, u: Record, functions: FunctionReg
         e = getattr(e, ast.LEFT_OPERAND[type(e)])
     v = eval_expr(e, g, u, functions)
     for node in reversed(chain):
-        v = _CHAIN_RULES[type(node)](node, v, g, u, functions)
+        try:
+            v = _CHAIN_RULES[type(node)](node, v, g, u, functions)
+        except EvalError as exc:  # placed as eval_expr places it
+            if exc.span is None:
+                exc.span = node.span
+            raise
     return v
 
 
@@ -254,12 +254,12 @@ def _prop(e: ast.Prop, base: Value, g: PropertyGraph, u: Record, functions) -> V
         return g.prop(base, e.key)
     if k == "map":
         return base.get(e.key)  # null when the key is absent
-    raise type_mismatch(f"cannot read property `{e.key}` of a {k}", e.span)
+    raise type_mismatch(f"cannot read property `{e.key}` of a {k}")
 
 
 def _index(e: ast.Index, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
-    base = _need_list(base, "indexing", e.span)
-    i = _need_int(eval_expr(e.index, g, u, functions), "indexing", e.span)
+    base = _need_list(base, "indexing")
+    i = _need_int(eval_expr(e.index, g, u, functions), "indexing")
     m = len(base)
     if 0 <= i < m:
         return base[i]
@@ -269,10 +269,10 @@ def _index(e: ast.Index, base: Value, g: PropertyGraph, u: Record, functions) ->
 
 
 def _slice(e: ast.Slice, base: Value, g: PropertyGraph, u: Record, functions) -> Value:
-    base = _need_list(base, "slicing", e.span)
+    base = _need_list(base, "slicing")
     m = len(base)
-    lo = 0 if e.lo is None else _need_int(eval_expr(e.lo, g, u, functions), "slicing", e.span)
-    hi = m if e.hi is None else _need_int(eval_expr(e.hi, g, u, functions), "slicing", e.span)
+    lo = 0 if e.lo is None else _need_int(eval_expr(e.lo, g, u, functions), "slicing")
+    hi = m if e.hi is None else _need_int(eval_expr(e.hi, g, u, functions), "slicing")
     i = lo if lo >= 0 else m + lo
     j = hi if hi >= 0 else m + hi
     if i <= j and i < m and j > 0:
@@ -281,20 +281,15 @@ def _slice(e: ast.Slice, base: Value, g: PropertyGraph, u: Record, functions) ->
 
 
 def _in_list(e: ast.InList, item: Value, g: PropertyGraph, u: Record, functions) -> Value:
-    container = _need_list(eval_expr(e.container, g, u, functions), "IN", e.span)
-    try:
-        ts = [eq_values(item, w) for w in container]
-    except EvalError as exc:
-        if exc.span is None:
-            exc.span = e.span
-        raise
+    container = _need_list(eval_expr(e.container, g, u, functions), "IN")
+    ts = [eq_values(item, w) for w in container]
     return reduce(tri_or, ts, False)  # the OR-fold: false on the empty list
 
 
 def _str_op(e: ast.StrOp, left: Value, g: PropertyGraph, u: Record, functions) -> Value:
     right = eval_expr(e.right, g, u, functions)
     for v in (left, right):
-        _need(v, ("null", "str"), e.op, "strings", e.span)
+        _need(v, ("null", "str"), e.op, "strings")
     if left is None or right is None:
         return None
     if e.op == "STARTS WITH":
@@ -306,8 +301,8 @@ def _str_op(e: ast.StrOp, left: Value, g: PropertyGraph, u: Record, functions) -
 
 def _connective(e, left: Value, g: PropertyGraph, u: Record, functions) -> Value:
     word, table = _CONNECTIVES[type(e)]
-    a = _as_trilean(left, word, e.span)
-    b = _as_trilean(eval_expr(e.right, g, u, functions), word, e.span)
+    a = _as_trilean(left, word)
+    b = _as_trilean(eval_expr(e.right, g, u, functions), word)
     return table(a, b)
 
 

@@ -30,14 +30,17 @@ Property-map checks form one list in pattern order (per hop for a ranged
 slot), and the first check that is not trilean true decides a witness.
 After each placement the checks run in that order from the first one not
 yet run, stopping at the first whose slot is not placed yet or that reads
-a name not bound yet:
+a name the input or the pattern binds and the prefix does not bind yet (a
+name nothing binds cannot make a check wait: reading it raises):
 
 * a check that comes out false, null or any non-true value prunes the
   prefix, since every completion would fail on it;
 * a check that raises is held, every later check is left alone, and the
   error is raised at the first structural completion below the prefix
-  (no completion, no error);
-* the checks still waiting run on each completed witness.
+  (no completion, no error).
+
+So by the time a witness completes, every check has run on it or an
+error is held.
 
 The WHERE of a MATCH clause is one more check, last in the list, so it
 never runs where a pattern check would prune.
@@ -151,7 +154,8 @@ class MatchPlan(NamedTuple):
     fields: tuple[str, ...]  # of the match bag: the pattern's names the input does not bind
     relevant: tuple[str, ...]  # the input fields the bag depends on
     walks: tuple[Walk, ...]
-    groups: tuple[tuple, ...]  # the checks of each element with a property map, then the WHERE's
+    groups: tuple[tuple, ...]  # the checks of each element with a property map, then the WHERE's:
+    # each (key or None, e, the names e waits for)
     placed: tuple  # the search's first ``placed``
     unkeyed: bool  # witnesses enter unkeyed unless they place a twin (see _emit)
     twins: bool  # unnamed slots count the twins they place
@@ -235,9 +239,11 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
         groups.append(((None, where, names),))
         read |= names
         placed += ((None,),)
+    # a check waits only for the names the input or the pattern binds: reading any other raises
+    waits = tuple(tuple([(key, e, names & bound) for key, e, names in checks]) for checks in groups)
     return MatchPlan(
         tuple(sorted(free.difference(fields))), tuple(f for f in fields if f in read or f in free),
-        tuple(walks), tuple(groups), placed + (None,), unkeyed, unkeyed and anonymous)  # placed[-1]
+        tuple(walks), waits, placed + (None,), unkeyed, unkeyed and anonymous)  # placed[-1]
 
 
 class _Search:
@@ -271,7 +277,8 @@ class _Search:
 
     def run(self) -> None:
         if not self.plan.walks:  # the empty tuple has one witness
-            self._complete()
+            if self._checks_pass():
+                self._complete()
             return
         stack: list[_Frame] = [self._anchor(0)]
         while stack:
@@ -464,9 +471,12 @@ class _Search:
         return True
 
     def _complete(self) -> None:
-        if not self.plan.groups or self._checks_pass(final=True):
-            b = self.b
-            self._emit({f: b[f] for f in self.out.fields}, self.twinned)
+        """Raise the error held on the witness's prefix, or emit its row:
+        every check has run by now, unless an error is held."""
+        if self.cursor[3] is not None:
+            raise self.cursor[3]
+        b = self.b
+        self._emit({f: b[f] for f in self.out.fields}, self.twinned)
 
     def _emit(self, row: Record, twin) -> None:
         """Enter a witness's row into the match bag; twin is true when the
@@ -480,19 +490,11 @@ class _Search:
         else:  # only other twinned witnesses can: merged at the first
             out.add_among(row, 1, self.merged, out.fields)
 
-    def _checks_pass(self, final: bool = False) -> bool:
-        """Run the checks that can run now; False when one prunes the prefix.
-
-        On a completed witness (``final``) every check can run, and a held
-        error or a raising check propagates.
-        """
+    def _checks_pass(self) -> bool:
+        """Run the checks that can run now; False when one prunes the prefix."""
         gi, h, ki, held = self.cursor
         groups = self.plan.groups
-        if held is not None:
-            if final:
-                raise held
-            return True
-        if gi == len(groups):
+        if held is not None or gi == len(groups):
             return True
         g, b, placed = self.g, self.b, self.placed
         while gi < len(groups):
@@ -506,7 +508,7 @@ class _Search:
                 continue
             checks = groups[gi]
             key, expr, names = checks[ki]
-            if not final and not b.keys() >= names:
+            if not b.keys() >= names:
                 break
             try:
                 v = eval_expr(expr, g, b, self.functions)
@@ -514,8 +516,6 @@ class _Search:
             except Exception as exc:  # held whatever it is
                 if key is not None and isinstance(exc, EvalError) and exc.span is None:
                     exc.span = expr.span  # the entry's equality raised, as eval_expr places it
-                if final:
-                    raise
                 held = exc
                 break
             if not ok:

@@ -1,5 +1,6 @@
 """Command-line behavior: rendering, exit codes, determinism."""
 
+import itertools
 import json
 from enum import IntEnum
 from pathlib import Path
@@ -11,8 +12,8 @@ from minicypher.cli import _cell_text, main, render_tsv, table_from_counted_json
 from minicypher.engine import output
 from minicypher.errors import EvalError
 from minicypher.graph import load_graph
-from minicypher.oracle import differential_case
-from minicypher.parser import parse_query
+from minicypher.oracle import GenConfig, differential_case, gen_case, load_case
+from minicypher.parser import parse_query, unparse_query
 from minicypher.tables import Table
 from minicypher.values import MAX_DEPTH, Map, NodeId, RelId
 
@@ -214,6 +215,60 @@ def test_clash_errors_exit_2_with_caret(capsys, query, first, start, width):
     assert caret.count("^") == width
 
 
+def _graph_file(tmp_path, nodes=0, rels=0):
+    """A graph of ``nodes`` nodes n1, n2, … named Ann, with ``rels``
+    relationships n1 -> n2 of weight 1."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": f"n{i}", "labels": [], "properties": {"name": "Ann"}} for i in range(1, nodes + 1)],
+        "relationships": [{"id": f"r{i}", "type": "t", "src": "n1", "tgt": "n2", "properties": {"w": 1}}
+                          for i in range(1, rels + 1)],
+    }))
+    return str(path)
+
+
+def _assert_caret_on(err, query, culprit):
+    line, text, caret = err.splitlines()
+    start = query.index(culprit)
+    assert line.endswith(f" at offset {start}")
+    assert caret.index("^") - text.index(query) == start
+    assert caret.count("^") == len(culprit)
+
+
+# (match, whether the pattern needs a relationship): see tests/test_engine.py
+@pytest.mark.parametrize("match,needs_rel", [
+    ("MATCH (a) WHERE zz = 1", False),
+    ("MATCH (a {k: zz})", False),
+    ("MATCH (a)-[r {w: zz}]->(b)", True),
+    ("MATCH (a)-[*1..2 {w: zz}]->(b)", True),
+])
+@pytest.mark.parametrize("optional", [False, True], ids=["match", "optional"])
+def test_a_check_reading_an_unbound_name_exits_2_at_a_completion(capsys, tmp_path, match, needs_rel, optional):
+    query = ("OPTIONAL " if optional else "") + match + " RETURN a"
+    for nodes, rels in [(0, 0), (1, 0), (2, 1)]:
+        rc, out, err = run(capsys, "--graph", _graph_file(tmp_path, nodes, rels), "--query", query)
+        if rels or (nodes and not needs_rel):
+            assert (rc, out) == (2, "")
+            assert err.startswith("evaluation error: UnknownName: name `zz` is not bound")
+            _assert_caret_on(err, query, "zz")
+        else:
+            assert (rc, out, err) == (0, "a\nnull\n" if optional else "a\n", "")
+
+
+@pytest.mark.parametrize("query", [
+    "MATCH (a {name: toUpper(1)}) RETURN a",  # the anchor's own first check
+    "MATCH (a) WHERE a.name = toUpper(1) RETURN a",  # a WHERE seek
+])
+def test_a_seek_whose_key_raises_falls_back_to_the_scan(capsys, tmp_path, query):
+    # The scan runs the check on each node, so it raises where a node exists.
+    rc, out, err = run(capsys, "--graph", _graph_file(tmp_path, 1), "--query", query)
+    assert (rc, out) == (2, "")
+    assert err.startswith("evaluation error: TypeMismatch: toUpper() expects a string")
+    _assert_caret_on(err, query, "toUpper(1)")
+    rc, out, err = run(capsys, "--graph", _graph_file(tmp_path), "--query", query)
+    assert (rc, out, err) == (0, "a\n", "")
+
+
 def test_recursion_exhaustion_exits_70_without_traceback(capsys, monkeypatch):
     # exhausting Python's recursion limit (like any exception that is not a
     # CypherError) is an internal error, not a parse error, and must not
@@ -376,6 +431,22 @@ def test_dangling_endpoint_exits_3(capsys, tmp_path):
     assert "graph error" in err
 
 
+@pytest.mark.parametrize("element", ["node", "relationship"])
+@pytest.mark.parametrize("properties", [[], 5])
+def test_properties_not_an_object_exits_3(capsys, tmp_path, element, properties):
+    doc = {
+        "nodes": [{"id": "n1", "labels": [], "properties": {}}],
+        "relationships": [{"id": "r1", "type": "t", "src": "n1", "tgt": "n1", "properties": {}}],
+    }
+    doc["nodes" if element == "node" else "relationships"][0]["properties"] = properties
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "--graph", str(path), "--query", "RETURN 1 AS one")
+    assert (rc, out) == (3, "")
+    assert err.startswith("graph error: ")
+    assert err.endswith("`properties` must be an object\n")
+
+
 def test_no_query_is_a_usage_error(capsys):
     rc, _, _ = run(capsys, "--graph", CITATION)
     assert rc == 64
@@ -453,6 +524,38 @@ def test_gen_subcommand_agrees(capsys, tmp_path):
     assert out == "cases: 50  disagreements: 0\n"
     assert err == ""
     assert not (tmp_path / "failures").exists()
+
+
+def test_gen_writes_each_disagreement_as_a_replayable_case(capsys, tmp_path, monkeypatch):
+    seeds = itertools.count(5)  # the seed of each case checked, in turn
+
+    def planted(g, q):  # disagrees on seeds 6 and 8
+        agree, detail = differential_case(g, q)
+        return agree and next(seeds) not in (6, 8), detail
+
+    monkeypatch.setattr("minicypher.cli.differential_case", planted)
+    failures = tmp_path / "failures"
+    rc, out, err = run(capsys, "gen", "--cases", "5", "--seed", "5", "--out", str(failures))
+    assert (rc, out) == (4, "cases: 5  disagreements: 2\n")
+    assert sorted(p.name for p in failures.iterdir()) == ["case-6.json", "case-8.json"]
+    for seed in (6, 8):
+        doc = json.loads((failures / f"case-{seed}.json").read_text())
+        g, q = gen_case(GenConfig(seed=seed))
+        replayed_g, replayed_q = load_case(doc)
+        assert doc["seed"] == seed
+        assert unparse_query(replayed_q) == unparse_query(q) == doc["query"]
+        assert replayed_g.to_document() == g.to_document() == doc["graph"]
+        assert f"disagreement at seed {seed}: {doc['query']}\n" in err
+    assert "stopping early" not in err
+
+
+def test_gen_stops_after_max_failures_and_counts_the_cases_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("minicypher.cli.differential_case", lambda g, q: (False, differential_case(g, q)[1]))
+    rc, out, err = run(capsys, "gen", "--cases", "5", "--seed", "0", "--max-failures", "2",
+                       "--out", str(tmp_path))
+    assert (rc, out) == (4, "cases: 2  disagreements: 2\n")
+    assert err.endswith("too many disagreements; stopping early\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case-0.json", "case-1.json"]
 
 
 def test_gen_rejects_bad_flags(capsys):

@@ -12,7 +12,7 @@ from minicypher.errors import (
 )
 from minicypher.engine import output, run_clause, run_query
 from minicypher.graph import load_graph
-from minicypher.oracle import GenConfig, gen_case, oracle_run_query
+from minicypher.oracle import GenConfig, gen_case, oracle_output, oracle_run_query
 from minicypher.parser import parse_query
 from minicypher.tables import Table, unit_table
 from minicypher.values import NodeId, RelId
@@ -77,6 +77,40 @@ def test_match_on_empty_input_stays_empty(teachers):
     got = run_clause(clause_of("MATCH (x)-[:KNOWS]->(y)"), teachers, t)
     assert got.is_empty()
     assert got.fields == ("x", "y")
+
+
+# A check that reads a name neither the input nor the pattern binds raises
+# where it first runs.  The error surfaces at the first structural
+# completion; where there is none, MATCH gives no rows and OPTIONAL MATCH
+# its padded row.  (match, whether the pattern needs a relationship)
+UNBOUND_CHECKS = [
+    ("MATCH (a) WHERE zz = 1", False),
+    ("MATCH (a {k: zz})", False),
+    ("MATCH (a)-[r {w: zz}]->(b)", True),
+    ("MATCH (a)-[*1..2 {w: zz}]->(b)", True),
+]
+NO_NODE = {"nodes": [], "relationships": []}
+ONE_NODE = {"nodes": [{"id": "n1", "labels": [], "properties": {"k": 1}}], "relationships": []}
+ONE_EDGE = {
+    "nodes": [{"id": "n1", "labels": [], "properties": {}}, {"id": "n2", "labels": [], "properties": {}}],
+    "relationships": [{"id": "r1", "type": "t", "src": "n1", "tgt": "n2", "properties": {"w": 1}}],
+}
+
+
+@pytest.mark.parametrize("evaluate", [output, oracle_output], ids=["engine", "oracle"])
+@pytest.mark.parametrize("match,needs_rel", UNBOUND_CHECKS, ids=[m for m, _ in UNBOUND_CHECKS])
+@pytest.mark.parametrize("optional", [False, True], ids=["match", "optional"])
+def test_a_check_reading_an_unbound_name_raises_at_a_completion(evaluate, match, needs_rel, optional):
+    text = ("OPTIONAL " if optional else "") + match + " RETURN a"
+    for doc, completes in [(NO_NODE, False), (ONE_NODE, not needs_rel), (ONE_EDGE, True)]:
+        g = load_graph(doc)
+        if completes:
+            with pytest.raises(EvalError) as info:
+                evaluate(parse_query(text), g)
+            start = text.index("zz")
+            assert (info.value.kind, info.value.span) == ("UnknownName", (start, start + 2))
+        else:
+            assert rows(evaluate(parse_query(text), g)) == ([((("a", None),), 1)] if optional else [])
 
 
 # ---------------------------------------------------------------------------

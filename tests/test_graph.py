@@ -212,6 +212,11 @@ def test_dangling_endpoint():
     doc(nodes=[{"id": 5}]),
     doc(nodes=[{"id": "n1", "labels": "ab", "properties": {}}]),
     doc(nodes=[node("n1")], rels=[{"id": "r1", "src": "n1", "tgt": "n1"}]),
+    # `properties` that is not an object
+    doc(nodes=[{**node("n1"), "properties": []}]),
+    doc(nodes=[{**node("n1"), "properties": 5}]),
+    doc(nodes=[node("n1")], rels=[{**rel("r1", "t", "n1", "n1"), "properties": []}]),
+    doc(nodes=[node("n1")], rels=[{**rel("r1", "t", "n1", "n1"), "properties": 5}]),
 ])
 def test_schema_errors(bad):
     with pytest.raises(SchemaError):

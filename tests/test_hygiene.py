@@ -233,3 +233,25 @@ def test_chained_operators_agree():
     # it so, and the unparser and evaluator walk it iteratively.
     chained = {node for ops in OPERATORS for _, node in ops} - {Not, Cmp}
     assert set(LEFT_OPERAND) == set(_CHAIN_RULES) == chained
+
+
+def test_evaluation_errors_are_placed_by_one_rule():
+    # An EvalError takes the span of the innermost expression whose own rule
+    # raised it: the rules raise it unplaced, and eval_expr places it (or
+    # _eval_chain, for a chained operator) unless an inner one already did.
+    def params(fn):
+        return {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+
+    tree = ast.parse((SRC / "evaluator.py").read_text(encoding="utf-8"))
+    functions = dict(_functions(tree, "evaluator"))
+    placing = {name for name, fn in functions.items()
+               if any(isinstance(n, ast.Attribute) and n.attr == "span" and isinstance(n.ctx, ast.Store)
+                      for n in ast.walk(fn))}
+    assert placing == {"evaluator.eval_expr", "evaluator._eval_chain"}
+    assert not sorted(name for name, fn in functions.items() if "span" in params(fn))
+    built_placed = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                    and getattr(n.func, "id", None) == "EvalError" and (len(n.args) > 2 or n.keywords)]
+    assert not built_placed, f"evaluator.py builds placed errors at lines {built_placed}"
+    errors = dict(_functions(ast.parse((SRC / "errors.py").read_text(encoding="utf-8")), "errors"))
+    assert params(errors["errors.type_mismatch"]) == {"message"}
+    assert params(errors["errors.unknown_name"]) == {"name"}

@@ -266,6 +266,19 @@ def test_differential_batch():
         assert agree, f"seed {seed}: {json.dumps(detail, indent=2, default=str)}"
 
 
+@pytest.mark.parametrize("query,error", [
+    ("UNWIND [1] AS x UNWIND [2] AS x RETURN x", "NameClash"),
+    ("RETURN 1 AS x, 2 AS x", "AliasClash"),
+    ("RETURN 1 AS x UNION RETURN 1 AS y", "FieldMismatch"),
+    ("RETURN *", "StarOnEmptyFields"),
+])
+def test_both_sides_raise_each_clause_error(teachers, query, error):
+    # The harness records a CypherError that is not an EvalError by its type.
+    agree, detail = differential_case(teachers, parse_query(query))
+    assert agree
+    assert detail["engine"] == detail["oracle"] == f"error:{error}"
+
+
 def test_oracle_output_on_a_full_query(teachers):
     q = parse_query(
         "MATCH (x:Teacher) OPTIONAL MATCH (x)-[:KNOWS]->(y:Student) "
