@@ -30,10 +30,12 @@ from .engine import output
 from .graph import PropertyGraph, load_graph
 from .oracle import (
     GenConfig,
+    agree,
     case_document,
     differential_case,
     gen_case,
     oracle_output,
+    outcome,
     save_failure,
 )
 from .parser import parse_query
@@ -84,11 +86,23 @@ def _path_ids(p: Path) -> list[str]:  # the node and relationship keys, alternat
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # one for every cell
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def _str_text(s: str) -> str:
+    """A string cell, escaped as Linear TSV escapes it, so that no cell
+    splits its row; a printable string without a backslash is itself."""
+    if s.isprintable() and "\\" not in s:
+        return str.__str__(s)
+    return s.translate(_TSV_ESCAPES)
+
+
 # The text of a TSV cell of each kind.  Composites are canonical compact
 # JSON of the tagged encoding, which a path's text writes out directly.
+# An id holds no tab, LF or CR (load_graph rejects one), so it is its text.
 _CELL_TEXT = {
     "null": lambda v: "null", "bool": lambda v: "true" if v else "false", "int": str,
-    "str": str.__str__, "node": attrgetter("key"), "rel": attrgetter("key"),
+    "str": _str_text, "node": attrgetter("key"), "rel": attrgetter("key"),
     "path": lambda v: '{"@path":[' + ",".join(map(encode_basestring_ascii, _path_ids(v))) + "]}",
 }
 _CELL_TEXT["list"] = _CELL_TEXT["map"] = lambda v: _COMPACT.encode(value_to_json(v))
@@ -275,42 +289,33 @@ def _run(args: argparse.Namespace) -> int:
         sys.stderr.write(_caret_diagnostic(text, exc.span))
         return EXIT_PARSE
 
-    try:
-        result = output(q, g)
-    except CypherError as exc:
-        if args.oracle:
-            try:
-                oracle_output(q, g)
-            except CypherError:
-                pass  # both sides raise: they agree
-            else:
-                print("oracle disagreement: the reference produced a table but the "
-                      f"engine raised {type(exc).__name__}: {exc}", file=sys.stderr)
-                return EXIT_DISAGREE
-        if isinstance(exc, EvalError):
-            print(f"evaluation error: {exc}", file=sys.stderr)
-        else:
-            print(f"evaluation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.stderr.write(_caret_diagnostic(text, exc.span))
-        return EXIT_EVAL
-
+    result = outcome(output, q, g)
     if args.oracle:
-        try:
-            reference = oracle_output(q, g)
-        except CypherError as exc:
-            print("oracle disagreement: engine produced a table but the "
-                  f"reference raised {type(exc).__name__}: {exc}", file=sys.stderr)
+        reference = outcome(oracle_output, q, g)
+        if not agree(result, reference):
+            sys.stderr.write(_disagreement(result, reference))
             return EXIT_DISAGREE
-        if reference != result:
-            print("oracle disagreement:", file=sys.stderr)
-            print("--- engine ---", file=sys.stderr)
-            sys.stderr.write(render_counted_json(result))
-            print("--- reference ---", file=sys.stderr)
-            sys.stderr.write(render_counted_json(reference))
-            return EXIT_DISAGREE
-
+    if isinstance(result, CypherError):
+        if isinstance(result, EvalError):
+            print(f"evaluation error: {result}", file=sys.stderr)
+        else:
+            print(f"evaluation error: {type(result).__name__}: {result}", file=sys.stderr)
+        sys.stderr.write(_caret_diagnostic(text, result.span))
+        return EXIT_EVAL
     sys.stdout.write(_RENDERERS[args.format](result))
     return EXIT_OK
+
+
+def _disagreement(result, reference) -> str:
+    """The report of an engine outcome that the reference's does not agree with."""
+    if isinstance(result, CypherError):
+        return ("oracle disagreement: the reference produced a table but the "
+                f"engine raised {type(result).__name__}: {result}\n")
+    if isinstance(reference, CypherError):
+        return ("oracle disagreement: engine produced a table but the "
+                f"reference raised {type(reference).__name__}: {reference}\n")
+    return ("oracle disagreement:\n--- engine ---\n" + render_counted_json(result)
+            + "--- reference ---\n" + render_counted_json(reference))
 
 
 def _gen(args: argparse.Namespace) -> int:

@@ -75,7 +75,8 @@ class EvalError(CypherError):
     ``kind`` is one of ``TypeMismatch``, ``UnknownName``, ``UnknownFunction``,
     ``ArityMismatch``, ``TooDeep`` (a literal nests past ``values.MAX_DEPTH``),
     ``TooLarge`` (an arithmetic result has more than ``values.MAX_DIGITS``
-    digits).
+    digits, or a list or map literal expands to more than
+    ``values.MAX_CELLS`` cells, each shared element counted at every use).
     """
 
     def __init__(self, kind: str, message: str, span: Span | None = None):

@@ -21,7 +21,7 @@ from . import ast
 from .errors import EvalError, type_mismatch, unknown_name
 from .graph import PropertyGraph
 from .tables import Record
-from .values import MAX_DEPTH, FunctionRegistry, Map, NodeId, Path, RelId, Value, apply_base_fn, kind
+from .values import MAX_CELLS, MAX_DEPTH, FunctionRegistry, Map, NodeId, Path, RelId, Value, apply_base_fn, kind
 
 Trilean = Optional[bool]
 
@@ -212,15 +212,24 @@ _FLAT = frozenset({type(None), bool, int, str, NodeId, RelId, Path})  # exact ty
 
 def _shallow(v: Value, elements) -> Value:
     """v, a list or map just built from elements, unless it nests deeper
-    than MAX_DEPTH: walked level by level when an element holds a value,
-    each element shared within a level once."""
-    level = {} if _FLAT.issuperset(map(type, elements)) else {id(v): v}
+    than MAX_DEPTH or expands to more than MAX_CELLS cells: walked level by
+    level when an element holds a value, each element shared within a level
+    once, weighted by its number of uses."""
+    flat = _FLAT.issuperset(map(type, elements))
+    level, cells = ({}, len(elements)) if flat else ({id(v): [v, 1]}, 0)
     for _ in range(MAX_DEPTH + 1):
+        if cells > MAX_CELLS:
+            raise EvalError("TooLarge", f"value has more than {MAX_CELLS} cells")
         if not level:
             return v
-        level = {id(y): y for x in level.values()
-                 for y in ((w for _, w in x.entries) if isinstance(x, Map) else x)
-                 if isinstance(y, (tuple, Map))}
+        below: dict[int, list] = {}  # id -> [value, uses]
+        for x, uses in level.values():
+            xs = [w for _, w in x.entries] if isinstance(x, Map) else x
+            cells += uses * len(xs)
+            for y in xs:
+                if isinstance(y, (tuple, Map)):
+                    below.setdefault(id(y), [y, 0])[1] += uses
+        level = below
     raise EvalError("TooDeep", f"value nests deeper than {MAX_DEPTH} levels")
 
 

@@ -29,11 +29,8 @@ def _value_from_json(raw: Any, where: str) -> Value:
         raise SchemaError(f"{where}: floating-point property values are not supported")
     if isinstance(raw, list):
         return tuple(_value_from_json(x, where) for x in raw)
-    if isinstance(raw, dict):
-        try:
-            return Map(tuple((k, _value_from_json(v, where)) for k, v in raw.items()))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+    if isinstance(raw, dict):  # a dict's keys are distinct, as a Map's must be
+        return Map(tuple((k, _value_from_json(v, where)) for k, v in raw.items()))
     raise SchemaError(f"{where}: unsupported property value {raw!r}")
 
 
@@ -261,13 +258,25 @@ def _expect(doc: dict, key: str, kind: type, where: str) -> Any:
     return v
 
 
+def _new_id(doc: Any, where: str, seen: set[str]) -> str:
+    # An id is its own TSV cell, unescaped, so it may hold no tab, LF or CR.
+    raw_id = _expect(doc, "id", str, where)
+    if not raw_id.isprintable() and any(c in raw_id for c in "\t\n\r"):
+        raise SchemaError(f"{where}: id {raw_id!r} holds a tab, LF or CR")
+    if raw_id in seen:
+        raise DuplicateId(f"{where}: id {raw_id!r} declared twice")
+    seen.add(raw_id)
+    return raw_id
+
+
 def load_graph(document: dict) -> PropertyGraph:
     """Build a PropertyGraph from a parsed JSON document.
 
     Raises SchemaError on shape problems (a property value nested deeper
-    than ``values.MAX_DEPTH`` among them), DuplicateId for repeated ids
-    (node and relationship ids share one namespace), and DanglingEndpoint
-    when a relationship references an undeclared node.
+    than ``values.MAX_DEPTH`` and an id holding a tab, LF or CR among them),
+    DuplicateId for repeated ids (node and relationship ids share one
+    namespace), and DanglingEndpoint when a relationship references an
+    undeclared node.
     """
     node_docs = _expect(document, "nodes", list, "document")
     rel_docs = _expect(document, "relationships", list, "document")
@@ -279,11 +288,7 @@ def load_graph(document: dict) -> PropertyGraph:
 
     for idx, nd in enumerate(node_docs):
         where = f"nodes[{idx}]"
-        raw_id = _expect(nd, "id", str, where)
-        if raw_id in seen:
-            raise DuplicateId(f"{where}: id {raw_id!r} declared twice")
-        seen.add(raw_id)
-        n = NodeId(raw_id)
+        n = NodeId(_new_id(nd, where, seen))
         raw_labels = nd.get("labels", [])
         if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
             raise SchemaError(f"{where}: `labels` must be a list of strings")
@@ -299,11 +304,7 @@ def load_graph(document: dict) -> PropertyGraph:
 
     for idx, rd in enumerate(rel_docs):
         where = f"relationships[{idx}]"
-        raw_id = _expect(rd, "id", str, where)
-        if raw_id in seen:
-            raise DuplicateId(f"{where}: id {raw_id!r} declared twice")
-        seen.add(raw_id)
-        r = RelId(raw_id)
+        r = RelId(_new_id(rd, where, seen))
         rtype = _expect(rd, "type", str, where)
         s = _expect(rd, "src", str, where)
         t = _expect(rd, "tgt", str, where)

@@ -76,8 +76,7 @@ class Bag:
         return ((u, count) for u, count in self._rows.values())
 
     def __eq__(self, other: object) -> bool:
-        theirs = _normal_form(other) if hasattr(other, "rows") else None
-        return theirs is not None and theirs == _normal_form(self)
+        return hasattr(other, "rows") and agree(other, self)
 
 
 def _normal_form(t) -> Optional[tuple]:
@@ -117,13 +116,6 @@ def _all_walks(g: PropertyGraph) -> dict[int, list[Walk]]:
     return by_len
 
 
-def _slot_range(rho: ast.RelPattern) -> tuple[int, Optional[int]]:
-    if rho.range_ is None:
-        return (1, 1)
-    lo, hi = rho.range_
-    return (1 if lo is None else lo, hi)
-
-
 def _seg_choices(rel_pats: tuple[ast.RelPattern, ...], max_total: int) -> list[tuple[int, ...]]:
     """Every tuple of per-slot hop counts within ranges, summing to <= max_total."""
     out: list[tuple[int, ...]] = []
@@ -132,7 +124,7 @@ def _seg_choices(rel_pats: tuple[ast.RelPattern, ...], max_total: int) -> list[t
         if i == len(rel_pats):
             out.append(tuple(acc))
             return
-        lo, hi = _slot_range(rel_pats[i])
+        lo, hi = ast.range_of(rel_pats[i])
         top = remaining if hi is None else min(hi, remaining)
         for m in range(lo, top + 1):
             acc.append(m)
@@ -273,7 +265,7 @@ def satisfies_node(
 
 def is_rigid(pat: ast.PathPattern) -> bool:
     """Every slot of pat admits exactly one hop count."""
-    return all(lo == hi for lo, hi in map(_slot_range, pat.rel_patterns()))
+    return all(lo == hi for lo, hi in map(ast.range_of, pat.rel_patterns()))
 
 
 def make_rigid(pat: ast.PathPattern, seg: tuple[int, ...]) -> ast.PathPattern:
@@ -453,21 +445,31 @@ def oracle_output(q: ast.Query, g: PropertyGraph, functions: FunctionRegistry | 
 # ---------------------------------------------------------------------------
 
 
-def _render_rows(t) -> list[str]:
-    lines = []
-    for u, count in t.rows():
-        cells = ", ".join(f"{f}={u[f]!r}" for f in t.fields)
-        lines.append(f"({cells}) x{count}")
-    return sorted(lines)
-
-
-def _guarded(fn: Callable[[], object]) -> tuple[str, object]:
+def outcome(fn: Callable, *args):
+    """The table fn(*args) returns, or the CypherError it raises."""
     try:
-        return ("table", fn())
-    except EvalError as exc:
-        return ("error", exc.kind)
+        return fn(*args)
     except CypherError as exc:
-        return ("error", type(exc).__name__)
+        return exc
+
+
+def agree(a, b) -> bool:
+    """Two outcomes agree when both are errors, or both are tables with the
+    same normal form.  A table that lists a record twice has none, so it
+    agrees with nothing.  Errors agree whatever their kinds: enumeration
+    order may surface a different offending expression first."""
+    if isinstance(a, CypherError) or isinstance(b, CypherError):
+        return isinstance(a, CypherError) and isinstance(b, CypherError)
+    got = _normal_form(a)
+    return got is not None and got == _normal_form(b)
+
+
+def _describe(o) -> object:
+    """An outcome as a case's detail records it: the sorted rows, or
+    error:<kind> (the class name for an error that is not an EvalError)."""
+    if isinstance(o, CypherError):
+        return f"error:{o.kind if isinstance(o, EvalError) else type(o).__name__}"
+    return sorted("(" + ", ".join(f"{f}={u[f]!r}" for f in o.fields) + f") x{count}" for u, count in o.rows())
 
 
 def differential_case(
@@ -475,26 +477,11 @@ def differential_case(
     q: ast.Query,
     functions: FunctionRegistry | None = None,
 ) -> tuple[bool, dict]:
-    """Run both implementations; agree = equal result bags, or both undefined.
-
-    Both are compared in the oracle's normal form, so an engine table that
-    lists a record twice disagrees.  When both sides raise, the case counts
-    as agreement even if the error kinds differ (enumeration order may
-    surface a different offending expression first); they are recorded.
-    """
-    eng = _guarded(lambda: engine_output(q, g, functions))
-    orc = _guarded(lambda: oracle_output(q, g, functions))
-    if eng[0] == "table" and orc[0] == "table":
-        got = _normal_form(eng[1])
-        agree = got is not None and got == _normal_form(orc[1])
-    else:
-        agree = eng[0] == orc[0] == "error"
-    detail = {
-        "query": unparse_query(q),
-        "engine": _render_rows(eng[1]) if eng[0] == "table" else f"error:{eng[1]}",
-        "oracle": _render_rows(orc[1]) if orc[0] == "table" else f"error:{orc[1]}",
-    }
-    return agree, detail
+    """Run both implementations and whether their outcomes `agree`, with the
+    query text and each side's outcome as the detail."""
+    eng = outcome(engine_output, q, g, functions)
+    orc = outcome(oracle_output, q, g, functions)
+    return agree(eng, orc), {"query": unparse_query(q), "engine": _describe(eng), "oracle": _describe(orc)}
 
 
 def case_document(g: PropertyGraph, q: ast.Query, extra: Optional[dict] = None) -> dict:
@@ -524,34 +511,32 @@ def save_failure(directory: str, name: str, doc: dict) -> str:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Bounds and alphabets for one generated case; the seed fixes it all."""
+    """The settings of one generated case; the seed fixes it all."""
 
-    max_nodes: int = 5
-    max_rels: int = 5
-    node_labels: tuple[str, ...] = ("P", "Q", "R")
-    rel_types: tuple[str, ...] = ("a", "b")
-    keys: tuple[str, ...] = ("k", "v", "w")
-    max_slots: int = 3
-    max_range: int = 3
-    max_clauses: int = 3
+    seed: int = 0
     # Chance that a pattern property map is a pair of checks in random
-    # order: one comparing a string key with a literal (often false or
+    # order: one comparing the str key with a literal (often false or
     # null), one reading a node name's property of a random key, which is
     # ill-typed where the kinds differ.  At 0 no random number is drawn, so
     # the cases of every seed stay as they were.
     check_pairs: float = 0.0
-    # Chance that a node's value of the int key keys[0] is a string, and
-    # that a MATCH's WHERE is `x.k = lit` or `lit = x.k` on a node name,
-    # alone or in a strict AND with a comparison that may be ill-typed.  At
-    # 0 no random number is drawn.
+    # Chance that a node's value of the int key is a string, and that a
+    # MATCH's WHERE is `x.k = lit` or `lit = x.k` on a node name, alone or
+    # in a strict AND with a comparison that may be ill-typed.  At 0 no
+    # random number is drawn.
     mixed_kinds: float = 0.0
-    seed: int = 0
 
 
-def _key_kind(cfg: GenConfig, key: str) -> str:
-    # Every property key has one value kind per configuration, so generated
-    # comparisons against stored properties are mostly well-typed.
-    return ("int", "str", "list")[cfg.keys.index(key) % 3]
+# The alphabets and bounds of every generated case.
+_MAX_NODES = _MAX_RELS = 5
+_MAX_SLOTS = _MAX_CLAUSES = 3
+_NODE_LABELS = ("P", "Q", "R")
+_REL_TYPES = ("a", "b")
+# Every property key has one value kind, so generated comparisons against
+# stored properties are mostly well-typed.
+_KEYS = ("k", "v", "w")
+_KIND_OF_KEY = {"k": "int", "v": "str", "w": "list"}
+_INT_KEYS, _STR_KEYS, _LIST_KEYS = ("k",), ("v",), ("w",)  # a choice of one key still draws
 
 
 def _gen_value(rng: random.Random, kind: str):
@@ -563,22 +548,21 @@ def _gen_value(rng: random.Random, kind: str):
 
 
 def _gen_graph(rng: random.Random, cfg: GenConfig) -> PropertyGraph:
-    n_nodes = rng.randint(1, max(1, cfg.max_nodes))
-    n_rels = rng.randint(0, cfg.max_rels)
+    n_nodes = rng.randint(1, _MAX_NODES)
+    n_rels = rng.randint(0, _MAX_RELS)
     nodes = []
     for i in range(n_nodes):
-        labels = [lab for lab in cfg.node_labels if rng.random() < 0.4]
-        props = {key: _gen_value(rng, "str" if key == cfg.keys[0] and cfg.mixed_kinds
-                                 and rng.random() < cfg.mixed_kinds else _key_kind(cfg, key))
-                 for key in cfg.keys if rng.random() < 0.5}
+        labels = [lab for lab in _NODE_LABELS if rng.random() < 0.4]
+        props = {key: _gen_value(rng, "str" if key in _INT_KEYS and cfg.mixed_kinds
+                                 and rng.random() < cfg.mixed_kinds else _KIND_OF_KEY[key])
+                 for key in _KEYS if rng.random() < 0.5}
         nodes.append({"id": f"n{i + 1}", "labels": labels, "properties": props})
     rels = []
     for i in range(n_rels):
-        props = {key: _gen_value(rng, _key_kind(cfg, key))
-                 for key in cfg.keys if rng.random() < 0.3}
+        props = {key: _gen_value(rng, _KIND_OF_KEY[key]) for key in _KEYS if rng.random() < 0.3}
         rels.append({
             "id": f"r{i + 1}",
-            "type": rng.choice(cfg.rel_types),
+            "type": rng.choice(_REL_TYPES),
             "src": f"n{rng.randint(1, n_nodes)}",
             "tgt": f"n{rng.randint(1, n_nodes)}",
             "properties": props,
@@ -594,6 +578,7 @@ _RANGES = (
     (0, 1), (1, 2), (0, 2), (2, 2), (1, 3), (0, None), (1, None),
     (None, 2), (None, None), (2, 1),
 )
+_RANGE_WEIGHTS = tuple(1 if r == (2, 1) else 4 for r in _RANGES)  # the empty range is rare
 
 
 class _QueryGen:
@@ -602,8 +587,7 @@ class _QueryGen:
     def __init__(self, rng: random.Random, cfg: GenConfig):
         self.rng = rng
         self.cfg = cfg
-        self.fields: list[str] = []
-        self.kinds: dict[str, str] = {}
+        self.kinds: dict[str, str] = {}  # each in-scope field's kind, in field order
         self.fresh_n = 0
 
     # -- small utilities --------------------------------------------------
@@ -612,11 +596,11 @@ class _QueryGen:
         while True:
             self.fresh_n += 1
             name = f"{prefix}{self.fresh_n}"
-            if name not in self.fields:
+            if name not in self.kinds:
                 return name
 
     def vars_of(self, *kinds: str) -> list[str]:
-        return [f for f in self.fields if self.kinds.get(f) in kinds]
+        return [f for f, kind in self.kinds.items() if kind in kinds]
 
     # -- expressions -------------------------------------------------------
 
@@ -633,10 +617,7 @@ class _QueryGen:
         if kind == "var":
             return ast.Name(rng.choice(self.vars_of("int")))
         if kind == "prop":
-            int_keys = [k for k in self.cfg.keys if _key_kind(self.cfg, k) == "int"]
-            if int_keys:
-                return ast.Prop(ast.Name(rng.choice(self.vars_of("node", "rel"))),
-                                rng.choice(int_keys))
+            return ast.Prop(ast.Name(rng.choice(self.vars_of("node", "rel"))), rng.choice(_INT_KEYS))
         if kind == "fn" and depth > 0:
             name = rng.choice(("plus", "minus", "mult"))
             return ast.FnCall(name, (self.int_expr(depth - 1), self.int_expr(depth - 1)))
@@ -650,10 +631,8 @@ class _QueryGen:
 
     def str_expr(self, depth: int) -> ast.Expr:
         rng = self.rng
-        str_keys = [k for k in self.cfg.keys if _key_kind(self.cfg, k) == "str"]
-        if str_keys and self.vars_of("node", "rel") and rng.random() < 0.5:
-            return ast.Prop(ast.Name(rng.choice(self.vars_of("node", "rel"))),
-                            rng.choice(str_keys))
+        if self.vars_of("node", "rel") and rng.random() < 0.5:
+            return ast.Prop(ast.Name(rng.choice(self.vars_of("node", "rel"))), rng.choice(_STR_KEYS))
         if depth > 0 and rng.random() < 0.15:
             return ast.FnCall(rng.choice(("toUpper", "toLower")), (self.str_expr(depth - 1),))
         if rng.random() < 0.08:
@@ -662,13 +641,11 @@ class _QueryGen:
 
     def list_expr(self, depth: int) -> ast.Expr:
         rng = self.rng
-        list_keys = [k for k in self.cfg.keys if _key_kind(self.cfg, k) == "list"]
         roll = rng.random()
         if roll < 0.25 and self.vars_of("rellist"):
             return ast.Name(rng.choice(self.vars_of("rellist")))
-        if roll < 0.5 and list_keys and self.vars_of("node", "rel"):
-            return ast.Prop(ast.Name(rng.choice(self.vars_of("node", "rel"))),
-                            rng.choice(list_keys))
+        if roll < 0.5 and self.vars_of("node", "rel"):
+            return ast.Prop(ast.Name(rng.choice(self.vars_of("node", "rel"))), rng.choice(_LIST_KEYS))
         if roll < 0.65 and depth > 0:
             lo = rng.randint(-1, 2)
             return ast.Slice(self.list_expr(depth - 1), ast.Lit(lo),
@@ -687,8 +664,8 @@ class _QueryGen:
             return self.list_expr(depth)
         if roll < 0.85:
             return self.bool_expr(depth)
-        if self.fields and roll < 0.95:
-            return ast.Name(rng.choice(self.fields))
+        if self.kinds and roll < 0.95:
+            return ast.Name(rng.choice(list(self.kinds)))
         return ast.Lit(None)
 
     def bool_expr(self, depth: int) -> ast.Expr:
@@ -733,7 +710,7 @@ class _QueryGen:
             if name not in tuple_node_names:
                 tuple_node_names.append(name)
         n_labels = rng.choices((0, 1, 2), weights=(55, 35, 10))[0]
-        labels = frozenset(rng.sample(self.cfg.node_labels, min(n_labels, len(self.cfg.node_labels))))
+        labels = frozenset(rng.sample(_NODE_LABELS, n_labels))
         props = self.pattern_props(tuple_node_names)
         return ast.NodePattern(name, labels, props)
 
@@ -743,8 +720,7 @@ class _QueryGen:
             return self.check_pair(tuple_node_names)
         if rng.random() >= 0.25:
             return ()
-        key = rng.choice(self.cfg.keys)
-        kind = _key_kind(self.cfg, key)
+        key = rng.choice(_KEYS)
         roll = rng.random()
         if roll < 0.15 and tuple_node_names:
             value: ast.Expr = ast.Prop(ast.Name(rng.choice(tuple_node_names)), key)
@@ -753,7 +729,7 @@ class _QueryGen:
         elif roll < 0.25:
             value = ast.Lit(rng.choice(("zz", 1)))  # may be the wrong kind on purpose
         else:
-            raw = _gen_value(rng, kind)
+            raw = _gen_value(rng, _KIND_OF_KEY[key])
             if isinstance(raw, list):
                 value = ast.ListLit(tuple(ast.Lit(x) for x in raw))
             else:
@@ -762,9 +738,8 @@ class _QueryGen:
 
     def check_pair(self, tuple_node_names: list[str]) -> tuple:
         rng = self.rng
-        int_key, str_key = self.cfg.keys[:2]  # of kinds int and str, by _key_kind
-        read = ast.Prop(ast.Name(rng.choice(tuple_node_names)), rng.choice(self.cfg.keys))
-        pair = [(int_key, read), (str_key, ast.Lit(rng.choice(("x", "y", "zz"))))]
+        read = ast.Prop(ast.Name(rng.choice(tuple_node_names)), rng.choice(_KEYS))
+        pair = [("k", read), ("v", ast.Lit(rng.choice(("x", "y", "zz"))))]  # the int key, the str key
         rng.shuffle(pair)
         return tuple(pair)
 
@@ -773,14 +748,8 @@ class _QueryGen:
         direction = rng.choice((ast.RIGHT, ast.LEFT, ast.UNDIRECTED))
         name = rng.choice(_REL_VARS) if rng.random() < 0.4 else None
         n_types = rng.choices((0, 1, 2), weights=(50, 35, 15))[0]
-        types = frozenset(rng.sample(self.cfg.rel_types, min(n_types, len(self.cfg.rel_types))))
-        if rng.random() < 0.5:
-            range_ = None
-        else:
-            candidates = [r for r in _RANGES
-                          if r[1] is None or r[1] <= self.cfg.max_range]
-            weights = [1 if r == (2, 1) else 4 for r in candidates]
-            range_ = rng.choices(candidates, weights=weights)[0]
+        types = frozenset(rng.sample(_REL_TYPES, n_types))
+        range_ = None if rng.random() < 0.5 else rng.choices(_RANGES, weights=_RANGE_WEIGHTS)[0]
         props = self.pattern_props(tuple_node_names)
         return ast.RelPattern(direction, name, types, props, range_)
 
@@ -797,10 +766,10 @@ class _QueryGen:
         rng = self.rng
         tuple_node_names: list[str] = []
         n_paths = 2 if rng.random() < 0.2 else 1
-        budget = self.cfg.max_slots
+        budget = _MAX_SLOTS
         paths = []
-        for i in range(n_paths):
-            n_slots = rng.randint(0, budget) if i < n_paths - 1 else rng.randint(0, budget)
+        for _ in range(n_paths):
+            n_slots = rng.randint(0, budget)
             budget -= n_slots
             paths.append(self.path_pattern(n_slots, tuple_node_names))
         return ast.PatternTuple(tuple(paths))
@@ -820,10 +789,7 @@ class _QueryGen:
                     self._add_field(el.name, "rellist")
 
     def _add_field(self, name: str, kind: str) -> None:
-        if name not in self.fields:
-            self.fields.append(name)
-            self.fields.sort()
-        self.kinds[name] = kind
+        self.kinds = dict(sorted({**self.kinds, name: kind}.items()))
 
     # -- clauses -----------------------------------------------------------
 
@@ -832,13 +798,13 @@ class _QueryGen:
         self.register_pattern(pats)
         rng, cfg, nodes = self.rng, self.cfg, self.vars_of("node")
         if cfg.mixed_kinds and nodes and rng.random() < cfg.mixed_kinds:
-            sides = [ast.Prop(ast.Name(rng.choice(nodes)), rng.choice(cfg.keys[:2])),
+            sides = [ast.Prop(ast.Name(rng.choice(nodes)), rng.choice(_KEYS[:2])),
                      ast.Lit(rng.choice((1, 2, "x", "zz")))]
             rng.shuffle(sides)
             where: Optional[ast.Expr] = ast.Cmp("=", *sides)
             if rng.random() < 0.5:
                 other = ast.Cmp(rng.choice(("=", "<")), ast.Prop(ast.Name(rng.choice(nodes)),
-                                rng.choice(cfg.keys)), ast.Lit(rng.choice((1, "x"))))
+                                rng.choice(_KEYS)), ast.Lit(rng.choice((1, "x"))))
                 where = ast.And(*rng.sample([where, other], 2))
         else:
             where = self.bool_expr(2) if rng.random() < 0.35 else None
@@ -846,37 +812,31 @@ class _QueryGen:
 
     def with_clause(self) -> ast.With:
         rng = self.rng
-        star = bool(self.fields) and rng.random() < 0.5
+        star = bool(self.kinds) and rng.random() < 0.5
         items: list[ast.Item] = []
-        new_fields: list[str] = []
         new_kinds: dict[str, str] = {}
         if star:
-            new_fields = list(self.fields)
             new_kinds = dict(self.kinds)
             for _ in range(rng.randint(0, 1)):
                 alias = self.fresh()
                 items.append((self.any_expr(1), alias))
-                new_fields.append(alias)
                 new_kinds[alias] = "value"
         else:
-            n_items = rng.randint(1, max(1, min(2, len(self.fields) + 1)))
+            n_items = rng.randint(1, min(2, len(self.kinds) + 1))
             for _ in range(n_items):
-                if self.fields and rng.random() < 0.45:
-                    name = rng.choice(self.fields)
-                    if name in new_fields:
+                if self.kinds and rng.random() < 0.45:
+                    name = rng.choice(list(self.kinds))
+                    if name in new_kinds:
                         continue
                     items.append((ast.Name(name), None))  # bare name, no AS
-                    new_fields.append(name)
-                    new_kinds[name] = self.kinds.get(name, "value")
+                    new_kinds[name] = self.kinds[name]
                 else:
                     alias = self.fresh()
                     items.append((self.any_expr(1), alias))
-                    new_fields.append(alias)
                     new_kinds[alias] = "value"
         where = self.bool_expr(2) if rng.random() < 0.3 else None
         clause = ast.With(star, tuple(items), where)
-        self.fields = sorted(new_fields)
-        self.kinds = new_kinds
+        self.kinds = dict(sorted(new_kinds.items()))
         return clause
 
     def unwind_clause(self) -> ast.Unwind:
@@ -898,7 +858,7 @@ class _QueryGen:
 
     def return_clause(self) -> ast.Return:
         rng = self.rng
-        if self.fields and rng.random() < 0.4:
+        if self.kinds and rng.random() < 0.4:
             return ast.Return(True, ())
         items: list[ast.Item] = []
         used_names: set[str] = set()
@@ -921,8 +881,8 @@ class _QueryGen:
     def clause_query(self, forced_aliases: Optional[list[str]] = None) -> ast.ClauseQuery:
         rng = self.rng
         clauses: list[ast.Clause] = []
-        for _ in range(rng.randint(1, self.cfg.max_clauses)):
-            if not self.fields:
+        for _ in range(rng.randint(1, _MAX_CLAUSES)):
+            if not self.kinds:
                 roll = rng.random()
                 if roll < 0.6:
                     clauses.append(self.match_clause(optional=False))

@@ -185,6 +185,14 @@ Value = Union[None, bool, int, str, NodeId, RelId, tuple, Map, Path]
 # this bound keeps every walk well under Python's recursion limit.
 MAX_DEPTH = 200
 
+# The most cells a list or map literal's value expands to: one per element
+# or entry, a shared element counted at each of its uses.  canon, equality
+# and the codecs walk a value expanded, so a value that shares its elements
+# (`WITH [x, x] AS x`, repeated) stays small in memory but not to walk; the
+# bound keeps every walk linear in it.  List and map literals raise
+# TooLarge past it.
+MAX_CELLS = 50_000
+
 # The most decimal digits an integer value has: the most int() converts
 # from text, which a literal already meets in the parser, so every integer
 # renders.  plus/minus/mult raise TooLarge past it.

@@ -2,20 +2,21 @@
 
 import itertools
 import json
+import time
 from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 from minicypher import values
-from minicypher.cli import _cell_text, main, render_tsv, table_from_counted_json, value_to_json
+from minicypher.cli import _cell_text, main, render_counted_json, render_tsv, table_from_counted_json, value_to_json
 from minicypher.engine import output
 from minicypher.errors import EvalError
 from minicypher.graph import load_graph
 from minicypher.oracle import GenConfig, differential_case, gen_case, load_case
 from minicypher.parser import parse_query, unparse_query
 from minicypher.tables import Table
-from minicypher.values import MAX_DEPTH, Map, NodeId, RelId
+from minicypher.values import MAX_CELLS, MAX_DEPTH, Map, NodeId, RelId
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CITATION = str(FIXTURES / "citation.json")
@@ -53,6 +54,25 @@ def test_json_golden(capsys):
             [{"@node": "n6"}, {"@node": "n9"}],
         ],
     }
+
+
+def test_a_string_cell_with_a_line_break_keeps_its_row(capsys):
+    assert run(capsys, "--query", "RETURN 'a\\nb' AS x") == (0, "x\na\\nb\n", "")
+    assert run(capsys, "--query", "UNWIND ['a', 'b'] AS x RETURN x") == (0, "x\na\nb\n", "")
+    assert [_cell_text(s) for s in ("a\r\nb", "\\", "\x00", "é b")] == ["a\\r\\nb", "\\\\", "\x00", "é b"]
+
+
+def test_a_string_cell_with_a_tab_keeps_its_column(capsys):
+    rc, out, _ = run(capsys, "--query", "RETURN 'a\\tb' AS x, 1 AS y")
+    assert (rc, out) == (0, "x\ty\na\\tb\t1\n")
+    assert [len(line.split("\t")) for line in out.splitlines()] == [2, 2]
+
+
+def test_string_cells_escape_backslashes_and_stay_sorted(capsys):
+    # An escaped cell is one line, so rows sort as their cells do.
+    rc, out, _ = run(capsys, "--query", "UNWIND ['b', 'a\\nz', 'a\\\\n', 'a'] AS x RETURN x")
+    assert (rc, out) == (0, "x\na\na\\\\n\na\\nz\nb\n")
+    assert out.splitlines()[1:] == sorted(out.splitlines()[1:])
 
 
 def test_tsv_expands_multiplicities(capsys):
@@ -285,6 +305,23 @@ def test_recursion_exhaustion_exits_70_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _doubling(n):  # x is a list of 2 ** (n + 1) - 2 cells, sharing its halves
+    return "WITH 1 AS x " + "WITH [x, x] AS x " * n + "RETURN 1 AS y"
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_a_shared_value_past_the_cell_bound_exits_2_quickly(capsys, flags):
+    largest = max(n for n in range(30) if 2 ** (n + 1) - 2 <= MAX_CELLS)
+    assert run(capsys, "--query", _doubling(largest), *flags) == (0, "y\n1\n", "")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "--query", _doubling(22), *flags)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"evaluation error: TooLarge: value has more than {MAX_CELLS} cells at offset ")
+    first_too_large = len(_doubling(largest)) - len("RETURN 1 AS y") + len("WITH ")
+    assert err.splitlines()[0].endswith(f" at offset {first_too_large}")
+
+
 def test_long_connective_chain_evaluates(capsys):
     # left-deep chains are evaluated and unparsed without recursion, the
     # unaliased item included (its column is named by the unparser)
@@ -432,6 +469,23 @@ def test_dangling_endpoint_exits_3(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("element", ["node", "relationship"])
+@pytest.mark.parametrize("bad_id", ["n\t2", "n2\n", "\rn2"])
+def test_an_id_holding_a_tab_or_line_break_exits_3(capsys, tmp_path, element, bad_id):
+    doc = {
+        "nodes": [{"id": "n1", "labels": [], "properties": {}}],
+        "relationships": [{"id": "r1", "type": "t", "src": "n1", "tgt": "n1", "properties": {}}],
+    }
+    doc["nodes" if element == "node" else "relationships"][0]["id"] = bad_id
+    if element == "node":
+        doc["relationships"] = []
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "--graph", str(path), "--query", "MATCH (x) RETURN x")
+    assert (rc, out) == (3, "")
+    assert err == f"graph error: {element}s[0]: id {bad_id!r} holds a tab, LF or CR\n"
+
+
+@pytest.mark.parametrize("element", ["node", "relationship"])
 @pytest.mark.parametrize("properties", [[], 5])
 def test_properties_not_an_object_exits_3(capsys, tmp_path, element, properties):
     doc = {
@@ -499,22 +553,63 @@ def test_oracle_flag_checks_and_passes(capsys):
     assert checked[1] == plain[1]
 
 
-def test_oracle_flag_reports_engine_error_the_reference_lacks(capsys, monkeypatch):
-    def failing_output(q, g):
-        raise EvalError("TypeMismatch", "planted")
+def _planted_error(q, g):
+    raise EvalError("TypeMismatch", "planted")
 
-    monkeypatch.setattr("minicypher.cli.output", failing_output)
+
+def test_oracle_flag_reports_engine_error_the_reference_lacks(capsys, monkeypatch):
+    monkeypatch.setattr("minicypher.cli.output", _planted_error)
     rc, out, err = run(capsys, "--graph", CITATION, "--query", AUTHORS, "--oracle")
-    assert rc == 4
-    assert out == ""
-    assert "oracle disagreement" in err
+    assert (rc, out) == (4, "")
+    assert err == ("oracle disagreement: the reference produced a table but the "
+                   "engine raised EvalError: TypeMismatch: planted\n")
+
+
+def test_oracle_flag_reports_reference_error_the_engine_lacks(capsys, monkeypatch):
+    monkeypatch.setattr("minicypher.cli.oracle_output", _planted_error)
+    rc, out, err = run(capsys, "--graph", CITATION, "--query", AUTHORS, "--oracle")
+    assert (rc, out) == (4, "")
+    assert err == ("oracle disagreement: engine produced a table but the "
+                   "reference raised EvalError: TypeMismatch: planted\n")
 
 
 def test_oracle_flag_keeps_exit_2_when_both_sides_raise(capsys):
+    plain = run(capsys, "--query", "RETURN 1 < 'a'")
     rc, out, err = run(capsys, "--query", "RETURN 1 < 'a'", "--oracle")
+    assert (rc, out, err) == plain
     assert rc == 2
-    assert out == ""
-    assert "evaluation error" in err
+    assert err.startswith("evaluation error: TypeMismatch: ")
+
+
+def _table(*rows):
+    t = Table(["x"])
+    for x, count in rows:
+        t.add_new({"x": x}, count)
+    return t
+
+
+def _disagreement(engine, reference):
+    return ("oracle disagreement:\n--- engine ---\n" + render_counted_json(engine)
+            + "--- reference ---\n" + render_counted_json(reference))
+
+
+def test_oracle_flag_dumps_both_tables_when_they_differ(capsys, monkeypatch):
+    reference = _table((1, 1), (2, 1))
+    monkeypatch.setattr("minicypher.cli.oracle_output", lambda q, g: reference)
+    rc, out, err = run(capsys, "--query", "UNWIND [1, 2, 2] AS x RETURN x", "--oracle")
+    assert (rc, out) == (4, "")
+    assert err == _disagreement(_table((1, 1), (2, 2)), reference)
+    assert '"count": 2' in err
+
+
+def test_oracle_flag_rejects_an_engine_table_listing_a_record_twice(capsys, monkeypatch):
+    # Equal counts once merged, but the engine's table is not a bag.
+    twice = _table((1, 1), (1, 1))
+    monkeypatch.setattr("minicypher.cli.output", lambda q, g: twice)
+    rc, out, err = run(capsys, "--query", "UNWIND [1, 1] AS x RETURN x", "--oracle")
+    assert (rc, out) == (4, "")
+    assert err == _disagreement(twice, _table((1, 2)))
+    assert run(capsys, "--query", "UNWIND [1, 1] AS x RETURN x")[:2] == (0, "x\n1\n1\n")
 
 
 def test_gen_subcommand_agrees(capsys, tmp_path):

@@ -19,7 +19,7 @@ from minicypher.evaluator import (
     tri_xor,
 )
 from minicypher.parser import parse_expr, unparse_expr
-from minicypher.values import MAX_DEPTH, Map, NodeId, Path, RelId, canon
+from minicypher.values import MAX_CELLS, MAX_DEPTH, Map, NodeId, Path, RelId, canon
 
 from expr_cases import CASES, Err, build_env, build_graph
 
@@ -287,9 +287,32 @@ def test_literals_nest_at_most_max_depth(src, wrap):
 
 
 def test_a_shared_value_is_walked_once_per_level():
-    # 2 ** 40 leaves, but one list per level
-    v = 1
-    for _ in range(40):
-        v = (v, v)
-    got = eval_expr(parse_expr("[x, x]"), build_graph(), {"x": v})
-    assert got == (v, v)
+    # 2 ** 40 leaves, but one list per level: judged too large without
+    # being expanded.  At 13 levels, [x, x] expands to 2 ** 15 - 2 cells.
+    e = parse_expr("[x, x]")
+    with pytest.raises(EvalError) as exc:
+        eval_expr(e, build_graph(), {"x": _nest(40, lambda v: (v, v))})
+    assert (exc.value.kind, exc.value.span) == ("TooLarge", (0, 6))
+    x = _nest(13, lambda v: (v, v))
+    assert eval_expr(e, build_graph(), {"x": x}) == (x, x)
+
+
+@pytest.mark.parametrize("src, others", [("[x, x]", 2), ("{j: x, k: x}", 2), ("[x, [x]]", 3), ("[{k: x}, x]", 3)])
+def test_literals_expand_to_at_most_max_cells(src, others):
+    # A literal's cells are those of each use of x, plus its elements' own.
+    e = parse_expr(src)
+    n = (MAX_CELLS - others) // 2
+    assert eval_expr(e, build_graph(), {"x": (0,) * n}) is not None
+    with pytest.raises(EvalError) as exc:
+        eval_expr(e, build_graph(), {"x": (0,) * (n + 1)})
+    assert (exc.value.kind, exc.value.span) == ("TooLarge", (0, len(src)))
+
+
+def test_a_flat_literal_holds_at_most_max_cells():
+    for n, raises in [(MAX_CELLS, False), (MAX_CELLS + 1, True)]:
+        e = ast.ListLit(tuple(ast.Lit(i % 3) for i in range(n)))
+        if raises:
+            with pytest.raises(EvalError, match="TooLarge"):
+                eval_expr(e, build_graph(), {})
+        else:
+            assert len(eval_expr(e, build_graph(), {})) == n

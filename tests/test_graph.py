@@ -217,6 +217,10 @@ def test_dangling_endpoint():
     doc(nodes=[{**node("n1"), "properties": 5}]),
     doc(nodes=[node("n1")], rels=[{**rel("r1", "t", "n1", "n1"), "properties": []}]),
     doc(nodes=[node("n1")], rels=[{**rel("r1", "t", "n1", "n1"), "properties": 5}]),
+    # an id holding a tab, LF or CR, which would split its TSV cell
+    doc(nodes=[node("n\t1")]),
+    doc(nodes=[node("n1\n")]),
+    doc(nodes=[node("n1")], rels=[rel("\rr1", "t", "n1", "n1")]),
 ])
 def test_schema_errors(bad):
     with pytest.raises(SchemaError):

@@ -58,6 +58,26 @@ def test_oracle_is_independent_of_matcher_and_engine():
     assert reads(tree) == reads(harness) > 0
 
 
+def test_outcomes_agree_by_one_rule():
+    # Equal bags, or both sides raise: the differential harness, the CLI's
+    # --oracle and Bag equality all judge by oracle.agree, which alone reads
+    # the normal form.
+    def reads(node, name):
+        return sum(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+
+    readers, callers = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = dict(_functions(tree, path.stem))
+        readers |= {name for name, fn in functions.items() if reads(fn, "_normal_form")}
+        callers |= {name for name, fn in functions.items() if any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == "agree" for n in ast.walk(fn))}
+        if path.name == "oracle.py":
+            assert reads(tree, "_normal_form") == reads(functions["oracle.agree"], "_normal_form")
+    assert readers == {"oracle.agree"}
+    assert {"oracle.differential_case", "cli._run"} <= callers
+
+
 def test_oracle_keeps_its_own_bag():
     # The differential harness checks the engine's bag layer only if the
     # oracle does not share it: of tables.py it takes the Record alias alone.
