@@ -3,9 +3,11 @@
 The package is layered bottom-up: values and graphs, tables (bags of
 records), the AST, a parser with a canonical unparser, a three-valued
 expression evaluator, the pattern matcher, the clause/query engine, and a
-brute-force reference implementation with a random case generator for
-differential testing; the reference side also holds the satisfaction
-relation and rigid expansion, which the engine never runs.
+brute-force reference implementation with its differential harness.  The
+reference side also holds the satisfaction relation and rigid expansion,
+which the engine never runs.  The random case generator (`gen.py`) feeds
+the harness through `gen_case`; `load_case` replays a case document that
+`minicypher gen` writes.
 """
 
 from .ast import free_vars
@@ -29,7 +31,9 @@ from .matcher import match_tuple
 from .oracle import (
     GenConfig,
     differential_case,
+    exhaustive_match,
     gen_case,
+    load_case,
     oracle_match,
     oracle_output,
     rigid_patterns,
@@ -76,9 +80,11 @@ __all__ = [
     "distinct",
     "eq_values",
     "eval_expr",
+    "exhaustive_match",
     "free_vars",
     "gen_case",
     "is_true",
+    "load_case",
     "load_graph",
     "match_tuple",
     "oracle_match",

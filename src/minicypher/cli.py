@@ -40,7 +40,7 @@ from .oracle import (
 )
 from .parser import parse_query
 from .tables import Table
-from .values import KINDS, Map, NodeId, Path, RelId, Value, kind
+from .values import KINDS, Path, Value, kind
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -147,34 +147,6 @@ def render_counted_json(t: Table) -> str:
 
 
 _RENDERERS = {"tsv": render_tsv, "json": render_json, "counted-json": render_counted_json}
-
-
-def table_from_counted_json(doc: dict) -> Table:
-    """Inverse of render_counted_json, for round-trip checks and tooling."""
-    t = Table(doc["fields"])
-    for row in doc["rows"]:
-        t.add({f: _value_from_json(row["record"][f]) for f in doc["fields"]}, row["count"])
-    return t
-
-
-def _value_from_json(v) -> Value:
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, list):
-        return tuple(_value_from_json(x) for x in v)
-    if isinstance(v, dict):
-        if "@node" in v:
-            return NodeId(v["@node"])
-        if "@rel" in v:
-            return RelId(v["@rel"])
-        if "@path" in v:
-            ids = v["@path"]
-            return Path(tuple(NodeId(i) for i in ids[0::2]),
-                        tuple(RelId(i) for i in ids[1::2]))
-        if "@map" in v:
-            return Map(tuple((k, _value_from_json(x))
-                             for k, x in sorted(v["@map"].items())))
-    raise ValueError(f"unrecognized encoded value: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +300,17 @@ def _gen(args: argparse.Namespace) -> int:
         if ok:
             continue
         disagreements += 1
+        print(f"disagreement at seed {cfg.seed}: {detail['query']}", file=sys.stderr)
         doc = case_document(g, q, extra={
             "seed": cfg.seed,
             "engine": detail["engine"],
             "oracle": detail["oracle"],
         })
-        path = save_failure(args.out, f"case-{cfg.seed}", doc)
-        print(f"disagreement at seed {cfg.seed}: {detail['query']}", file=sys.stderr)
+        try:
+            path = save_failure(args.out, f"case-{cfg.seed}", doc)
+        except OSError as exc:
+            print(f"cannot write case: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"  serialized to {path}", file=sys.stderr)
         if disagreements >= args.max_failures:
             print("too many disagreements; stopping early", file=sys.stderr)

@@ -28,7 +28,6 @@ from minicypher.oracle import (
     GenConfig,
     differential_case,
     gen_case,
-    is_rigid,
     oracle_run_query,
     rigid_patterns,
 )
@@ -43,6 +42,12 @@ from minicypher.tables import Table, bag_union, distinct, unit_table
 from minicypher.values import Map, NodeId, Path as GraphPath, RelId, canon
 
 from expr_cases import CASES, Err, build_env, build_graph
+
+
+def is_rigid(pat):
+    """Every slot of pat admits exactly one hop count."""
+    return all(lo == hi for lo, hi in map(ast.range_of, pat.rel_patterns()))
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from minicypher import values
-from minicypher.cli import _cell_text, main, render_counted_json, render_tsv, table_from_counted_json, value_to_json
+from minicypher.cli import _cell_text, main, render_counted_json, render_tsv, value_to_json
 from minicypher.engine import output
 from minicypher.errors import EvalError
 from minicypher.graph import load_graph
@@ -29,6 +29,34 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def table_from_counted_json(doc: dict) -> Table:
+    """Inverse of render_counted_json, for round-trip checks."""
+    t = Table(doc["fields"])
+    for row in doc["rows"]:
+        t.add({f: _value_from_json(row["record"][f]) for f in doc["fields"]}, row["count"])
+    return t
+
+
+def _value_from_json(v):
+    if v is None or isinstance(v, (bool, int, str)):
+        return v
+    if isinstance(v, list):
+        return tuple(_value_from_json(x) for x in v)
+    if isinstance(v, dict):
+        if "@node" in v:
+            return NodeId(v["@node"])
+        if "@rel" in v:
+            return RelId(v["@rel"])
+        if "@path" in v:
+            ids = v["@path"]
+            return values.Path(tuple(NodeId(i) for i in ids[0::2]),
+                               tuple(RelId(i) for i in ids[1::2]))
+        if "@map" in v:
+            return Map(tuple((k, _value_from_json(x))
+                             for k, x in sorted(v["@map"].items())))
+    raise ValueError(f"unrecognized encoded value: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +670,21 @@ def test_gen_writes_each_disagreement_as_a_replayable_case(capsys, tmp_path, mon
         assert replayed_g.to_document() == g.to_document() == doc["graph"]
         assert f"disagreement at seed {seed}: {doc['query']}\n" in err
     assert "stopping early" not in err
+
+
+def test_gen_reports_a_disagreement_it_cannot_write(capsys, tmp_path, monkeypatch):
+    # --out names a file, so no case can be written there: the disagreement
+    # is still reported, then one line says why the run stopped (exit 64).
+    monkeypatch.setattr("minicypher.cli.differential_case", lambda g, q: (False, differential_case(g, q)[1]))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc, out, err = run(capsys, "gen", "--cases", "3", "--seed", "4", "--out", str(taken))
+    query = unparse_query(gen_case(GenConfig(seed=4))[1])
+    assert (rc, out) == (64, "")
+    first, second = err.splitlines()
+    assert first == f"disagreement at seed 4: {query}"
+    assert second.startswith("cannot write case: ") and str(taken) in second
+    assert taken.read_text() == ""
 
 
 def test_gen_stops_after_max_failures_and_counts_the_cases_run(capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import minicypher
 from minicypher.ast import LEFT_OPERAND, OPERATORS, Cmp, Not
 from minicypher.errors import EvalError
 from minicypher.evaluator import _CHAIN_RULES
@@ -33,29 +34,47 @@ def test_every_top_level_import_is_read(path):
     assert not unread, f"{path.name} imports {unread} and never reads them"
 
 
+def _ties(tree, modules):
+    """(module.name, alias) of each import in tree from one of modules."""
+    ties = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            ties += [(a.name, a.asname) for a in node.names if modules & set(a.name.split("."))]
+        elif isinstance(node, ast.ImportFrom):
+            parts = set((node.module or "").split("."))
+            ties += [(f"{node.module}.{a.name}", a.asname) for a in node.names
+                     if modules & (parts | {a.name})]
+    return ties
+
+
+def _reads_only_in(tree, names, fn_name):
+    """Whether tree reads names, and only in its top-level function fn_name."""
+    def reads(node):
+        return sum(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+
+    fn = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == fn_name)
+    return reads(tree) == reads(fn) > 0
+
+
 def test_oracle_is_independent_of_matcher_and_engine():
     # The oracle restates the semantics instead of borrowing them, so that
     # it can check the engine.  Its one tie to the engine is the engine
     # under test: the differential harness imports engine.output as
     # engine_output and reads it in differential_case alone.
     tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
-    ties = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            ties += [(a.name, a.asname) for a in node.names
-                     if {"matcher", "engine"} & set(a.name.split("."))]
-        elif isinstance(node, ast.ImportFrom):
-            parts = set((node.module or "").split("."))
-            ties += [(f"{node.module}.{a.name}", a.asname) for a in node.names
-                     if {"matcher", "engine"} & (parts | {a.name})]
-    assert ties == [("engine.output", "engine_output")]
+    assert _ties(tree, {"matcher", "engine"}) == [("engine.output", "engine_output")]
+    assert _reads_only_in(tree, {"engine_output"}, "differential_case")
 
-    def reads(node):
-        return sum(isinstance(n, ast.Name) and n.id == "engine_output" for n in ast.walk(node))
 
-    harness = next(fn for fn in tree.body
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "differential_case")
-    assert reads(tree) == reads(harness) > 0
+def test_the_generator_is_independent_of_both_sides():
+    # The generator draws the cases that the harness judges, so it borrows
+    # nothing from either implementation or the harness, and the oracle
+    # reaches it in gen_case alone.
+    gen = ast.parse((SRC / "gen.py").read_text(encoding="utf-8"))
+    assert not _ties(gen, {"matcher", "engine", "evaluator", "oracle"})
+    oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    taken = {alias or name.rsplit(".", 1)[1] for name, alias in _ties(oracle, {"gen"})}
+    assert taken and _reads_only_in(oracle, taken, "gen_case")
 
 
 def test_outcomes_agree_by_one_rule():
@@ -94,6 +113,42 @@ def test_oracle_keeps_its_own_bag():
     assert taken == ["Record"]
 
 
+def _top_level_reads(path):
+    """((module, name) read, (module, top-level definition reading it)) for
+    each read in path of a name defined at the top level of a module: a
+    bare name, resolved through `from .module import`, or `module.name`
+    after `from . import module`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    origin, modules = {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None:
+                    modules.add(a.asname or a.name)
+                else:
+                    origin[a.asname or a.name] = (node.module, a.name)
+    for top in tree.body:
+        where = (path.stem, getattr(top, "name", None))
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                yield origin.get(n.id, (path.stem, n.id)), where
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+                yield (n.value.id, n.attr), where
+
+
+def test_every_top_level_definition_is_read_or_exported():
+    # Production modules hold only what runs: each top-level function and
+    # class is read in src/ outside its own body, or the package exports
+    # it.  A helper that only tests read lives with those tests.
+    reads = {read for path in sorted(SRC.glob("*.py")) for read, where in _top_level_reads(path) if read != where}
+    assert {("gen", "graph_document"), ("ast", "Prop"), ("cli", "main_entry")} <= reads
+    defined = {(path.stem, node.name) for path in MODULES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    unread = sorted(f"{module}.{name}" for module, name in defined - reads if name not in minicypher.__all__)
+    assert not unread, f"read by no module of src/ and not exported: {unread}"
+
+
 def _isinstance_naming_bool(tree):
     """(enclosing top-level function or None, line) of each isinstance call
     whose class argument names bool."""
@@ -107,10 +162,8 @@ def _isinstance_naming_bool(tree):
 
 def _reads_raw_json(module, fn):
     # The readers of raw JSON turn Python's json output into values, so
-    # they must tell bool from int by hand: graph.py's loader and the
-    # CLI's reader of counted JSON.
-    return (module, fn) in {("graph.py", "_value_from_json"), ("graph.py", "_expect"),
-                            ("cli.py", "_value_from_json")}
+    # they must tell bool from int by hand: graph.py's loader.
+    return (module, fn) in {("graph.py", "_value_from_json"), ("graph.py", "_expect")}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "values.py"], ids=lambda p: p.name)

@@ -18,14 +18,14 @@ from minicypher.oracle import (
     GenConfig,
     differential_case,
     gen_case,
-    is_rigid,
     make_rigid,
+    oracle_match,
     oracle_output,
     rigid_patterns,
     satisfies_node,
     satisfies_path,
 )
-from minicypher.parser import parse_pattern, parse_pattern_tuple, parse_query
+from minicypher.parser import parse_expr, parse_pattern, parse_pattern_tuple, parse_query
 from minicypher.tables import Table
 from minicypher.values import NodeId, Path, RelId
 
@@ -36,6 +36,11 @@ def n(i):
 
 def r(i):
     return RelId(f"r{i}")
+
+
+def is_rigid(pat):
+    """Every slot of pat admits exactly one hop count."""
+    return all(lo == hi for lo, hi in map(ast.range_of, pat.rel_patterns()))
 
 
 def table(fields, *rows):
@@ -215,6 +220,17 @@ class TestZeroLength:
             {"q": (), "y": n(1)},
             {"q": (r(1),), "y": n(2)},
         )
+
+    def test_the_empty_tuple_has_one_witness(self, teachers):
+        # No path, so no hop: one empty extension, which a MATCH's WHERE
+        # alone keeps or drops.
+        empty = ast.PatternTuple(())
+        assert match_tuple(empty, teachers, {}) == table([], {}) == oracle_match(empty, teachers, {})
+        for where, rows in [("true", [{}]), ("x = 1", [{}]), ("false", []), ("null", [])]:
+            clause = ast.Match(empty, False, parse_expr(where))
+            assert match_tuple(clause, teachers, {"x": 1}) == table([], *rows), where
+        with pytest.raises(EvalError):
+            match_tuple(ast.Match(empty, False, parse_expr("1 < 'a'")), teachers, {"x": 1})
 
 
 class TestBoundVariables:
