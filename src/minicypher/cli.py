@@ -99,7 +99,8 @@ def _str_text(s: str) -> str:
 
 # The text of a TSV cell of each kind.  Composites are canonical compact
 # JSON of the tagged encoding, which a path's text writes out directly.
-# An id holds no tab, LF or CR (load_graph rejects one), so it is its text.
+# An id holds no tab, LF, CR or backslash (load_graph rejects one), so it is
+# its text, and no id cell reads as a string cell of another value.
 _CELL_TEXT = {
     "null": lambda v: "null", "bool": lambda v: "true" if v else "false", "int": str,
     "str": _str_text, "node": attrgetter("key"), "rel": attrgetter("key"),

@@ -7,8 +7,14 @@ null.  Instances are frozen after :func:`load_graph`; all query methods are
 read-only and safe to share between threads.  Ids are interned
 (``values.NodeId``), so every store and index, keyed by the id itself,
 hashes and compares by identity, and loading is safe from any thread.
-The undirected adjacency is built at load.  The per-key property index and
-the twin set are built on first use and cached; a build is idempotent, so
+
+:func:`load_graph` checks and copies a document in one pass.  A field is
+tested by its exact type, and by the subclass-admitting rule only when that
+test misses; error text is built only on the branch that raises.  The ids
+of the nodes, then of the relationships, are interned as one batch each,
+under one lock, and nodes with equal label sets share one frozenset.  The
+undirected adjacency is built at load.  The per-key property index and the
+twin set are built on first use and cached; a build is idempotent, so
 threads that race to build one store equal copies.
 """
 
@@ -21,17 +27,17 @@ from .errors import DanglingEndpoint, DuplicateId, SchemaError, UnknownId
 from .values import MAX_DEPTH, Map, NodeId, RelId, Value, kind
 
 
-def _value_from_json(raw: Any, where: str) -> Value:
+def _value_from_json(raw: Any) -> Value:
     """Decode a JSON property value into a Value. Floats are rejected."""
     if raw is None or isinstance(raw, (bool, int, str)):
         return raw
     if isinstance(raw, float):
-        raise SchemaError(f"{where}: floating-point property values are not supported")
+        raise SchemaError("floating-point property values are not supported")
     if isinstance(raw, list):
-        return tuple(_value_from_json(x, where) for x in raw)
+        return tuple(_value_from_json(x) for x in raw)
     if isinstance(raw, dict):  # a dict's keys are distinct, as a Map's must be
-        return Map(tuple((k, _value_from_json(v, where)) for k, v in raw.items()))
-    raise SchemaError(f"{where}: unsupported property value {raw!r}")
+        return Map(tuple((k, _value_from_json(v)) for k, v in raw.items()))
+    raise SchemaError(f"unsupported property value {raw!r}")
 
 
 def _too_deep(raw: Any) -> bool:
@@ -47,15 +53,26 @@ def _too_deep(raw: Any) -> bool:
     return False
 
 
-def _load_props(raw_props: Any, where: str) -> dict[str, Value]:
-    if not isinstance(raw_props, dict):
-        raise SchemaError(f"{where}: `properties` must be an object")
+# The exact types of the property values stored as they come: plain scalars.
+_SCALARS = frozenset({type(None), bool, int, str})
+_STR = frozenset({str})
+_NO_LABELS: list[str] = []  # a node's labels when it lists none; never changed
+
+
+def _load_props(raw_props: Any, section: str, idx: int) -> dict[str, Value]:
+    """The stored properties of ``section[idx]``: scalars copied across,
+    lists and maps bounded in depth and decoded, nulls dropped."""
+    if type(raw_props) is not dict and not isinstance(raw_props, dict):
+        raise SchemaError(f"{section}[{idx}]: `properties` must be an object")
     props: dict[str, Value] = {}
-    for k, raw in raw_props.items():
-        at = f"{where}.properties.{k}"
-        if isinstance(raw, (list, dict)) and _too_deep(raw):
-            raise SchemaError(f"{at}: value nests deeper than {MAX_DEPTH} levels")
-        v = _value_from_json(raw, at)
+    for k, v in raw_props.items():
+        if type(v) not in _SCALARS:
+            try:
+                if isinstance(v, (list, dict)) and _too_deep(v):
+                    raise SchemaError(f"value nests deeper than {MAX_DEPTH} levels")
+                v = _value_from_json(v)
+            except SchemaError as e:
+                raise SchemaError(f"{section}[{idx}].properties.{k}: {e}") from None
         if v is not None:
             props[k] = v
     return props
@@ -110,8 +127,7 @@ class PropertyGraph:
         self._out = {n: tuple(v) for n, v in out.items()}
         self._in = {n: tuple(v) for n, v in inc.items()}
         # Undirected: outgoing, then incoming; a self-loop sits in both, once.
-        self._both = {n: self._out[n] + tuple(r for r in self._in[n] if src[r] is not n)
-                      for n in nodes}
+        self._both = {n: self._out[n] + tuple([r for r in inc[n] if src[r] is not n]) for n in nodes}
         # Label index: label -> the nodes carrying it, in document order.
         by_label: dict[str, list[NodeId]] = {}
         for n in nodes:
@@ -258,64 +274,83 @@ def _expect(doc: dict, key: str, kind: type, where: str) -> Any:
     return v
 
 
-def _new_id(doc: Any, where: str, seen: set[str]) -> str:
-    # An id is its own TSV cell, unescaped, so it may hold no tab, LF or CR.
-    raw_id = _expect(doc, "id", str, where)
-    if not raw_id.isprintable() and any(c in raw_id for c in "\t\n\r"):
-        raise SchemaError(f"{where}: id {raw_id!r} holds a tab, LF or CR")
-    if raw_id in seen:
-        raise DuplicateId(f"{where}: id {raw_id!r} declared twice")
-    seen.add(raw_id)
-    return raw_id
+def _new_id(doc: Any, section: str, idx: int, seen: set[str]) -> str:
+    """The id of ``doc``, the element ``section[idx]``, added to ``seen``."""
+    key = doc.get("id") if type(doc) is dict else None
+    if type(key) is not str:
+        key = _expect(doc, "id", str, f"{section}[{idx}]")
+    if key in seen or "\\" in key or not key.isprintable():
+        # An id is its own TSV cell, unescaped, so it may hold no tab, LF, CR
+        # or backslash: a string cell's escapes could not be told from it.
+        if not key.isprintable() and any(c in key for c in "\t\n\r"):
+            raise SchemaError(f"{section}[{idx}]: id {key!r} holds a tab, LF or CR")
+        if "\\" in key:
+            raise SchemaError(f"{section}[{idx}]: id {key!r} holds a backslash")
+        if key in seen:
+            raise DuplicateId(f"{section}[{idx}]: id {key!r} declared twice")
+    seen.add(key)
+    return key
 
 
 def load_graph(document: dict) -> PropertyGraph:
-    """Build a PropertyGraph from a parsed JSON document.
+    """Build a PropertyGraph from a parsed JSON document, in one pass.
 
     Raises SchemaError on shape problems (a property value nested deeper
-    than ``values.MAX_DEPTH`` and an id holding a tab, LF or CR among them),
-    DuplicateId for repeated ids (node and relationship ids share one
-    namespace), and DanglingEndpoint when a relationship references an
-    undeclared node.
+    than ``values.MAX_DEPTH`` and an id holding a tab, LF, CR or backslash
+    among them), DuplicateId for repeated ids (node and relationship ids
+    share one namespace), and DanglingEndpoint when a relationship
+    references an undeclared node; the first fault in document order wins.
     """
     node_docs = _expect(document, "nodes", list, "document")
     rel_docs = _expect(document, "relationships", list, "document")
 
+    # Each field is tested by its exact type first; only on a miss do the
+    # tests that admit subclasses (`_expect`, isinstance) run, and raise.
     seen: set[str] = set()
-    nodes: list[NodeId] = []
-    labels: dict[NodeId, frozenset[str]] = {}
-    props: dict[NodeId | RelId, dict[str, Value]] = {}
-
+    node_keys: list[str] = []
+    node_labels: list[frozenset[str]] = []
+    node_props: list[dict[str, Value]] = []
+    shared: dict[frozenset[str], frozenset[str]] = {}  # one frozenset per label set
     for idx, nd in enumerate(node_docs):
-        where = f"nodes[{idx}]"
-        n = NodeId(_new_id(nd, where, seen))
-        raw_labels = nd.get("labels", [])
-        if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
-            raise SchemaError(f"{where}: `labels` must be a list of strings")
-        props[n] = _load_props(nd.get("properties", {}), where)
-        nodes.append(n)
-        labels[n] = frozenset(raw_labels)
+        key = _new_id(nd, "nodes", idx, seen)
+        raw_labels = nd.get("labels", _NO_LABELS)
+        if type(raw_labels) is not list or not _STR.issuperset(map(type, raw_labels)):
+            if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
+                raise SchemaError(f"nodes[{idx}]: `labels` must be a list of strings")
+        labels = frozenset(raw_labels)
+        node_labels.append(shared.setdefault(labels, labels))
+        node_props.append(_load_props(nd.get("properties", {}), "nodes", idx))
+        node_keys.append(key)
+    nodes = NodeId.intern_all(node_keys)
+    node_of = dict(zip(node_keys, nodes))
 
-    rels: list[RelId] = []
-    src: dict[RelId, NodeId] = {}
-    tgt: dict[RelId, NodeId] = {}
-    types: dict[RelId, str] = {}
-    node_of = {n.key: n for n in nodes}
-
+    rel_keys: list[str] = []
+    types: list[str] = []
+    srcs: list[NodeId] = []
+    tgts: list[NodeId] = []
+    rel_props: list[dict[str, Value]] = []
     for idx, rd in enumerate(rel_docs):
-        where = f"relationships[{idx}]"
-        r = RelId(_new_id(rd, where, seen))
-        rtype = _expect(rd, "type", str, where)
-        s = _expect(rd, "src", str, where)
-        t = _expect(rd, "tgt", str, where)
-        if s not in node_of:
-            raise DanglingEndpoint(f"{where}: src {s!r} is not a declared node")
-        if t not in node_of:
-            raise DanglingEndpoint(f"{where}: tgt {t!r} is not a declared node")
-        props[r] = _load_props(rd.get("properties", {}), where)
-        rels.append(r)
-        src[r] = node_of[s]
-        tgt[r] = node_of[t]
-        types[r] = rtype
+        key = _new_id(rd, "relationships", idx, seen)
+        rtype, s, t = rd.get("type"), rd.get("src"), rd.get("tgt")
+        if type(rtype) is not str:
+            rtype = _expect(rd, "type", str, f"relationships[{idx}]")
+        if type(s) is not str:
+            s = _expect(rd, "src", str, f"relationships[{idx}]")
+        if type(t) is not str:
+            t = _expect(rd, "tgt", str, f"relationships[{idx}]")
+        sn, tn = node_of.get(s), node_of.get(t)
+        if sn is None:
+            raise DanglingEndpoint(f"relationships[{idx}]: src {s!r} is not a declared node")
+        if tn is None:
+            raise DanglingEndpoint(f"relationships[{idx}]: tgt {t!r} is not a declared node")
+        rel_props.append(_load_props(rd.get("properties", {}), "relationships", idx))
+        rel_keys.append(key)
+        types.append(rtype)
+        srcs.append(sn)
+        tgts.append(tn)
+    rels = RelId.intern_all(rel_keys)
 
-    return PropertyGraph(tuple(nodes), tuple(rels), src, tgt, labels, types, props)
+    props: dict[NodeId | RelId, dict[str, Value]] = dict(zip(nodes, node_props))
+    props.update(zip(rels, rel_props))
+    return PropertyGraph(tuple(nodes), tuple(rels), dict(zip(rels, srcs)), dict(zip(rels, tgts)),
+                         dict(zip(nodes, node_labels)), dict(zip(rels, types)), props)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import EvalError, type_mismatch
 
@@ -53,7 +53,8 @@ _INTERN_LOCK = threading.Lock()
 
 class _Id(_Frozen):
     """A graph id, interned: one live object per (class, key), created under
-    a lock, re-interned by copy and pickle, dropped once unreferenced."""
+    a lock (taken once per batch by :meth:`intern_all`), re-interned by copy
+    and pickle, dropped once unreferenced."""
 
     __slots__ = ("key", "__weakref__")
 
@@ -64,15 +65,27 @@ class _Id(_Frozen):
         cls._drop = staticmethod(lambda ref: _remove_dead_weakref(interned, ref.key))
 
     def __new__(cls, key: str):
-        interned = cls._interned
+        return cls.intern_all((key,))[0]
+
+    @classmethod
+    def intern_all(cls, keys: Iterable[str]) -> list:
+        """The ids of ``keys``, in order, all interned under one lock."""
+        interned, drop, ids = cls._interned, cls._drop, []
+        new, setattr_, new_ref, keyed_ref = object.__new__, object.__setattr__, weakref.ref.__new__, weakref.KeyedRef
         with _INTERN_LOCK:
-            ref = interned.get(key)
-            self = None if ref is None else ref()
-            if self is None:
-                self = object.__new__(cls)
-                object.__setattr__(self, "key", key)
-                interned[key] = weakref.KeyedRef(self, cls._drop, key)
-        return self
+            for key in keys:
+                ref = interned.get(key)
+                i = None if ref is None else ref()
+                if i is None:
+                    i = new(cls)
+                    setattr_(i, "key", key)
+                    # KeyedRef(i, drop, key), built as KeyedRef.__new__ builds it,
+                    # without the Python-level calls of its __new__ and __init__
+                    # (which add nothing: ref.__init__ only checks the arguments)
+                    ref = interned[key] = new_ref(keyed_ref, i, drop)
+                    ref.key = key
+                ids.append(i)
+        return ids
 
     def __reduce__(self):
         return type(self), (self.key,)

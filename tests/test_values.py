@@ -182,6 +182,16 @@ def test_a_late_removal_keeps_the_reinterned_id():
     assert NodeId("reborn") is m
 
 
+def test_intern_all_returns_the_ids_that_the_constructor_returns():
+    held = NodeId("batch-b")  # live before the batch
+    for cls in (NodeId, RelId, _Node):
+        ids = cls.intern_all(["batch-a", "batch-b", "batch-a"])
+        assert [type(i) for i in ids] == [cls] * 3
+        assert ids[0] is ids[2] is cls("batch-a") and ids[1] is cls("batch-b")
+    assert NodeId.intern_all(["batch-b"])[0] is held
+    assert NodeId.intern_all(iter(())) == []
+
+
 def test_map_lookup():
     m = Map((("a", 1), ("b", None)))
     assert m.get("a") == 1
