@@ -83,6 +83,16 @@ def _path_ids(p: Path) -> list[str]:  # the node and relationship keys, alternat
     return ids
 
 
+def _path_text(p: Path) -> str:
+    ids = _path_ids(p)
+    text = '","'.join(ids)
+    # Keys of printable ASCII with no quote or backslash are their own JSON
+    # string bodies: the joined text shows a quote only between two keys.
+    if text.isascii() and text.isprintable() and "\\" not in text and text.count('"') == 2 * len(ids) - 2:
+        return '{"@path":["' + text + '"]}'
+    return '{"@path":[' + ",".join(map(encode_basestring_ascii, ids)) + "]}"
+
+
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # one for every cell
 
 
@@ -104,7 +114,7 @@ def _str_text(s: str) -> str:
 _CELL_TEXT = {
     "null": lambda v: "null", "bool": lambda v: "true" if v else "false", "int": str,
     "str": _str_text, "node": attrgetter("key"), "rel": attrgetter("key"),
-    "path": lambda v: '{"@path":[' + ",".join(map(encode_basestring_ascii, _path_ids(v))) + "]}",
+    "path": _path_text,
 }
 _CELL_TEXT["list"] = _CELL_TEXT["map"] = lambda v: _COMPACT.encode(value_to_json(v))
 _CELL_TEXT_OF_TYPE = {t: _CELL_TEXT[k] for t, k in KINDS}  # exact types; others go through kind()
@@ -117,8 +127,8 @@ def _cell_text(v: Value) -> str:
 def render_tsv(t: Table) -> str:
     lines = ["\t".join(t.fields)]
     body = []
-    for u, count in t.rows():
-        row = "\t".join([_CELL_TEXT_OF_TYPE.get(type(v), _cell_text)(v) for v in map(u.__getitem__, t.fields)])
+    for u, count in t.tuples():
+        row = "\t".join([_CELL_TEXT_OF_TYPE.get(type(v), _cell_text)(v) for v in u])
         if count == 1:
             body.append(row)
         else:
@@ -129,8 +139,8 @@ def render_tsv(t: Table) -> str:
 
 def render_json(t: Table) -> str:
     rows = []
-    for u, count in t.rows():
-        encoded = [value_to_json(u[f]) for f in t.fields]
+    for u, count in t.tuples():
+        encoded = [value_to_json(v) for v in u]
         rows.extend([encoded] * count)
     rows.sort(key=lambda r: json.dumps(r, sort_keys=True))
     doc = {"fields": list(t.fields), "rows": rows}
@@ -139,8 +149,8 @@ def render_json(t: Table) -> str:
 
 def render_counted_json(t: Table) -> str:
     rows = []
-    for u, count in t.rows():
-        record = {f: value_to_json(u[f]) for f in t.fields}
+    for u, count in t.tuples():
+        record = dict(zip(t.fields, map(value_to_json, u)))
         rows.append({"record": record, "count": count})
     rows.sort(key=lambda r: json.dumps(r["record"], sort_keys=True))
     doc = {"fields": list(t.fields), "rows": rows}

@@ -8,15 +8,39 @@ behaves exactly like k copies of the row.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from . import ast
-from .ast import free_vars
+from .ast import expr_names, free_vars
 from .errors import AliasClash, FieldMismatch, NameClash, StarOnEmptyFields
 from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
 from .matcher import match_tuple, plan_match
 from .parser import unparse_expr
-from .tables import Table, bag_union, distinct, unit_table
+from .tables import Record, Row, Table, bag_union, distinct, getter, unit_table
 from .values import FunctionRegistry, canon
+
+
+def _reader(es: list[ast.Expr], t: Table) -> Callable[[Row], Record]:
+    """The function from a row of t to the record that the expressions es
+    read: the row's cells at the fields they name (at every field, when t
+    has one field or no row).  A name that is no field raises when read,
+    whatever else the record holds."""
+    names = fields = t.fields
+    if len(names) > 1 and not t.is_empty():  # drop the fields es do not read
+        read = set().union(*map(expr_names, es))
+        names = [f for f in fields if f in read]
+    if len(names) == 1:
+        f, i = names[0], fields.index(names[0])
+        return lambda u: {f: u[i]}
+    get = getter([fields.index(f) for f in names])
+    return lambda u: dict(zip(names, get(u)))
+
+
+def _joined(fields: tuple[str, ...], out: tuple[str, ...]) -> Callable[[Row], Row]:
+    """The permutation that puts a row over fields, an input row joined
+    with an extension, in the field order out of the output."""
+    return getter([fields.index(f) for f in out])
 
 
 def _match_rows(
@@ -28,23 +52,26 @@ def _match_rows(
     """MATCH / OPTIONAL MATCH; the matcher applies the WHERE to each witness."""
     plan = out = None  # planned at the first row, so an empty input plans nothing
     memo: dict[tuple, Table] = {}
-    for u, count in t.rows():
+    for u, count in t.tuples():
         if plan is None:
             plan = plan_match(c, t.fields)
-            out = Table(t.fields + plan.fields)
+            relevant = getter([t.fields.index(f) for f in plan.relevant])  # the cells the bag reads
         # The filtered match bag depends on the row only through the fields
         # the plan reads, so memoize per restriction of the row to them.
-        key = tuple(canon(u[f]) for f in plan.relevant)
+        cells = relevant(u)
+        key = tuple([canon(v) for v in cells])
         sub = memo.get(key)
         if sub is None:
-            sub = memo[key] = match_tuple(plan, g, u, functions)
+            sub = memo[key] = match_tuple(plan, g, dict(zip(plan.relevant, cells)), functions)
         if count == 1 and not t.fields and not (c.optional and sub.is_empty()):
             return sub  # the one empty row joins its match bag as it is
-        for u2, c2 in sub.rows():  # distinct rows joined with distinct extensions
-            out.add_new({**u, **u2}, count * c2)
+        if out is None:
+            out = Table(t.fields + plan.fields, ids=t.ids and plan.ids)
+            joined, padding = _joined(t.fields + plan.fields, out.fields), (None,) * len(plan.fields)
+        for u2, c2 in sub.tuples():  # distinct rows joined with distinct extensions
+            out.add_new(joined(u + u2), count * c2)
         if c.optional and sub.is_empty():
-            padding = {f: None for f in out.fields if f not in u}
-            out.add_new({**u, **padding}, count)
+            out.add_new(joined(u + padding), count)
     return out if out is not None else Table(set(t.fields) | free_vars(c.patterns))
 
 
@@ -76,12 +103,24 @@ def _project(
         raise AliasClash("projection with no output names")
     if len(pairs) == len(fields) and all(a == c for a, c in pairs):
         return t  # every field read into itself: the identity
-    out = Table(names)
+    # each item's input position, or the expression it evaluates, in item
+    # order, and the items in the output's field order
+    cells = [t.fields.index(c) if type(c) is str else c for _, c in pairs]
+    exprs = [c for c in cells if type(c) is not int]
+    out = Table(names, ids=t.ids and not exprs)
     # When every input field is read into some output name, distinct input
     # rows project to distinct rows.
-    add = out.add_new if fields <= {c for _, c in pairs if type(c) is str} else out.add
-    for u, count in t.rows():
-        add({a: u[c] if type(c) is str else eval_expr(c, g, u, functions) for a, c in pairs}, count)
+    add = out.add_new if len({c for c in cells if type(c) is int}) == len(fields) else out.add
+    at = [names.index(f) for f in out.fields]  # the items in the output's field order
+    if not exprs:  # one getter per row
+        get = getter([cells[i] for i in at])
+        for u, count in t.tuples():
+            add(get(u), count)
+        return out
+    order, read = getter(at), _reader(exprs, t)
+    for u, count in t.tuples():
+        record = read(u)
+        add(order([u[c] if type(c) is int else eval_expr(c, g, record, functions) for c in cells]), count)
     return out
 
 
@@ -98,21 +137,23 @@ def run_clause(
         out = _project(c.star, c.items, g, t, functions)
         if c.where is None:
             return out
-        kept = Table(out.fields)
-        for u, count in out.rows():  # a subset of distinct rows
-            if is_true(eval_expr(c.where, g, u, functions)):
+        kept, read = Table(out.fields, ids=out.ids), _reader([c.where], out)
+        for u, count in out.tuples():  # a subset of distinct rows
+            if is_true(eval_expr(c.where, g, read(u), functions)):
                 kept.add_new(u, count)
         return kept
 
     if isinstance(c, ast.Unwind):
         if c.name in t.fields:
             raise NameClash(f"UNWIND alias `{c.name}` is already a field", span=c.span)
-        out, unwound = Table(t.fields + (c.name,)), (c.name,)
-        for u, count in t.rows():
-            v = eval_expr(c.expr, g, u, functions)
+        out, read = Table(t.fields + (c.name,)), _reader([c.expr], t)
+        at = out.fields.index(c.name)
+        for u, count in t.tuples():
+            v = eval_expr(c.expr, g, read(u), functions)
+            head, tail = u[:at], u[at:]
             among: dict[tuple, int] = {}  # this row's elements alone can equal each other
             for x in v if isinstance(v, tuple) else (v,):  # a non-list value unwinds to itself
-                out.add_among({**u, c.name: x}, count, among, unwound)
+                out.add_among(head + (x,) + tail, count, among, at)
         return out
 
     raise TypeError(f"not a clause: {c!r}")

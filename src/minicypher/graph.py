@@ -36,7 +36,12 @@ def _value_from_json(raw: Any) -> Value:
     if isinstance(raw, list):
         return tuple(_value_from_json(x) for x in raw)
     if isinstance(raw, dict):  # a dict's keys are distinct, as a Map's must be
-        return Map(tuple((k, _value_from_json(v)) for k, v in raw.items()))
+        entries = []
+        for k, v in raw.items():
+            if not isinstance(k, str):
+                raise SchemaError(f"map key {k!r} is not a string")
+            entries.append((k, _value_from_json(v)))
+        return Map(tuple(entries))
     raise SchemaError(f"unsupported property value {raw!r}")
 
 
@@ -60,12 +65,16 @@ _NO_LABELS: list[str] = []  # a node's labels when it lists none; never changed
 
 
 def _load_props(raw_props: Any, section: str, idx: int) -> dict[str, Value]:
-    """The stored properties of ``section[idx]``: scalars copied across,
-    lists and maps bounded in depth and decoded, nulls dropped."""
+    """The stored properties of ``section[idx]``: keys that are strings,
+    scalars copied across, lists and maps bounded in depth and decoded,
+    nulls dropped."""
     if type(raw_props) is not dict and not isinstance(raw_props, dict):
         raise SchemaError(f"{section}[{idx}]: `properties` must be an object")
     props: dict[str, Value] = {}
+    plain_keys = _STR.issuperset(map(type, raw_props))  # else each key is tested in turn
     for k, v in raw_props.items():
+        if not plain_keys and not isinstance(k, str):
+            raise SchemaError(f"{section}[{idx}].properties.{k}: key {k!r} is not a string")
         if type(v) not in _SCALARS:
             try:
                 if isinstance(v, (list, dict)) and _too_deep(v):
@@ -296,10 +305,11 @@ def load_graph(document: dict) -> PropertyGraph:
     """Build a PropertyGraph from a parsed JSON document, in one pass.
 
     Raises SchemaError on shape problems (a property value nested deeper
-    than ``values.MAX_DEPTH`` and an id holding a tab, LF, CR or backslash
-    among them), DuplicateId for repeated ids (node and relationship ids
-    share one namespace), and DanglingEndpoint when a relationship
-    references an undeclared node; the first fault in document order wins.
+    than ``values.MAX_DEPTH``, a property or map key that is not a string,
+    and an id holding a tab, LF, CR or backslash among them), DuplicateId
+    for repeated ids (node and relationship ids share one namespace), and
+    DanglingEndpoint when a relationship references an undeclared node;
+    the first fault in document order wins.
     """
     node_docs = _expect(document, "nodes", list, "document")
     rel_docs = _expect(document, "relationships", list, "document")

@@ -63,7 +63,8 @@ match bag's fields and the input fields it depends on (the engine's memo
 key); for each path its walk end, its anchor's kind (bound, seek, label
 index or scan) with the check a seek stands for, and its slots in walk
 order, each with its direction, range, names, next-node labels and check
-groups; the check groups in pattern order; and the twin rule.  A search
+groups; the check groups in pattern order; the twin and named-path
+rules; and how a row is built.  A search
 holds only one row's state: the bindings, the relationships used, the
 placed elements, the check cursor and the twins placed.
 
@@ -73,6 +74,14 @@ one hop, two witnesses that bind one row differ in an anonymous slot between
 the same two nodes, both placing a twin there.  So the witnesses that place
 no twin in an anonymous slot enter unkeyed, and the rest merge among
 themselves, each row at its first witness, as a keyed search lists them.
+When every path is named, each with a fresh name, and no path has more
+than one ranged slot, the path values fix the witness, so every witness
+enters unkeyed.
+
+A row of the match bag is a tuple of the bindings in the bag's field
+order, which the plan fixes.  A field that a node pattern or a one-hop
+slot names holds an id in every row; when every field is one, the match
+bag holds ids alone and keys each row by the row itself.
 
 The plan marks a hop as a *leaf* when its slot is rigid and is the last of
 the tuple's last path, which is unnamed; neither the slot nor the node
@@ -90,14 +99,14 @@ and counters are the generic frame's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterator, NamedTuple, Optional
+from typing import Callable, Collection, Iterator, NamedTuple, Optional
 
 from . import ast
 from .ast import PathPattern, PatternTuple, RelPattern, expr_names, range_of
 from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
-from .tables import Record, Table
+from .tables import Record, Table, getter
 from .values import FunctionRegistry, NodeId, Path, RelId, same_value
 
 _FLIP = {ast.RIGHT: ast.LEFT, ast.LEFT: ast.RIGHT, ast.UNDIRECTED: ast.UNDIRECTED}
@@ -157,8 +166,10 @@ class MatchPlan(NamedTuple):
     groups: tuple[tuple, ...]  # the checks of each element with a property map, then the WHERE's:
     # each (key or None, e, the names e waits for)
     placed: tuple  # the search's first ``placed``
-    unkeyed: bool  # witnesses enter unkeyed unless they place a twin (see _emit)
+    unkeyed: bool  # witnesses enter unkeyed, by the named-path rule or unless they place a twin (see _emit)
     twins: bool  # unnamed slots count the twins they place
+    ids: bool  # every field is bound by a node or a one-hop slot: each cell is an id
+    row: Callable[[Record], tuple]  # the match bag's row, in field order, from the bindings
 
 
 def _far_end_first(pat: PathPattern, bound: set[str], seeks: dict[str, tuple]) -> bool:
@@ -188,17 +199,23 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
     groups: list[tuple] = []
     walks: list[Walk] = []
     unkeyed, anonymous = True, False  # see _emit
-    bound, free, read = set(fields), set(), set()
+    paths_fix = True  # every path is named and has at most one ranged slot (see _emit)
+    bound, free, read, ids = set(fields), set(), set(), set()  # ids: names of nodes and one-hop slots
+    every_name: list[str] = []  # each name, once for each element or path it names
     for pi, pat in enumerate(pats.paths):
         far = _far_end_first(pat, bound, where_seeks)
-        steps, names = [], [] if pat.name is None else [pat.name]
+        steps, names, ranged = [], [] if pat.name is None else [pat.name], 0
         for el in pat.elements:
             gid = -1
+            slot = isinstance(el, RelPattern) and el.range_ is not None  # a ranged slot
+            ranged += slot
             if el.name is None:
                 anonymous = True
-                unkeyed &= isinstance(el, RelPattern) and el.range_ is None
+                unkeyed &= isinstance(el, RelPattern) and not slot
             else:
                 names.append(el.name)
+                if not slot:
+                    ids.add(el.name)
             if el.props:
                 gid = len(groups)
                 checks = tuple([(key, e, expr_names(e)) for key, e in el.props])
@@ -231,6 +248,8 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
                 rel.name, rgid, rel.name is not None or rgid >= 0, rgid >= 0 and not far and not rigid,
                 nel.name, nel.labels, ngid, more, complete, leaf))
         walks.append(Walk(pat.name, far, anchor, el.name, el.labels, gid, seek, tuple(hops)))
+        paths_fix &= pat.name is not None and ranged <= 1
+        every_name += names
         bound.update(names)
         free.update(names)
     placed = (None,) * len(groups)
@@ -241,9 +260,12 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
         placed += ((None,),)
     # a check waits only for the names the input or the pattern binds: reading any other raises
     waits = tuple(tuple([(key, e, names & bound) for key, e, names in checks]) for checks in groups)
+    out = tuple(sorted(free.difference(fields)))
+    if paths_fix and all(every_name.count(w.path) == 1 and w.path not in fields for w in walks):
+        unkeyed, anonymous = True, False  # the path values tell the witnesses apart
     return MatchPlan(
-        tuple(sorted(free.difference(fields))), tuple(f for f in fields if f in read or f in free),
-        tuple(walks), waits, placed + (None,), unkeyed, unkeyed and anonymous)  # placed[-1]
+        out, tuple(f for f in fields if f in read or f in free), tuple(walks), waits,
+        placed + (None,), unkeyed, unkeyed and anonymous, ids.issuperset(out), getter(out))  # placed[-1]
 
 
 class _Search:
@@ -439,7 +461,7 @@ class _Search:
         src, tgt, rel_type, node_labels = self.maps
         ends, undirected = src if direction == ast.LEFT else tgt, direction == ast.UNDIRECTED
         twins, twinned = self.twins if name is None and self.twins else (), self.twinned
-        base, extended = {f: b.get(f) for f in self.out.fields}, 0  # the leaf's names set per row
+        row, extended = self.plan.row, 0
         for r in g.incident(cur, direction):
             if r in used or (types and rel_type[r] not in types):
                 continue
@@ -447,12 +469,13 @@ class _Search:
             n = src[r] if undirected and ends[r] is cur else ends[r]
             if labels and not labels <= node_labels[n]:
                 continue
-            row = base.copy()
             if name is not None:
-                row[name] = r
+                b[name] = r
             if nname is not None:
-                row[nname] = n
-            self._emit(row, twinned or r in twins)
+                b[nname] = n
+            self._emit(row(b), twinned or r in twins)
+        b.pop(name, None)  # the leaf's names are fresh
+        b.pop(nname, None)
         if extended:
             stats.walks_extended += extended
             stats.max_partial_hops = max(stats.max_partial_hops, depth)
@@ -475,12 +498,11 @@ class _Search:
         every check has run by now, unless an error is held."""
         if self.cursor[3] is not None:
             raise self.cursor[3]
-        b = self.b
-        self._emit({f: b[f] for f in self.out.fields}, self.twinned)
+        self._emit(self.plan.row(self.b), self.twinned)
 
-    def _emit(self, row: Record, twin) -> None:
-        """Enter a witness's row into the match bag; twin is true when the
-        witness placed a twin in an unnamed slot."""
+    def _emit(self, row: tuple, twin) -> None:
+        """Enter a witness's row, a tuple in the match bag's field order;
+        twin is true when the witness placed a twin in an unnamed slot."""
         self.stats.witnesses += 1
         out = self.out
         if not self.plan.unkeyed:
@@ -488,7 +510,7 @@ class _Search:
         elif not twin:  # no other witness binds this row
             out.add_new(row)
         else:  # only other twinned witnesses can: merged at the first
-            out.add_among(row, 1, self.merged, out.fields)
+            out.add_among(row, 1, self.merged, None)
 
     def _checks_pass(self) -> bool:
         """Run the checks that can run now; False when one prunes the prefix."""
@@ -540,9 +562,10 @@ def match_tuple(
     pairs witnessing it.  Names already bound in ``u`` act as constraints;
     a binding incompatible with the graph simply yields no rows.  Given a
     MATCH clause, the bag keeps the u′ whose WHERE is true on u and u′.
-    Given a plan, u ranges over the fields it was planned for.
+    Given a plan, u binds the fields it was planned for, or at least the
+    plan's ``relevant`` ones: the bag reads no other.
     """
     plan = pats if isinstance(pats, MatchPlan) else plan_match(pats, u)
-    out = Table(plan.fields)
+    out = Table(plan.fields, ids=plan.ids)
     _Search(plan, g, u, functions, stats if stats is not None else MatchStats(), out).run()
     return out

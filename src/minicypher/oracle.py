@@ -60,8 +60,9 @@ Walk = tuple[tuple[NodeId, ...], tuple[RelId, ...]]
 
 class Bag:
     """The oracle's own bag, ``{canon row key: [record, count]}``.  It has a
-    Table's ``fields`` and ``rows()``, and equals anything that has them and
-    lists the same records with the same counts, each record once."""
+    Table's ``fields``, ``rows()`` and ``tuples()`` (which the CLI's
+    renderers read), and equals anything that has ``fields`` and ``rows()``
+    and lists the same records with the same counts, each record once."""
 
     def __init__(self, fields: Iterable[str], rows: Iterable[tuple[Record, int]] = ()):
         self.fields: tuple[str, ...] = tuple(sorted(set(fields)))
@@ -73,6 +74,11 @@ class Bag:
 
     def rows(self) -> Iterator[tuple[Record, int]]:
         return ((u, count) for u, count in self._rows.values())
+
+    def tuples(self) -> Iterator[tuple[tuple, int]]:
+        """The rows as a Table's renderers read them: each record's values
+        in field order."""
+        return ((tuple([u[f] for f in self.fields]), count) for u, count in self._rows.values())
 
     def __eq__(self, other: object) -> bool:
         return hasattr(other, "rows") and agree(other, self)

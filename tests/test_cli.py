@@ -139,6 +139,15 @@ def test_path_cells_escape_ids_as_json(capsys, tmp_path):
     assert cell == json.dumps(value_to_json(p), sort_keys=True, separators=(",", ":"))
 
 
+@pytest.mark.parametrize("keys", [("a", "r", "b"), ("", "r", ""), ('","', "r", "b"), ("x\x7f", "r", "y"),
+                                  ("\x01", "r", "\u00e9"), ("a,b", "r]", "{c}"), ("a b", "r~", " ")])
+def test_a_path_cell_is_the_json_encoding_of_its_ids(keys):
+    # a key of printable ASCII with no quote takes the quick way; any other
+    # makes the whole path go through the JSON string encoder
+    p = values.Path((NodeId(keys[0]), NodeId(keys[2])), (RelId(keys[1]),))
+    assert _cell_text(p) == json.dumps(value_to_json(p), sort_keys=True, separators=(",", ":"))
+
+
 def test_default_graph_is_empty(capsys):
     rc, out, _ = run(capsys, "--query", "RETURN 1 AS one")
     assert rc == 0
@@ -424,6 +433,18 @@ def test_graph_value_depth_bound(capsys, tmp_path, kind):
     rc, out, err = run(capsys, "--graph", too_deep, "--query", q, "--oracle")
     assert (rc, out) == (3, "")
     assert err == f"graph error: nodes[0].properties.p: value nests deeper than {MAX_DEPTH} levels\n"
+
+
+@pytest.mark.parametrize("props, where", [
+    ({1: 2, "x": 3}, "nodes[0].properties.1: key 1 is not a string"),
+    ({"m": {1: 2}}, "nodes[0].properties.m: map key 1 is not a string"),
+])
+def test_a_non_string_property_key_is_a_graph_error(capsys, monkeypatch, props, where):
+    # JSON text cannot hold such a key, but a document built in Python can.
+    document = {"nodes": [{"id": "n1", "properties": props}], "relationships": []}
+    monkeypatch.setattr("minicypher.cli.json.load", lambda fh: document)
+    rc, out, err = run(capsys, "--graph", TEACHERS, "--query", "MATCH (a) RETURN a.m")
+    assert (rc, out, err) == (3, "", f"graph error: {where}\n")
 
 
 def _deep_query(depth, kind):

@@ -1,10 +1,14 @@
 """Clause and query semantics over tables."""
 
+import hashlib
+
 import pytest
 
 from minicypher import ast, engine
+from minicypher.cli import render_counted_json, render_tsv
 from minicypher.errors import (
     AliasClash,
+    CypherError,
     EvalError,
     FieldMismatch,
     NameClash,
@@ -438,3 +442,92 @@ def test_match_cache_shares_unrelated_fields(teachers):
 def test_output_equals_run_query_on_unit(teachers):
     q = parse_query("MATCH (x:Teacher) RETURN x")
     assert output(q, teachers) == run_query(q, teachers, unit_table())
+
+
+def engine_outcome(g, q):
+    """What output() gives on a case, as text: the counted JSON and TSV
+    renderings, or the error's class, message and span."""
+    try:
+        t = output(q, g)
+    except CypherError as exc:
+        return f"{type(exc).__name__}: {exc} at {exc.span}"
+    return render_counted_json(t) + render_tsv(t)
+
+
+# sha256 of the outcome of every generated case, one line each: a change to
+# the engine's tables or rows keeps each result, rendering and error.
+def test_engine_outcomes_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(2000):
+        g, q = gen_case(GenConfig(seed=seed))
+        h.update(engine_outcome(g, q).encode() + b"\n")
+    assert h.hexdigest() == "5f9f92daa2939c727b20c3cdf20bfbcd20b89c0da3933e9b87be5104025e4e39"
+
+
+# ---------------------------------------------------------------------------
+# Rows as tuples: keying and the join permutation
+# ---------------------------------------------------------------------------
+
+
+class _SelfKeyed(Table):
+    """Every engine table keys each row by the row itself, as only a table
+    of ids may."""
+
+    __slots__ = ()
+
+    def __init__(self, fields, records=(), ids=False):
+        super().__init__(fields, records, ids=True)
+
+
+# true and 1 are two values, though the tuples (true,) and (1,) are equal
+BOOL_AND_INT = "UNWIND [true, 1, true] AS x UNWIND [1, 2] AS y RETURN x"
+
+
+def test_a_table_with_a_bool_field_keys_through_row_key(teachers):
+    q = parse_query(BOOL_AND_INT)
+    assert output(q, teachers) == oracle_output(q, teachers)
+    assert sorted(c for _, c in output(q, teachers).rows()) == [2, 4]
+
+
+def test_keying_a_bool_field_by_the_row_itself_is_caught(teachers, monkeypatch):
+    monkeypatch.setattr(engine, "Table", _SelfKeyed)
+    q = parse_query(BOOL_AND_INT)
+    assert output(q, teachers) != oracle_output(q, teachers)
+
+
+def test_ids_are_proved_by_the_clause(teachers):
+    def ids(text):
+        q = parse_query(text)
+        t = unit_table()
+        for c in q.clauses:
+            t = run_clause(c, teachers, t)
+        return t.ids
+
+    assert ids("MATCH (a)-[r:KNOWS]->(b) RETURN 1 AS one")
+    assert ids("MATCH (a) OPTIONAL MATCH (a)-[:KNOWS]->(b) WITH a, b RETURN 1 AS one")
+    assert not ids("MATCH (a)-[r*]->(b) RETURN 1 AS one")  # a list of relationships
+    assert not ids("MATCH p = (a)-[]->(b) RETURN 1 AS one")
+    assert not ids("MATCH (a) WITH a, a.name AS n RETURN 1 AS one")
+    assert not ids("MATCH (a) UNWIND [1] AS x RETURN 1 AS one")
+
+
+def _plant_join_swapping_two_fields(monkeypatch):
+    """_match_rows puts the first two fields of a joined row in each other's place."""
+    joined = engine._joined
+
+    def planted(fields, out):
+        get = joined(fields, out)
+        return get if len(out) < 2 else lambda u: (lambda v: (v[1], v[0], *v[2:]))(get(u))
+
+    monkeypatch.setattr(engine, "_joined", planted)
+
+
+# a second MATCH joins each row with its extension: a, b and c are all nodes
+JOIN = "MATCH (a:Teacher) MATCH (a)-[:KNOWS]->(b) MATCH (b)-[:KNOWS]->(c) RETURN a, b, c"
+
+
+def test_a_join_swapping_two_fields_of_one_kind_is_caught(teachers, monkeypatch):
+    q = parse_query(JOIN)
+    assert output(q, teachers) == oracle_output(q, teachers) and output(q, teachers).total_rows() > 0
+    _plant_join_swapping_two_fields(monkeypatch)
+    assert output(q, teachers) != oracle_output(q, teachers)

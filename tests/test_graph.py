@@ -258,6 +258,16 @@ SCHEMA_ERRORS = [
 ]
 
 
+# a property key, or a key of a map value, that is not a string: JSON text
+# cannot hold one, so these stay out of the load corpus (FAILS) below
+KEY_ERRORS = [
+    doc(nodes=[{**node("n1"), "properties": {1: 2, "x": 3}}]),
+    doc(nodes=[node("n1")], rels=[{**rel("r1", "t", "n1", "n1"), "properties": {("k",): 1}}]),
+    doc(nodes=[node("n1", props={"m": {1: 2}})]),
+    doc(nodes=[node("n1", props={"m": [{"k": {None: 1}}]})]),
+]
+
+
 # an id holding a backslash, which an id cell would not escape
 BACKSLASH_IDS = [
     doc(nodes=[node("n\\1")]),
@@ -266,10 +276,21 @@ BACKSLASH_IDS = [
 ]
 
 
-@pytest.mark.parametrize("bad", SCHEMA_ERRORS + BACKSLASH_IDS)
+@pytest.mark.parametrize("bad", SCHEMA_ERRORS + BACKSLASH_IDS + KEY_ERRORS)
 def test_schema_errors(bad):
     with pytest.raises(SchemaError):
         load_graph(bad)
+
+
+@pytest.mark.parametrize("props, message", [
+    ({"x": 3, 1: 2}, "nodes[0].properties.1: key 1 is not a string"),
+    ({"x": 1.5, 1: 2}, "nodes[0].properties.x: floating-point property values are not supported"),
+    ({"m": {"k": 1, 2: 3}}, "nodes[0].properties.m: map key 2 is not a string"),
+])
+def test_keys_are_checked_in_document_order(props, message):
+    with pytest.raises(SchemaError) as exc:
+        load_graph(doc(nodes=[{**node("n1"), "properties": props}]))
+    assert str(exc.value) == message
 
 
 def test_floats_are_rejected():

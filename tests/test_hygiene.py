@@ -266,23 +266,32 @@ def test_the_search_does_no_static_analysis():
     assert set(_static_calls(functions["matcher.plan_match"])) == STATIC_ANALYSIS - {"free_vars"}
 
 
-# Table's layout (parallel lists of records and counts, and the key index
-# from row key to position) is read by tables.py alone.
+# Table's layout (parallel lists of rows and counts, and the key index
+# from row key to position) is read by tables.py alone.  Its rows by
+# position, through tuples(), are read by the engine and the CLI alone:
+# the oracle and everything else read records, through rows().
 TABLE_PRIVATE = {"_records", "_counts", "_index"}
+POSITIONAL = "tuples"
+READ_BY_POSITION = {"engine.py", "cli.py"}
+
+
+def _attributes(path):
+    return {(n.attr, n.lineno) for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute)}
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "tables.py"],
                          ids=lambda p: p.name)
 def test_only_tables_reads_the_table_layout(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = sorted({(n.attr, n.lineno) for n in ast.walk(tree)
-                    if isinstance(n, ast.Attribute) and n.attr in TABLE_PRIVATE})
-    assert not found, f"{path.name} reads Table's private fields: {found}"
+    private = TABLE_PRIVATE | (set() if path.name in READ_BY_POSITION else {POSITIONAL})
+    found = sorted((attr, line) for attr, line in _attributes(path) if attr in private)
+    assert not found, f"{path.name} reads Table's private fields or its rows by position: {found}"
 
 
 def test_the_layout_scan_sees_tables():
-    tree = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
-    assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} >= TABLE_PRIVATE
+    assert {attr for attr, _ in _attributes(SRC / "tables.py")} >= TABLE_PRIVATE
+    for name in READ_BY_POSITION:
+        assert POSITIONAL in {attr for attr, _ in _attributes(SRC / name)}
 
 
 def test_every_eval_error_kind_is_built_and_documented():

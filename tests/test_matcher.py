@@ -774,6 +774,57 @@ class TestOneHop:
         assert not _rows_are_keyed_rows()
 
 
+# Named paths on a chain m0 -> m1 -> ... -> m5 with a twin of its first
+# relationship: every named path with one ranged slot lists distinct rows.
+CHAIN = load_graph({
+    "nodes": [{"id": f"m{i}"} for i in range(6)],
+    "relationships": [_rel(f"e{i}", "N", f"m{i}", f"m{i + 1}") for i in range(5)] + [_rel("t0", "N", "m0", "m1")],
+})
+NAMED_PATHS = [
+    ("p = (a)-[*]->(b)", True),
+    ("p = (a)-[]->()-[*0..2]->(b)", True),
+    ("p = ()-[]->(), q = ()-[*1..2]->()", True),
+    ("p = (a)-[*1..2]->()-[*1..2]->(b)", False),  # two ranged slots: a path splits two ways
+    ("p = (a)-[*]->(b), (b)-[]->(c)", False),  # an unnamed path
+    ("p = (a)-[]->(b), p = (c)", False),  # a name used twice
+    ("p = (p)-[]->(b)", False),
+]
+
+
+def _named_paths_are_keyed_rows():
+    return all(_rows(text, CHAIN) == _keyed(_rows(text, CHAIN)) for text, _ in NAMED_PATHS if _rows(text, CHAIN))
+
+
+def _plant_named_paths_with_two_ranged_slots(monkeypatch):
+    plan_match = matcher.plan_match
+
+    def planted(c, fields):
+        plan = plan_match(c, fields)
+        if all(walk.path is not None for walk in plan.walks):
+            plan = plan._replace(unkeyed=True, twins=False)
+        return plan
+
+    monkeypatch.setattr(matcher, "plan_match", planted)
+
+
+class TestNamedPaths:
+    """A tuple of named paths, each with fresh names and at most one ranged
+    slot, enters its witnesses unkeyed: its path values fix the witness."""
+
+    @pytest.mark.parametrize("text,unkeyed", NAMED_PATHS, ids=[text for text, _ in NAMED_PATHS])
+    def test_the_rule_is_read_off_the_plan(self, text, unkeyed):
+        plan = matcher.plan_match(parse_pattern_tuple(text), ())
+        assert (plan.unkeyed and not plan.twins) is unkeyed  # every witness unkeyed
+
+    def test_rows_are_keyed_rows(self):
+        assert _named_paths_are_keyed_rows()
+        assert any(count > 1 for _, count in _rows(NAMED_PATHS[3][0], CHAIN))
+
+    def test_a_path_with_two_ranged_slots_entered_unkeyed_is_caught(self, monkeypatch):
+        _plant_named_paths_with_two_ranged_slots(monkeypatch)
+        assert not _named_paths_are_keyed_rows()
+
+
 def _plan(text, fields=()):
     return matcher.plan_match(parse_query(f"{text} RETURN 1 AS one").clauses[-1], fields)
 

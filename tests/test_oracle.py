@@ -583,3 +583,103 @@ def test_the_ablation_graph_catches_an_add_among_that_never_merges(monkeypatch, 
     want = _outcome(g, q)
     _plant_add_among_never_merging(monkeypatch)
     assert _outcome(g, q) != want
+
+
+# ---------------------------------------------------------------------------
+# The row-listing rule at scale: every unkeyed site against keying every row
+# ---------------------------------------------------------------------------
+
+
+def _scale_graph(seed=3, nodes=300, chain=30):
+    """Nodes n<i> labelled A, B or C with `name` v<i> and `k` in 0..9, each
+    with three X or Y relationships, two of them to itself or the next two
+    nodes (so parallel relationships and self-loops abound), and a chain
+    c0 -> c1 -> ... of `chain` C nodes typed N."""
+    rng = random.Random(seed)
+    docs, rels = [], []
+    for i in range(nodes):
+        docs.append({"id": f"n{i}", "labels": [rng.choice("ABC")], "properties": {"name": f"v{i}", "k": rng.randrange(10)}})
+        for j in range(3):
+            tgt = (i + rng.randrange(3)) % nodes if j else rng.randrange(nodes)
+            rels.append({"id": f"r{3 * i + j}", "type": rng.choice("XY"), "src": f"n{i}", "tgt": f"n{tgt}",
+                         "properties": {"w": rng.randrange(100)}})
+    docs += [{"id": f"c{i}", "labels": ["C"], "properties": {"name": f"c{i}", "k": i % 10}} for i in range(chain)]
+    rels += [{"id": f"e{i}", "type": "N", "src": f"c{i}", "tgt": f"c{i + 1}"} for i in range(chain - 1)]
+    return load_graph({"nodes": docs, "relationships": rels})
+
+
+# point queries anchored on one name, and whole-graph queries
+SCALE_QUERIES = [
+    "MATCH (a {name: 'v7'}) RETURN a",
+    "MATCH (a {name: 'v7'})-[:X]->(b) RETURN b",
+    "MATCH (a {name: 'v7'}) OPTIONAL MATCH (a)-[:Y]->(b:B) RETURN a, b",
+    "MATCH (a {name: 'v8'})<-[:X]-(b:A) RETURN b",
+    "MATCH (a {name: 'v7'})-[*1..2]->(b) RETURN b",
+    "MATCH (a)-[:Y]->(b {name: 'v6'}) RETURN a",
+    "MATCH (a)-[:X]->(b) WHERE a.name = 'v9' RETURN b",
+    "MATCH (a)-[:X]->(b) RETURN a, b",
+    "MATCH (a)-[:X]->(b)-[:X]->(c) RETURN a, c",
+    "MATCH (a)-[r]->(b) WITH a, b.k AS k WHERE k <> 3 RETURN a, k",
+    "MATCH (a:A)-[]->(b:B) WHERE a.k = b.k RETURN a, b",
+    "MATCH (a)-[:Y]->(b) UNWIND [a.k, b.k, 3] AS x RETURN a, x",
+    "MATCH (a)-[:X]->(b) RETURN b AS n UNION MATCH (a)-[:Y]->(b) RETURN a AS n",
+    "MATCH (a)-[:X]->(b) RETURN b AS n UNION ALL MATCH (a)-[:Y]->(b) RETURN a AS n",
+    "MATCH (a:C)-[:N*]->(b) RETURN a, b",
+    "MATCH p = (a:C)-[:N*]->(b) RETURN p",
+    # two ranged slots split one path two ways: its witnesses stay keyed
+    "MATCH p = (a:C)-[:N*1..2]->()-[:N*1..2]->(b) RETURN p",
+]
+
+
+def _keyed_plans(monkeypatch):
+    """Every witness keyed: the plans' unkeyed (which the named-path rule
+    sets too) and twins switched off."""
+    plan_match = engine.plan_match
+    monkeypatch.setattr(engine, "plan_match", lambda c, fields: plan_match(c, fields)._replace(unkeyed=False, twins=False))
+
+
+def _scale_outcomes(g):
+    out = []
+    for text in SCALE_QUERIES:
+        result = engine.output(parse_query(text), g)
+        assert _normal_form(result) is not None, f"{text} repeats a record"
+        out.append(_outcome(g, parse_query(text)))
+    return out
+
+
+def test_every_clause_table_lists_each_record_once_at_scale(monkeypatch):
+    g = _scale_graph()
+    monkeypatch.setattr(engine, "run_clause", _in_normal_form(engine.run_clause))
+    got = _scale_outcomes(g)
+    assert all(rows for rows in got)  # every query returns rows
+    _keyed_plans(monkeypatch)
+    assert _scale_outcomes(g) == got
+
+
+def _plant_unkeyed_named_paths_with_two_ranged_slots(monkeypatch):
+    """Witnesses enter unkeyed whenever every path is named, however many
+    ranged slots a path has."""
+    plan_match = engine.plan_match
+
+    def planted(c, fields):
+        plan = plan_match(c, fields)
+        if all(walk.path is not None for walk in plan.walks):
+            plan = plan._replace(unkeyed=True, twins=False)
+        return plan
+
+    monkeypatch.setattr(engine, "plan_match", planted)
+
+
+@pytest.mark.parametrize("plant", UNSOUND_UNKEYED + [_plant_unkeyed_named_paths_with_two_ranged_slots],
+                         ids=lambda p: p.__name__[len("_plant_"):])
+def test_the_check_at_scale_catches_each_unsound_unkeyed_site(monkeypatch, plant):
+    g = _scale_graph()
+    monkeypatch.setattr(engine, "run_clause", _in_normal_form(engine.run_clause))
+    plant(monkeypatch)
+    try:
+        got = _scale_outcomes(g)
+        _keyed_plans(monkeypatch)
+        caught = _scale_outcomes(g) != got
+    except AssertionError as exc:
+        caught = "repeats a record" in str(exc)
+    assert caught

@@ -195,7 +195,7 @@ def test_keys_are_equal_exactly_when_canon_is():
 def test_mixed_insertions_build_the_index_once(monkeypatch):
     keyed = []
     row_key = tables.row_key
-    monkeypatch.setattr(tables, "row_key", lambda fields, u: keyed.append(u) or row_key(fields, u))
+    monkeypatch.setattr(tables, "row_key", lambda u: keyed.append(u) or row_key(u))
     t = Table(["a"])
     t.add_new({"a": 1})
     t.add_new({"a": 2})
@@ -205,7 +205,7 @@ def test_mixed_insertions_build_the_index_once(monkeypatch):
     t.add_new({"a": 4})  # with an index, a new row is keyed like any other
     t.add({"a": 1})
     assert t.multiplicity({"a": 2}) == 1
-    assert [u["a"] for u in keyed] == [1, 2, 3, 4, 1, 2]  # rows 1 and 2 keyed once
+    assert [u[0] for u in keyed] == [1, 2, 3, 4, 1, 2]  # rows 1 and 2 keyed once
     assert t == Table(["a"], [{"a": 1}, {"a": 1}, {"a": 2}, {"a": 3}, {"a": 4}])
     assert t._index is index
     assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 1), ({"a": 3}, 1), ({"a": 4}, 1)]
@@ -216,12 +216,12 @@ def test_uniformity_is_checked_on_the_new_row_path():
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
     with pytest.raises(AssertionError):
-        t.add_among({"b": 1}, 1, {}, ("b",))
+        t.add_among({"b": 1}, 1, {}, 0)
     t.add({"a": 1})
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
     with pytest.raises(AssertionError):
-        t.add_among({"b": 1}, 1, {}, ("b",))
+        t.add_among({"b": 1}, 1, {}, 0)
 
 
 def test_a_repeated_new_row_is_caught_when_the_index_is_built():
@@ -237,30 +237,39 @@ def test_a_repeated_new_row_is_caught_when_the_index_is_built():
 
 def test_an_exact_path_of_exact_ids_is_its_own_key():
     p = _path("x", "r", "y")
-    assert tables.row_key(("p",), {"p": p}) == (p,)
-    assert tables.row_key(("p",), {"p": p})[0] is p
+    assert tables.row_key((p,)) == (p,)
+    assert tables.row_key((p,))[0] is p
     # a path holding a subclass id, or a Path subclass, keys as the exact
     # path of its canon form, which == merges with p
     for q in (Path((NodeId("x"), Node("y")), (RelId("r"),)), Trail(p.nodes, p.rels)):
-        key = tables.row_key(("p",), {"p": q})[0]
+        key = tables.row_key((q,))[0]
         assert type(key) is Path and key == p and key is not q
+
+
+def test_a_table_of_ids_keys_each_row_by_itself():
+    # ids and nulls are their own keys, so the row is the key row_key gives
+    records = [{"a": NodeId("x"), "b": None}, {"a": NodeId("y"), "b": RelId("r")}, {"a": NodeId("x"), "b": None}]
+    ids, plain = Table(["a", "b"], records, ids=True), Table(["a", "b"], records)
+    assert ids == plain and [c for _, c in ids.rows()] == [2, 1]
+    assert ids.multiplicity({"a": NodeId("x"), "b": None}) == 2
+    assert list(ids._keyed()) == list(plain._keyed()) == [row for row, _ in ids.tuples()]
 
 
 def test_positions():
     t = Table(["a"])
     among = {}
-    t.add_among({"a": 1}, 1, among, ("a",))
-    t.add_among({"a": 2}, 3, among, ("a",))
+    t.add_among({"a": 1}, 1, among, 0)
+    t.add_among({"a": 2}, 3, among, 0)
     assert list(t.rows()) == [({"a": 1}, 1), ({"a": 2}, 3)]
-    t.add_among({"a": 1}, 1, among, ("a",))  # merged at the first, as a twinned witness is
-    t.add_among({"a": 2}, 2, among, ("a",))
+    t.add_among({"a": 1}, 1, among, 0)  # merged at the first, as a twinned witness is
+    t.add_among({"a": 2}, 2, among, 0)
     assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 5)]
     t.add({"a": 3})
     t.add({"a": 1}, 4)
     t.add_new({"a": 4})  # keyed, once there is an index
     assert list(t.rows()) == [({"a": 1}, 6), ({"a": 2}, 5), ({"a": 3}, 1), ({"a": 4}, 1)]
-    t.add_among({"a": 5}, 1, among, ("a",))  # keyed too, and its position entered in among
-    t.add_among({"a": 5}, 2, among, ("a",))
+    t.add_among({"a": 5}, 1, among, 0)  # keyed too, and its position entered in among
+    t.add_among({"a": 5}, 2, among, 0)
     assert list(t.rows())[-1] == ({"a": 5}, 3)
     assert t == Table(["a"], [{"a": 1}] * 6 + [{"a": 2}] * 5 + [{"a": 3}, {"a": 4}] + [{"a": 5}] * 3)
 
@@ -270,8 +279,8 @@ def test_add_among_merges_only_within_its_map():
     t = Table(["a", "x"])
     first, second = {}, {}
     for among in (first, second, first):
-        t.add_among({"a": 1, "x": True}, 1, among, ("x",))
-    t.add_among({"a": 1, "x": 1}, 1, first, ("x",))  # true and 1 stay two rows
+        t.add_among({"a": 1, "x": True}, 1, among, 1)
+    t.add_among({"a": 1, "x": 1}, 1, first, 1)  # true and 1 stay two rows
     assert [c for _, c in t.rows()] == [2, 1, 1]
     with pytest.raises(AssertionError, match="already in the table"):
         t.multiplicity({"a": 1, "x": True})  # the caller broke add_among's contract
