@@ -26,10 +26,10 @@ from .errors import (
     StarOnEmptyFields,
 )
 from .evaluator import eq_values, eval_expr, is_true
+from .gen import GenConfig
 from .graph import PropertyGraph, load_graph
 from .matcher import match_tuple
 from .oracle import (
-    GenConfig,
     differential_case,
     exhaustive_match,
     gen_case,

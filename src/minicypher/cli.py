@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 
 from .errors import CypherError, EvalError, GraphLoadError, ParseError
 from .engine import output
+from .gen import GenConfig
 from .graph import PropertyGraph, load_graph
 from .oracle import (
-    GenConfig,
     agree,
     case_document,
     differential_case,
@@ -125,7 +125,7 @@ def _cell_text(v: Value) -> str:
 
 
 def render_tsv(t: Table) -> str:
-    lines = ["\t".join(t.fields)]
+    lines = ["\t".join(map(_str_text, t.fields))]  # a field name escapes as a string cell
     body = []
     for u, count in t.tuples():
         row = "\t".join([_CELL_TEXT_OF_TYPE.get(type(v), _cell_text)(v) for v in u])

@@ -69,10 +69,10 @@ def eq_values(a: Value, b: Value) -> Trilean:
     """The trilean ``=`` on values.
 
     Null on either side makes the comparison null.  Values of the same type
-    compare by that type's rule (identifiers and paths two-valued, lists and
-    maps element-wise trilean).  A composite against a value of any other
-    type is false; two different non-composite types have no equality rule
-    and raise TypeMismatch.
+    compare by that type's rule (lists and maps element-wise trilean, any
+    other kind two-valued by ``==``).  A composite against a value of any
+    other type is false; two different non-composite types have no equality
+    rule and raise TypeMismatch.
     """
     if a is None or b is None:
         return None
@@ -81,12 +81,8 @@ def eq_values(a: Value, b: Value) -> Trilean:
         if ta in _COMPOSITE or tb in _COMPOSITE:
             return False
         raise type_mismatch(f"no equality between {ta} and {tb}")
-    if ta in ("bool", "int", "str"):
-        return a == b
-    if ta in ("node", "rel"):
-        return a.key == b.key
-    if ta == "path":
-        return a.nodes == b.nodes and a.rels == b.rels
+    if ta not in ("list", "map"):
+        return a == b  # ids are interned, and a path is a sequence of them
     if ta == "list":
         if len(a) != len(b):
             return False

@@ -1,9 +1,9 @@
 """Random case generation: deterministic pseudo-random graphs and queries.
 
 `graph_document` and `query` draw a case from one `random.Random`, graph
-first; `oracle.gen_case` seeds it and loads the graph.  The config they are
-passed (a `GenConfig`) is the only setting they read.  The generator is
-biased toward the sharp corners: zero-length ranges, repeated variables,
+first; `oracle.gen_case` seeds it and loads the graph.  The `GenConfig`
+they are passed is the only setting they read.  The generator is biased
+toward the sharp corners: zero-length ranges, repeated variables,
 undirected slots, anonymous patterns, nulls, and the occasional
 deliberately ill-typed expression (both implementations must then agree
 that the query has no defined result).
@@ -12,9 +12,29 @@ that the query has no defined result).
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from . import ast
 from .parser import KEYWORDS, unparse_expr
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    """The settings of one generated case; the seed fixes it all."""
+
+    seed: int = 0
+    # Chance that a pattern property map is a pair of checks in random
+    # order: one comparing the str key with a literal (often false or
+    # null), one reading a node name's property of a random key, which is
+    # ill-typed where the kinds differ.  At 0 no random number is drawn, so
+    # the cases of every seed stay as they were.
+    check_pairs: float = 0.0
+    # Chance that a node's value of the int key is a string, and that a
+    # MATCH's WHERE is `x.k = lit` or `lit = x.k` on a node name, alone or
+    # in a strict AND with a comparison that may be ill-typed.  At 0 no
+    # random number is drawn.
+    mixed_kinds: float = 0.0
+
 
 # The alphabets and bounds of every generated case.
 _MAX_NODES = _MAX_RELS = 5
@@ -36,7 +56,7 @@ def _gen_value(rng: random.Random, kind: str):
     return [rng.randint(0, 2) for _ in range(rng.randint(0, 3))]
 
 
-def graph_document(rng: random.Random, cfg) -> dict:
+def graph_document(rng: random.Random, cfg: GenConfig) -> dict:
     """A graph document drawn from rng under cfg, for `load_graph`."""
     n_nodes = rng.randint(1, _MAX_NODES)
     n_rels = rng.randint(0, _MAX_RELS)
@@ -74,7 +94,7 @@ _RANGE_WEIGHTS = tuple(1 if r == (2, 1) else 4 for r in _RANGES)  # the empty ra
 class _QueryGen:
     """Stateful helper that tracks the in-scope fields while generating."""
 
-    def __init__(self, rng: random.Random, cfg):
+    def __init__(self, rng: random.Random, cfg: GenConfig):
         self.rng = rng
         self.cfg = cfg
         self.kinds: dict[str, str] = {}  # each in-scope field's kind, in field order
@@ -390,7 +410,7 @@ class _QueryGen:
         return ast.ClauseQuery(tuple(clauses), self.return_clause())
 
 
-def query(rng: random.Random, cfg) -> ast.Query:
+def query(rng: random.Random, cfg: GenConfig) -> ast.Query:
     """A query drawn from rng under cfg: a clause query, or now and then a
     UNION of two whose right branch re-declares the left's output names."""
     gen = _QueryGen(rng, cfg)

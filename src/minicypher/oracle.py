@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path as FsPath
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -49,7 +49,7 @@ from .ast import free_vars
 from .engine import output as engine_output
 from .errors import AliasClash, CypherError, EvalError, FieldMismatch, NameClash, StarOnEmptyFields
 from .evaluator import eq_values, eval_expr, is_true
-from .gen import graph_document, query
+from .gen import GenConfig, graph_document, query
 from .graph import BOTH, PropertyGraph, load_graph
 from .parser import parse_query, unparse_expr, unparse_query
 from .tables import Record
@@ -509,24 +509,6 @@ def save_failure(directory: str, name: str, doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # Case generation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """The settings of one generated case; the seed fixes it all."""
-
-    seed: int = 0
-    # Chance that a pattern property map is a pair of checks in random
-    # order: one comparing the str key with a literal (often false or
-    # null), one reading a node name's property of a random key, which is
-    # ill-typed where the kinds differ.  At 0 no random number is drawn, so
-    # the cases of every seed stay as they were.
-    check_pairs: float = 0.0
-    # Chance that a node's value of the int key is a string, and that a
-    # MATCH's WHERE is `x.k = lit` or `lit = x.k` on a node name, alone or
-    # in a strict AND with a comparison that may be ill-typed.  At 0 no
-    # random number is drawn.
-    mixed_kinds: float = 0.0
 
 
 def gen_case(cfg: GenConfig) -> tuple[PropertyGraph, ast.Query]:

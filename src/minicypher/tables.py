@@ -18,9 +18,9 @@ Structural identity of records (what makes two rows "the same" for
 counting, distinct() and table equality) is value identity per
 :func:`minicypher.values.canon`: null equals null, and True is not 1.  A
 row key encodes it more cheaply: a cell of an exact type in
-``values.UNTAGGED``, or an exact path of exact ids, is its own key; only
-bools, other composites and subclass instances go through ``canon``.  A
-row whose every cell is of an exact type in ``UNTAGGED`` is its own key.
+``values.UNTAGGED`` (ids and paths too), or of an int or str subclass,
+is its own key; bools, lists, maps and other values go through ``canon``.
+A row whose every cell is of an exact type in ``UNTAGGED`` is its own key.
 A table made with ``ids`` holds only exact interned ids and nulls (its
 maker proves it from the clause), so it keys each row by the row itself
 without looking at the cells; tuples compare ``True == 1``, so no other
@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FieldMismatch
-from .values import UNTAGGED, NodeId, Path, RelId, Value, canon
+from .values import UNTAGGED, Value, canon
 
 Record = dict[str, Value]
 Row = tuple  # a record's values in its table's field order
@@ -55,18 +55,11 @@ def getter(keys: Sequence) -> Callable[[Any], tuple]:
     return itemgetter(*keys) if keys else lambda u: ()
 
 
-# A subclass instance of an untagged kind, or a path holding one, keys as
-# the exact value its canon form names.
-_BASE = {"int": lambda c: c[1], "str": lambda c: c[1], "node": lambda c: NodeId(c[1]), "rel": lambda c: RelId(c[1]),
-         "path": lambda c: Path(tuple(map(NodeId, c[1])), tuple(map(RelId, c[2])))}
-_NODE, _REL = frozenset({NodeId}), frozenset({RelId})
-
-
 def _tagged_key(v: Value):
-    if type(v) is Path and _NODE.issuperset(map(type, v.nodes)) and _REL.issuperset(map(type, v.rels)):
-        return v  # ids are interned, so == on such paths is identity of canon forms
+    # an int or str subclass instance (an IntEnum member) keys as itself,
+    # which == and hash make one key with the exact value it equals
     c = canon(v)
-    return _BASE[c[0]](c) if c[0] in _BASE else c
+    return v if c[0] in ("int", "str") else c
 
 
 def row_key(u: Row) -> tuple:

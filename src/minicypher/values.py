@@ -24,7 +24,9 @@ form.
 
 Ids are opaque atoms, so each is interned (one live object per class and
 key, safe to create from any thread): their equality and hashing are
-object identity, and ``NodeId('a')`` is never ``RelId('a')``.
+object identity, and ``NodeId('a')`` is never ``RelId('a')``.  Defining a
+subclass of :class:`NodeId`, :class:`RelId` or :class:`Path` raises
+``TypeError``, so ``==`` on ids and on paths is identity of canon forms.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class _Id(_Frozen):
     __slots__ = ("key", "__weakref__")
 
     def __init_subclass__(cls, **kwargs):
+        if cls.__mro__[1] is not _Id:
+            raise TypeError(f"{cls.__name__}: NodeId and RelId cannot be subclassed")
         super().__init_subclass__(**kwargs)
         cls._interned = interned = {}  # key -> weakref.KeyedRef of the live id
         # the callback of every ref: a dead id's key goes unless a newer id holds it
@@ -170,6 +174,9 @@ class Path(_Frozen):
         object.__setattr__(self, "rels", tuple(rels))
         object.__setattr__(self, "_canon", None)
 
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError(f"{cls.__name__}: Path cannot be subclassed")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Path):
             return NotImplemented
@@ -221,8 +228,8 @@ KINDS: tuple[tuple[type, str], ...] = (
 _KIND_OF_TYPE = dict(KINDS)
 
 # Exact types whose values are their own row key (tables.py): equal exactly
-# when their canon forms are.  Not bool, as True == 1, nor composites.
-UNTAGGED = frozenset({type(None), int, str, NodeId, RelId})
+# when their canon forms are.  Not bool, as True == 1, nor lists and maps.
+UNTAGGED = frozenset({type(None), int, str, NodeId, RelId, Path})
 
 
 def kind(v: Value) -> str:

@@ -19,7 +19,7 @@ from minicypher.evaluator import (
     tri_xor,
 )
 from minicypher.parser import parse_expr, unparse_expr
-from minicypher.values import MAX_CELLS, MAX_DEPTH, Map, NodeId, Path, RelId, canon
+from minicypher.values import MAX_CELLS, MAX_DEPTH, Map, NodeId, Path, RelId, canon, same_value
 
 from expr_cases import CASES, Err, build_env, build_graph
 
@@ -186,6 +186,20 @@ def test_null_equals_anything_is_null():
             continue
         assert eq_values(None, v) is None
         assert eq_values(v, None) is None
+
+
+def test_ids_and_paths_are_equal_exactly_when_they_are_the_same_value():
+    # ids are interned and their classes closed, so = on two ids or two
+    # paths (each pair built apart) is structural identity
+    def path(*keys):
+        return Path(tuple(NodeId(k) for k in keys[0::2]), tuple(RelId(k) for k in keys[1::2]))
+
+    pools = [["n1", "n2"], ["r1", "r2", "n1"], [("n1",), ("n2",), ("n1", "r1", "n2"), ("n2", "r1", "n1"),
+                                                ("n1", "r2", "n2"), ("n1", "r1", "n2", "r2", "n1")]]
+    builds = [NodeId, RelId, lambda k: path(*k)]
+    for keys, build in zip(pools, builds):
+        for a, b in itertools.product(keys, repeat=2):
+            assert eq_values(build(a), build(b)) is same_value(build(a), build(b)) is (a == b)
 
 
 def test_composite_vs_scalar_is_false_not_error():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import minicypher
+from minicypher import values
 from minicypher.ast import LEFT_OPERAND, OPERATORS, Cmp, Not
 from minicypher.errors import EvalError
 from minicypher.evaluator import _CHAIN_RULES
@@ -179,6 +180,27 @@ def test_ids_hash_and_compare_by_identity(cls):
     # __hash__ or __eq__ would put a call on every id-keyed lookup.
     assert cls.__hash__ is object.__hash__
     assert cls.__eq__ is object.__eq__
+
+
+def test_the_untagged_classes_of_values_are_closed():
+    # A value whose exact type is in UNTAGGED is its own row key, and == on
+    # it is identity of canon forms; a subclass could break that, so each
+    # such class defined in values.py refuses one.
+    closed = {cls for cls in values.UNTAGGED if cls.__module__ == values.__name__}
+    assert closed == {NodeId, RelId, values.Path}
+    for cls in closed:
+        with pytest.raises(TypeError, match="cannot be subclassed"):
+            type("Sub", (cls,), {"__slots__": ()})
+
+
+def test_tables_names_no_id_or_path_class():
+    # Rows are keyed by the untagged rule and canon alone, with no case for
+    # ids or paths.
+    tree = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
+    named = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "canon" in named and not named & {"NodeId", "RelId", "Path"}
 
 
 # Each site that enters rows unkeyed, with Table.add_new or Table.add_among,
