@@ -259,7 +259,7 @@ def _run(args: argparse.Namespace) -> int:
         text = args.query
     else:
         try:
-            with open(args.query_file, "r", encoding="utf-8") as fh:
+            with open(args.query_file, "r", encoding="utf-8", newline="") as fh:  # line breaks as written
                 text = fh.read()
         except (OSError, UnicodeError) as exc:  # missing, unreadable, or not UTF-8
             print(f"cannot read query file: {exc}", file=sys.stderr)

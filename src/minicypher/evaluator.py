@@ -21,7 +21,7 @@ from . import ast
 from .errors import EvalError, type_mismatch, unknown_name
 from .graph import PropertyGraph
 from .tables import Record
-from .values import MAX_CELLS, MAX_DEPTH, FunctionRegistry, Map, NodeId, Path, RelId, Value, apply_base_fn, kind
+from .values import MAX_CELLS, MAX_DEPTH, UNTAGGED, FunctionRegistry, Map, Value, apply_base_fn, kind
 
 Trilean = Optional[bool]
 
@@ -203,7 +203,7 @@ def eval_expr(
     raise TypeError(f"not an expression: {e!r}")
 
 
-_FLAT = frozenset({type(None), bool, int, str, NodeId, RelId, Path})  # exact types holding no value
+_FLAT = UNTAGGED | {bool}  # exact types holding no value
 
 
 def _shallow(v: Value, elements) -> Value:

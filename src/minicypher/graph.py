@@ -13,9 +13,9 @@ tested by its exact type, and by the subclass-admitting rule only when that
 test misses; error text is built only on the branch that raises.  The ids
 of the nodes, then of the relationships, are interned as one batch each,
 under one lock, and nodes with equal label sets share one frozenset.  The
-undirected adjacency is built at load.  The per-key property index and the
-twin set are built on first use and cached; a build is idempotent, so
-threads that race to build one store equal copies.
+undirected adjacency is built at load.  The per-key property index is
+built on first use and cached; a build is idempotent, so threads that race
+to build one store equal copies.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class PropertyGraph:
 
     __slots__ = (
         "nodes", "rels", "_src", "_tgt", "_labels", "_types", "_props",
-        "_out", "_in", "_both", "_by_label", "_by_prop", "_twins", "__weakref__",
+        "_out", "_in", "_both", "_by_label", "_by_prop", "__weakref__",
     )
 
     def __init__(
@@ -145,7 +145,6 @@ class PropertyGraph:
         self._by_label = {label: tuple(v) for label, v in by_label.items()}
         # Property index: key -> (value index, scalar kinds stored), on demand.
         self._by_prop: dict[str, tuple[dict, frozenset[str]]] = {}
-        self._twins: frozenset[RelId] | None = None  # on demand
 
     # -- lookups ----------------------------------------------------------
 
@@ -218,20 +217,6 @@ class PropertyGraph:
         if direction == BOTH:
             return self._both[n]
         raise ValueError(f"bad direction {direction!r}")
-
-    def twins(self) -> frozenset[RelId]:
-        """The relationships that share their unordered endpoint pair with
-        another relationship (two self-loops on one node are twins)."""
-        if self._twins is None:
-            found: set[RelId] = set()
-            for n, rels in self._both.items():
-                first: dict[NodeId, RelId] = {}  # other end -> the first rel to it
-                for r in rels:
-                    twin = first.setdefault(self._src[r] if self._tgt[r] is n else self._tgt[r], r)
-                    if twin is not r:
-                        found.update((twin, r))
-            self._twins = frozenset(found)
-        return self._twins
 
     def trusted_maps(self) -> tuple[dict, dict, dict, dict]:
         """The (src, tgt, type, labels) maps, read-only, for ids that this

@@ -63,20 +63,15 @@ match bag's fields and the input fields it depends on (the engine's memo
 key); for each path its walk end, its anchor's kind (bound, seek, label
 index or scan) with the check a seek stands for, and its slots in walk
 order, each with its direction, range, names, next-node labels and check
-groups; the check groups in pattern order; the twin and named-path
-rules; and how a row is built.  A search
-holds only one row's state: the bindings, the relationships used, the
-placed elements, the check cursor and the twins placed.
+groups; the check groups in pattern order; whether witnesses enter
+unkeyed; and how a row is built.  A search holds only one row's state: the
+bindings, the relationships used, the placed elements and the check cursor.
 
-A twin is a relationship that shares its unordered endpoint pair with
-another one.  When every node pattern is named and every anonymous slot is
-one hop, two witnesses that bind one row differ in an anonymous slot between
-the same two nodes, both placing a twin there.  So the witnesses that place
-no twin in an anonymous slot enter unkeyed, and the rest merge among
-themselves, each row at its first witness, as a keyed search lists them.
-When every path is named, each with a fresh name, and no path has more
-than one ranged slot, the path values fix the witness, so every witness
-enters unkeyed.
+A witness enters the match bag unkeyed when its row fixes it: every
+element of the tuple is named, or every path is named, each with a fresh
+name, and no path has more than one ranged slot (the path values fix the
+witness).  Otherwise it enters keyed, which merges each row at its first
+witness.
 
 A row of the match bag is a tuple of the bindings in the bag's field
 order, which the plan fixes.  A field that a node pattern or a one-hop
@@ -92,8 +87,8 @@ is past every group (no check is left and no error is held), one plain
 loop runs it instead: it places each usable relationship and the node
 after it as the frame would and emits the row.  Every row, the leaf's or a
 completed witness's, enters the match bag through ``_Search._emit``,
-keyed, unkeyed or merged by the twin rule, so rows, their order, counts
-and counters are the generic frame's.
+keyed or unkeyed, so rows, their order, counts and counters are the
+generic frame's.
 """
 
 from __future__ import annotations
@@ -132,7 +127,7 @@ class Hop(NamedTuple):
     lo: int
     hi: Optional[int]
     rigid: bool  # no range: the slot binds a relationship, not a list
-    name: Optional[str]  # an unnamed slot counts the twins it places when the plan's twins is set
+    name: Optional[str]
     gid: int  # the slot's check group, or -1
     listed: bool  # the slot's relationships are read: it is named or checked
     hop_checks: bool  # a ranged slot walked forward with checks: they run hop by hop
@@ -166,8 +161,7 @@ class MatchPlan(NamedTuple):
     groups: tuple[tuple, ...]  # the checks of each element with a property map, then the WHERE's:
     # each (key or None, e, the names e waits for)
     placed: tuple  # the search's first ``placed``
-    unkeyed: bool  # witnesses enter unkeyed, by the named-path rule or unless they place a twin (see _emit)
-    twins: bool  # unnamed slots count the twins they place
+    unkeyed: bool  # witnesses enter unkeyed: every element is named, or by the named-path rule
     ids: bool  # every field is bound by a node or a one-hop slot: each cell is an id
     row: Callable[[Record], tuple]  # the match bag's row, in field order, from the bindings
 
@@ -198,8 +192,8 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
                 where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
     groups: list[tuple] = []
     walks: list[Walk] = []
-    unkeyed, anonymous = True, False  # see _emit
-    paths_fix = True  # every path is named and has at most one ranged slot (see _emit)
+    named = True  # every element is named: the bindings tell the witnesses apart
+    paths_fix = True  # every path is named and has at most one ranged slot (see the module docstring)
     bound, free, read, ids = set(fields), set(), set(), set()  # ids: names of nodes and one-hop slots
     every_name: list[str] = []  # each name, once for each element or path it names
     for pi, pat in enumerate(pats.paths):
@@ -210,8 +204,7 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
             slot = isinstance(el, RelPattern) and el.range_ is not None  # a ranged slot
             ranged += slot
             if el.name is None:
-                anonymous = True
-                unkeyed &= isinstance(el, RelPattern) and not slot
+                named = False
             else:
                 names.append(el.name)
                 if not slot:
@@ -261,11 +254,10 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
     # a check waits only for the names the input or the pattern binds: reading any other raises
     waits = tuple(tuple([(key, e, names & bound) for key, e, names in checks]) for checks in groups)
     out = tuple(sorted(free.difference(fields)))
-    if paths_fix and all(every_name.count(w.path) == 1 and w.path not in fields for w in walks):
-        unkeyed, anonymous = True, False  # the path values tell the witnesses apart
+    unkeyed = named or paths_fix and all(every_name.count(w.path) == 1 and w.path not in fields for w in walks)
     return MatchPlan(
         out, tuple(f for f in fields if f in read or f in free), tuple(walks), waits,
-        placed + (None,), unkeyed, unkeyed and anonymous, ids.issuperset(out), getter(out))  # placed[-1]
+        placed + (None,), unkeyed, ids.issuperset(out), getter(out))  # placed[-1]
 
 
 class _Search:
@@ -281,8 +273,6 @@ class _Search:
     ``cursor`` is (group, id, key, held error) of the first check not yet
     run; frames save it before a placement and restore it when they undo
     one.  ``placed[-1]`` takes the writes for elements with no checks.
-    ``twinned`` counts the twins placed in unnamed slots, and ``merged``
-    is the map through which the twinned witnesses' rows merge.
     """
 
     def __init__(self, plan: MatchPlan, g: PropertyGraph, u: Record,
@@ -293,9 +283,6 @@ class _Search:
         self.placed: list = list(plan.placed)
         self.cursor: tuple = (0, 0, 0, None)
         self.maps = g.trusted_maps()
-        self.twins = g.twins() if plan.twins else None
-        self.twinned = 0
-        self.merged: dict[tuple, int] = {}
 
     def run(self) -> None:
         if not self.plan.walks:  # the empty tuple has one witness
@@ -378,7 +365,6 @@ class _Search:
             moves = (None, *moves)  # the stop with no hop
         ends = src if direction == ast.LEFT else tgt
         undirected, stops, deeper = direction == ast.UNDIRECTED, m + 1 >= lo, hi is None or m + 1 < hi
-        twins = self.twins if name is None else None
         depth = len(rels) + 1
         for r in moves:
             if r is not None:
@@ -402,9 +388,6 @@ class _Search:
                     if nfresh is not None:
                         hop_cursor, before = self.cursor, placed[gid]
                         placed[gid], placed[ngid] = in_order, (n,)
-                        twin = twins is not None and r in twins
-                        if twin:
-                            self.twinned += 1
                         if unchecked or self._checks_pass():
                             if leaf and self.cursor[0] == groups:
                                 self._leaf(walk.hops[k + 1], n, depth + 1)
@@ -414,8 +397,6 @@ class _Search:
                                 self._complete()
                             else:
                                 yield self._path_end(pi, nodes, rels)
-                        if twin:
-                            self.twinned -= 1
                         self.cursor, placed[gid], placed[ngid] = hop_cursor, before, None
                         if nfresh:
                             del b[nname]
@@ -460,7 +441,6 @@ class _Search:
             return
         src, tgt, rel_type, node_labels = self.maps
         ends, undirected = src if direction == ast.LEFT else tgt, direction == ast.UNDIRECTED
-        twins, twinned = self.twins if name is None and self.twins else (), self.twinned
         row, extended = self.plan.row, 0
         for r in g.incident(cur, direction):
             if r in used or (types and rel_type[r] not in types):
@@ -473,7 +453,7 @@ class _Search:
                 b[name] = r
             if nname is not None:
                 b[nname] = n
-            self._emit(row(b), twinned or r in twins)
+            self._emit(row(b))
         b.pop(name, None)  # the leaf's names are fresh
         b.pop(nname, None)
         if extended:
@@ -498,19 +478,15 @@ class _Search:
         every check has run by now, unless an error is held."""
         if self.cursor[3] is not None:
             raise self.cursor[3]
-        self._emit(self.plan.row(self.b), self.twinned)
+        self._emit(self.plan.row(self.b))
 
-    def _emit(self, row: tuple, twin) -> None:
-        """Enter a witness's row, a tuple in the match bag's field order;
-        twin is true when the witness placed a twin in an unnamed slot."""
+    def _emit(self, row: tuple) -> None:
+        """Enter a witness's row, a tuple in the match bag's field order."""
         self.stats.witnesses += 1
-        out = self.out
-        if not self.plan.unkeyed:
-            out.add(row)
-        elif not twin:  # no other witness binds this row
-            out.add_new(row)
-        else:  # only other twinned witnesses can: merged at the first
-            out.add_among(row, 1, self.merged, None)
+        if self.plan.unkeyed:  # no other witness binds this row
+            self.out.add_new(row)
+        else:
+            self.out.add(row)
 
     def _checks_pass(self) -> bool:
         """Run the checks that can run now; False when one prunes the prefix."""

@@ -37,7 +37,7 @@ own map.  Row keys and the layout are read in this module alone.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatch
 from .values import UNTAGGED, Value, canon
@@ -127,16 +127,15 @@ class Table:
         self._records.append(u if type(u) is tuple else self._row(u))
         self._counts.append(count)
 
-    def add_among(self, u: Row | Record, count: int, among: dict[tuple, int], at: Optional[int]) -> None:
+    def add_among(self, u: Row | Record, count: int, among: dict[tuple, int], at: int) -> None:
         """Add count copies of u, a row or a record, which can equal only rows
         entered with the same ``among`` (the caller's map, empty at first)
-        and differs from them only in the cell at position ``at`` (None: in
-        any cell): u merges into the first it equals."""
+        and differs from them only in the cell at position ``at``: u merges
+        into the first it equals."""
         if type(u) is not tuple:
             u = self._row(u)
         n = len(self._counts)
-        cells = u if at is None else (u[at],)
-        i = among.setdefault(cells if self.ids else row_key(cells), n)
+        i = among.setdefault(row_key((u[at],)), n)
         if i != n:
             self._counts[i] += count
         elif self._index is not None:

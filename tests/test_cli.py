@@ -608,6 +608,15 @@ def test_query_file_runs(capsys, tmp_path):
     assert out.splitlines()[0] == "x\ty"
 
 
+@pytest.mark.parametrize("brk,cell", [("\r", "a\\rb"), ("\r\n", "a\\r\\nb")], ids=["cr", "crlf"])
+def test_query_file_keeps_line_breaks_in_a_literal(capsys, tmp_path, brk, cell):
+    query = f"RETURN 'a{brk}b' AS x"
+    f = tmp_path / "q.cypher"
+    f.write_bytes(query.encode("utf-8"))
+    from_file = run(capsys, "--query-file", str(f))
+    assert from_file == run(capsys, "--query", query) == (0, f"x\n{cell}\n", "")
+
+
 def test_help_exits_0(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0

@@ -205,13 +205,14 @@ def test_tables_names_no_id_or_path_class():
 
 # Each site that enters rows unkeyed, with Table.add_new or Table.add_among,
 # rests on a reason that its rows are distinct by construction, or can equal
-# only each other, stated in the notes.
+# only each other, stated in the notes.  UNWIND, in run_clause, is the one
+# merge of rows that can equal only each other.
 UNKEYED_SITES = {
-    "engine._match_rows",
-    "engine._project",
-    "engine.run_clause",
-    "matcher._Search._emit",
-    "tables.distinct",
+    "engine._match_rows": {"add_new"},
+    "engine._project": {"add_new"},
+    "engine.run_clause": {"add_new", "add_among"},
+    "matcher._Search._emit": {"add_new"},
+    "tables.distinct": {"add_new"},
 }
 
 
@@ -226,17 +227,18 @@ def _functions(tree, prefix):
 
 
 def test_unkeyed_sites_are_pinned():
-    found = set()
+    found = {}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, fn in _functions(tree, path.stem):
-            if any(isinstance(n, ast.Attribute) and n.attr in {"add_new", "add_among"} for n in ast.walk(fn)):
-                found.add(name)
+            methods = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)} & {"add_new", "add_among"}
+            if methods:
+                found[name] = methods
     assert found == UNKEYED_SITES
 
 
 def test_rows_enter_the_match_bag_through_emit_alone():
-    # _emit holds the choice between keyed, unkeyed and twin-merged rows, so
+    # _emit holds the choice between keyed and unkeyed rows, so
     # the leaf loop and _complete enter rows alike.  (`used`, the set of
     # relationships used, is the one other receiver of an `add`.)
     def adds_rows(fn):
@@ -253,7 +255,7 @@ def test_rows_enter_the_match_bag_through_emit_alone():
 def test_unkeyed_sites_are_named_in_the_notes():
     notes = (SRC.parent.parent / "docs" / "semantics-notes.md").read_text(encoding="utf-8")
     determinism = notes.split("## Determinism", 1)[1].split("\n## ", 1)[0]
-    missing = sorted(site for site in UNKEYED_SITES | {"Table.add_among"} if f"`{site}`" not in determinism)
+    missing = sorted(site for site in UNKEYED_SITES.keys() | {"Table.add_among"} if f"`{site}`" not in determinism)
     assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"
 
 
@@ -286,6 +288,62 @@ def test_the_search_does_no_static_analysis():
     found = {name: sorted(set(_static_calls(fn))) for name, fn in methods.items() if any(_static_calls(fn))}
     assert not found, f"methods of _Search analyse the pattern: {found}"
     assert set(_static_calls(functions["matcher.plan_match"])) == STATIC_ANALYSIS - {"free_vars"}
+
+
+# Every field of a match plan is read by the search or the engine: a field
+# that only plan_match writes is dead.  A plan, walk or hop is reached as
+# `plan`/`self.plan`, `walk`/`….walks[i]` and `hop`/`….hops[i]`; a field
+# is read as an attribute of one, or unpacked into a name the function reads.
+PLAN_CLASSES = {"plan": "MatchPlan", "walks": "Walk", "walk": "Walk", "hops": "Hop", "hop": "Hop"}
+
+
+def _plan_class(node):
+    """The plan class that node, an expression, evaluates to, or None."""
+    element = isinstance(node, ast.Subscript)
+    if element:
+        node = node.value
+    name = getattr(node, "attr", getattr(node, "id", None))
+    if (name in {"walks", "hops"}) is not element:  # walks and hops are read by element alone
+        return None
+    return PLAN_CLASSES.get(name)
+
+
+def _unread_plan_fields(sources):
+    """The fields of MatchPlan, Walk and Hop, declared in sources["matcher"],
+    that no function of the sources other than plan_match reads."""
+    fields, read = {}, set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        fields.update({c.name: [f.target.id for f in c.body if isinstance(f, ast.AnnAssign)]
+                       for c in tree.body if isinstance(c, ast.ClassDef) and c.name in PLAN_CLASSES.values()})
+        for name, fn in _functions(tree, module):
+            if name == "matcher.plan_match":
+                continue
+            loaded = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and _plan_class(n.value):
+                    read.add((_plan_class(n.value), n.attr))
+                elif isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Tuple) and _plan_class(n.value):
+                    read.update((_plan_class(n.value), i) for i, target in enumerate(n.targets[0].elts)
+                                if isinstance(target, ast.Name) and target.id in loaded)
+    return sorted(f"{cls}.{f}" for cls, names in fields.items() for i, f in enumerate(names)
+                  if (cls, f) not in read and (cls, i) not in read)
+
+
+def _plan_sources():
+    return {m: (SRC / f"{m}.py").read_text(encoding="utf-8") for m in ("matcher", "engine")}
+
+
+def test_every_plan_field_is_read():
+    assert not _unread_plan_fields(_plan_sources())
+
+
+def test_a_plan_field_left_without_readers_is_caught():
+    sources = _plan_sources()
+    declared = "    ids: bool  # every field is bound"
+    assert sources["matcher"].count(declared) == 1
+    sources["matcher"] = sources["matcher"].replace(declared, "    twins: bool\n" + declared)
+    assert _unread_plan_fields(sources) == ["MatchPlan.twins"]
 
 
 # Table's layout (parallel lists of rows and counts, and the key index

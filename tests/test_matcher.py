@@ -634,8 +634,8 @@ class TestSeeksAndPushdown:
         assert outcomes == {True, False}  # both errors and tables came up
 
 
-# m1 -X-> m2 twice and m2 -X-> m1 (twins), an X and a Y self-loop on m3
-# (twins), and single relationships elsewhere.
+# m1 -X-> m2 twice and m2 -X-> m1 (one unordered endpoint pair), an X and
+# a Y self-loop on m3, and single relationships elsewhere.
 def _rel(rid, rtype, src, tgt, **props):
     return {"id": rid, "type": rtype, "src": src, "tgt": tgt, "properties": props}
 
@@ -690,16 +690,6 @@ def _rows_are_keyed_rows():
             and two_hops == _keyed(two_hops))
 
 
-def _plant_twins_of_ordered_pairs(monkeypatch):
-    def twins(g):
-        by_pair = {}
-        for r in g.rels:
-            by_pair.setdefault((g.src(r), g.tgt(r)), []).append(r)
-        return frozenset(r for rels in by_pair.values() if len(rels) > 1 for r in rels)
-
-    monkeypatch.setattr(PropertyGraph, "twins", twins)
-
-
 def _plant_unkeyed_ranged_slots(monkeypatch):
     plan_match = matcher.plan_match
 
@@ -707,35 +697,15 @@ def _plant_unkeyed_ranged_slots(monkeypatch):
         plan = plan_match(c, fields)
         if all(walk.node is not None and all(hop.node is not None for hop in walk.hops)
                for walk in plan.walks):
-            plan = plan._replace(unkeyed=True, twins=True)
+            plan = plan._replace(unkeyed=True)
         return plan
 
     monkeypatch.setattr(matcher, "plan_match", planted)
 
 
-def _plant_merged_rows_at_the_end(monkeypatch):
-    emit, run = matcher._Search._emit, matcher._Search.run
-
-    def planted_emit(self, row, twin):
-        if not (self.plan.unkeyed and twin):
-            return emit(self, row, twin)
-        self.stats.witnesses += 1
-        self.late.append(row)
-
-    def planted_run(self):
-        self.late = []
-        run(self)
-        for row in self.late:
-            self.out.add(row)
-
-    monkeypatch.setattr(matcher._Search, "_emit", planted_emit)
-    monkeypatch.setattr(matcher._Search, "run", planted_run)
-
-
 class TestOneHop:
     """A one-hop slot places its relationship and the next node in one
-    frame, and its witnesses enter unkeyed unless a twin is placed in an
-    anonymous slot."""
+    frame, and a witness with an anonymous slot or node enters keyed."""
 
     @pytest.mark.parametrize("text,u,counts", [
         ("(a)-[:X]->(b)", {}, (5, 1, 5)),
@@ -755,26 +725,20 @@ class TestOneHop:
         match_tuple(parse_pattern_tuple(text), TWINS, u, stats=stats)
         assert (stats.walks_extended, stats.max_partial_hops, stats.witnesses) == counts
 
-    def test_twins_share_an_unordered_endpoint_pair(self):
-        assert TWINS.twins() == {RelId(i) for i in ("x1", "x2", "x3", "l1", "l2")}
-        assert TWINS.twins() is TWINS.twins()  # built once
-
     def test_rows_keep_the_order_and_counts_of_keyed_rows(self):
         assert _rows_are_keyed_rows()
-        assert any(count > 1 for _, count in _rows(ONE_HOP[0]))  # twinned rows merged
+        assert any(count > 1 for _, count in _rows(ONE_HOP[0]))  # rows of parallel relationships merged
         assert _rows("(a)-[:X]->(b)", TWINS) == [
             ({"a": NodeId("m1"), "b": NodeId("m2")}, 2), ({"a": NodeId("m2"), "b": NodeId("m1")}, 1),
             ({"a": NodeId("m2"), "b": NodeId("m3")}, 1), ({"a": NodeId("m3"), "b": NodeId("m3")}, 1)]
 
-    @pytest.mark.parametrize("plant", [_plant_twins_of_ordered_pairs, _plant_unkeyed_ranged_slots,
-                                       _plant_merged_rows_at_the_end],
-                             ids=lambda p: p.__name__[len("_plant_"):])
+    @pytest.mark.parametrize("plant", [_plant_unkeyed_ranged_slots], ids=lambda p: p.__name__[len("_plant_"):])
     def test_each_unsound_twin_rule_is_caught(self, monkeypatch, plant):
         plant(monkeypatch)
         assert not _rows_are_keyed_rows()
 
 
-# Named paths on a chain m0 -> m1 -> ... -> m5 with a twin of its first
+# Named paths on a chain m0 -> m1 -> ... -> m5 with a parallel copy of its first
 # relationship: every named path with one ranged slot lists distinct rows.
 CHAIN = load_graph({
     "nodes": [{"id": f"m{i}"} for i in range(6)],
@@ -801,7 +765,7 @@ def _plant_named_paths_with_two_ranged_slots(monkeypatch):
     def planted(c, fields):
         plan = plan_match(c, fields)
         if all(walk.path is not None for walk in plan.walks):
-            plan = plan._replace(unkeyed=True, twins=False)
+            plan = plan._replace(unkeyed=True)
         return plan
 
     monkeypatch.setattr(matcher, "plan_match", planted)
@@ -814,7 +778,7 @@ class TestNamedPaths:
     @pytest.mark.parametrize("text,unkeyed", NAMED_PATHS, ids=[text for text, _ in NAMED_PATHS])
     def test_the_rule_is_read_off_the_plan(self, text, unkeyed):
         plan = matcher.plan_match(parse_pattern_tuple(text), ())
-        assert (plan.unkeyed and not plan.twins) is unkeyed  # every witness unkeyed
+        assert plan.unkeyed is unkeyed
 
     def test_rows_are_keyed_rows(self):
         assert _named_paths_are_keyed_rows()
@@ -951,11 +915,11 @@ def _plant_leaf(monkeypatch, change):
     leaf = matcher._Search._leaf
 
     def planted(self, hop, cur, depth):
-        saved = self.used, self.twins
+        saved = self.used
         try:
             leaf(self, change(self, hop), cur, depth)
         finally:
-            self.used, self.twins = saved
+            self.used = saved
 
     monkeypatch.setattr(matcher._Search, "_leaf", planted)
 
@@ -963,13 +927,6 @@ def _plant_leaf(monkeypatch, change):
 def _plant_leaf_ignores_used(monkeypatch):
     def change(search, hop):
         search.used = set()
-        return hop
-    _plant_leaf(monkeypatch, change)
-
-
-def _plant_leaf_ignores_twins(monkeypatch):
-    def change(search, hop):
-        search.twins = None
         return hop
     _plant_leaf(monkeypatch, change)
 
@@ -990,8 +947,7 @@ class TestLeaf:
         assert _leaf_agrees(text, g, u)
         assert bool(calls) is runs
 
-    @pytest.mark.parametrize("plant", [_plant_leaf_ignores_used, _plant_leaf_ignores_twins,
-                                       _plant_leaf_skips_labels],
+    @pytest.mark.parametrize("plant", [_plant_leaf_ignores_used, _plant_leaf_skips_labels],
                              ids=lambda p: p.__name__[len("_plant_"):])
     def test_each_unsound_leaf_is_caught(self, monkeypatch, plant):
         assert _leaves_agree()

@@ -34,6 +34,8 @@ from minicypher.parser import parse_pattern_tuple, parse_query, unparse_query
 from minicypher.tables import Table
 from minicypher.values import NodeId, Path, RelId, canon
 
+from test_matcher import TWINS
+
 PATTERNS = [
     "(x)",
     "(x), (y)",
@@ -439,7 +441,7 @@ def test_the_clause_guard_catches_an_unwind_on_the_new_row_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# unkeyed sites: each one's unsound twin is caught
+# unkeyed sites: each one's unsound variant is caught
 # ---------------------------------------------------------------------------
 
 
@@ -451,7 +453,7 @@ def _plant_unkeyed_witnesses_with_an_anonymous_relationship(monkeypatch):
         plan = plan_match(c, fields)
         named = all(walk.node is not None and all(hop.node is not None for hop in walk.hops)
                     for walk in plan.walks)
-        return plan._replace(unkeyed=named, twins=False)  # no twin is ever counted
+        return plan._replace(unkeyed=named)
 
     monkeypatch.setattr(engine, "plan_match", planted)
 
@@ -473,8 +475,8 @@ def _plant_unkeyed_projection_dropping_a_field(monkeypatch):
 
 
 def _plant_add_among_never_merging(monkeypatch):
-    """Table.add_among enters every row as new: twinned witnesses and equal
-    elements of one UNWIND list no longer merge."""
+    """Table.add_among enters every row as new: equal elements of one UNWIND
+    list no longer merge."""
     monkeypatch.setattr(Table, "add_among", lambda self, u, count, among, fields: self.add_new(u, count))
 
 
@@ -523,11 +525,45 @@ def test_unkeyed_sites_keep_multiplicities(query, rows):
 @pytest.mark.parametrize("plant,query", [
     (_plant_unkeyed_witnesses_with_an_anonymous_relationship, UNKEYED_CASES[0][0]),
     (_plant_unkeyed_projection_dropping_a_field, UNKEYED_CASES[1][0]),
-    (_plant_add_among_never_merging, UNKEYED_CASES[0][0]),
-], ids=["witnesses", "projection", "twins"])
+], ids=["witnesses", "projection"])
 def test_parallel_relationships_catch_each_unsound_unkeyed_site(monkeypatch, plant, query):
     plant(monkeypatch)
     assert list(engine.output(parse_query(query), PARALLEL).rows()) == [({"a": N1, "b": N2}, 1)] * 2
+
+
+def _plant_unkeyed_anonymous_one_hop_slots(monkeypatch):
+    """Witnesses enter the match bag unkeyed when every node is named and
+    every anonymous slot is one hop, though parallel relationships give
+    two witnesses one row."""
+    plan_match = engine.plan_match
+
+    def planted(c, fields):
+        plan = plan_match(c, fields)
+        one_hop = all(walk.node is not None and all(
+            hop.node is not None and (hop.name is not None or hop.rigid) for hop in walk.hops)
+            for walk in plan.walks)
+        return plan._replace(unkeyed=plan.unkeyed or one_hop)
+
+    monkeypatch.setattr(engine, "plan_match", planted)
+
+
+# parallel and antiparallel relationships, and two self-loops on one node
+ONE_HOP_CASES = [
+    (PARALLEL, "MATCH (a)-[:X]->(b) RETURN a, b"),
+    (TWINS, "MATCH (a)-[:X]->(b) RETURN a, b"),
+    (TWINS, "MATCH (a)-[]-(b) RETURN a, b"),
+    (TWINS, "MATCH (a:L)-[]-(b:L) RETURN a"),
+]
+
+
+@pytest.mark.parametrize("g,query", ONE_HOP_CASES, ids=["parallel", "directed", "undirected", "self_loops"])
+def test_the_clause_guard_catches_unkeyed_anonymous_one_hop_witnesses(monkeypatch, g, query):
+    monkeypatch.setattr(engine, "run_clause", _in_normal_form(engine.run_clause))
+    q = parse_query(query)
+    assert differential_case(g, q)[0]
+    _plant_unkeyed_anonymous_one_hop_slots(monkeypatch)
+    with pytest.raises(AssertionError, match="repeats a record"):
+        engine.output(q, g)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +571,7 @@ def test_parallel_relationships_catch_each_unsound_unkeyed_site(monkeypatch, pla
 # ---------------------------------------------------------------------------
 
 
-def _twin_graph(seed=0, nodes=300):
+def _ablation_graph(seed=0, nodes=300):
     """Each node has four relationships to itself or the next two nodes, so
     parallel relationships and self-loops abound."""
     rng = random.Random(seed)
@@ -566,7 +602,7 @@ def _outcome(g, q):
 
 
 def _merge_cases():
-    g = _twin_graph()
+    g = _ablation_graph()
     return [(g, parse_query(q)) for q in MERGE_SHAPES] + [gen_case(GenConfig(seed=s)) for s in range(2000)]
 
 
@@ -577,9 +613,9 @@ def test_add_among_merges_as_keying_every_row_does(monkeypatch):
     assert [_outcome(g, q) for g, q in cases] == want
 
 
-@pytest.mark.parametrize("query", [MERGE_SHAPES[0], MERGE_SHAPES[3]], ids=["twins", "unwind"])
+@pytest.mark.parametrize("query", [MERGE_SHAPES[3]], ids=["unwind"])
 def test_the_ablation_graph_catches_an_add_among_that_never_merges(monkeypatch, query):
-    g, q = _twin_graph(), parse_query(query)
+    g, q = _ablation_graph(), parse_query(query)
     want = _outcome(g, q)
     _plant_add_among_never_merging(monkeypatch)
     assert _outcome(g, q) != want
@@ -632,10 +668,9 @@ SCALE_QUERIES = [
 
 
 def _keyed_plans(monkeypatch):
-    """Every witness keyed: the plans' unkeyed (which the named-path rule
-    sets too) and twins switched off."""
+    """Every witness keyed: the plans' unkeyed switched off."""
     plan_match = engine.plan_match
-    monkeypatch.setattr(engine, "plan_match", lambda c, fields: plan_match(c, fields)._replace(unkeyed=False, twins=False))
+    monkeypatch.setattr(engine, "plan_match", lambda c, fields: plan_match(c, fields)._replace(unkeyed=False))
 
 
 def _scale_outcomes(g):
@@ -664,7 +699,7 @@ def _plant_unkeyed_named_paths_with_two_ranged_slots(monkeypatch):
     def planted(c, fields):
         plan = plan_match(c, fields)
         if all(walk.path is not None for walk in plan.walks):
-            plan = plan._replace(unkeyed=True, twins=False)
+            plan = plan._replace(unkeyed=True)
         return plan
 
     monkeypatch.setattr(engine, "plan_match", planted)

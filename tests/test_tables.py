@@ -254,7 +254,7 @@ def test_positions():
     t.add_among({"a": 1}, 1, among, 0)
     t.add_among({"a": 2}, 3, among, 0)
     assert list(t.rows()) == [({"a": 1}, 1), ({"a": 2}, 3)]
-    t.add_among({"a": 1}, 1, among, 0)  # merged at the first, as a twinned witness is
+    t.add_among({"a": 1}, 1, among, 0)  # merged at the first, as an equal UNWIND element is
     t.add_among({"a": 2}, 2, among, 0)
     assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 5)]
     t.add({"a": 3})
