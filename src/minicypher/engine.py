@@ -66,7 +66,7 @@ def _match_rows(
         if count == 1 and not t.fields and not (c.optional and sub.is_empty()):
             return sub  # the one empty row joins its match bag as it is
         if out is None:
-            out = Table(t.fields + plan.fields, ids=t.ids and plan.ids)
+            out = Table(t.fields + plan.fields, ids=t.ids)
             joined, padding = _joined(t.fields + plan.fields, out.fields), (None,) * len(plan.fields)
         for u2, c2 in sub.tuples():  # distinct rows joined with distinct extensions
             out.add_new(joined(u + u2), count * c2)

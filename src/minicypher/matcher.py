@@ -67,16 +67,13 @@ groups; the check groups in pattern order; whether witnesses enter
 unkeyed; and how a row is built.  A search holds only one row's state: the
 bindings, the relationships used, the placed elements and the check cursor.
 
-A witness enters the match bag unkeyed when its row fixes it: every
-element of the tuple is named, or every path is named, each with a fresh
-name, and no path has more than one ranged slot (the path values fix the
-witness).  Otherwise it enters keyed, which merges each row at its first
-witness.
-
 A row of the match bag is a tuple of the bindings in the bag's field
-order, which the plan fixes.  A field that a node pattern or a one-hop
-slot names holds an id in every row; when every field is one, the match
-bag holds ids alone and keys each row by the row itself.
+order, which the plan fixes.  Each binding is made of ids (an id, a
+relationship list or a path), so the match bag is a table of ``ids``.  A
+witness enters it unkeyed when its row fixes it: every element of the
+tuple is named, or every path is named, each with a fresh name, and no
+path has more than one ranged slot (the path values fix the witness).
+Otherwise it enters keyed, which merges each row at its first witness.
 
 The plan marks a hop as a *leaf* when its slot is rigid and is the last of
 the tuple's last path, which is unnamed; neither the slot nor the node
@@ -102,7 +99,7 @@ from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
 from .tables import Record, Table, getter
-from .values import FunctionRegistry, NodeId, Path, RelId, same_value
+from .values import FunctionRegistry, NodeId, Path, RelId
 
 _FLIP = {ast.RIGHT: ast.LEFT, ast.LEFT: ast.RIGHT, ast.UNDIRECTED: ast.UNDIRECTED}
 
@@ -162,7 +159,6 @@ class MatchPlan(NamedTuple):
     # each (key or None, e, the names e waits for)
     placed: tuple  # the search's first ``placed``
     unkeyed: bool  # witnesses enter unkeyed: every element is named, or by the named-path rule
-    ids: bool  # every field is bound by a node or a one-hop slot: each cell is an id
     row: Callable[[Record], tuple]  # the match bag's row, in field order, from the bindings
 
 
@@ -194,21 +190,18 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
     walks: list[Walk] = []
     named = True  # every element is named: the bindings tell the witnesses apart
     paths_fix = True  # every path is named and has at most one ranged slot (see the module docstring)
-    bound, free, read, ids = set(fields), set(), set(), set()  # ids: names of nodes and one-hop slots
+    bound, free, read = set(fields), set(), set()
     every_name: list[str] = []  # each name, once for each element or path it names
     for pi, pat in enumerate(pats.paths):
         far = _far_end_first(pat, bound, where_seeks)
         steps, names, ranged = [], [] if pat.name is None else [pat.name], 0
         for el in pat.elements:
             gid = -1
-            slot = isinstance(el, RelPattern) and el.range_ is not None  # a ranged slot
-            ranged += slot
+            ranged += isinstance(el, RelPattern) and el.range_ is not None  # a ranged slot
             if el.name is None:
                 named = False
             else:
                 names.append(el.name)
-                if not slot:
-                    ids.add(el.name)
             if el.props:
                 gid = len(groups)
                 checks = tuple([(key, e, expr_names(e)) for key, e in el.props])
@@ -257,7 +250,7 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
     unkeyed = named or paths_fix and all(every_name.count(w.path) == 1 and w.path not in fields for w in walks)
     return MatchPlan(
         out, tuple(f for f in fields if f in read or f in free), tuple(walks), waits,
-        placed + (None,), unkeyed, ids.issuperset(out), getter(out))  # placed[-1]
+        placed + (None,), unkeyed, getter(out))  # placed[-1]
 
 
 class _Search:
@@ -463,13 +456,13 @@ class _Search:
     # -- bindings and checks ------------------------------------------------
 
     def _bind(self, name: Optional[str], value) -> Optional[bool]:
-        """Bind name to value: True if newly bound, False if it already was
-        (or is anonymous), None if it is bound to something else."""
+        """Bind name to value, made of ids (so == is identity of canon forms):
+        True if newly bound, False if already bound to it (or anonymous), else None."""
         if name is None:
             return False
         b = self.b
         if name in b:
-            return False if same_value(b[name], value) else None
+            return False if b[name] == value else None
         b[name] = value
         return True
 
@@ -542,6 +535,6 @@ def match_tuple(
     plan's ``relevant`` ones: the bag reads no other.
     """
     plan = pats if isinstance(pats, MatchPlan) else plan_match(pats, u)
-    out = Table(plan.fields, ids=plan.ids)
+    out = Table(plan.fields, ids=True)
     _Search(plan, g, u, functions, stats if stats is not None else MatchStats(), out).run()
     return out

@@ -18,13 +18,15 @@ Structural identity of records (what makes two rows "the same" for
 counting, distinct() and table equality) is value identity per
 :func:`minicypher.values.canon`: null equals null, and True is not 1.  A
 row key encodes it more cheaply: a cell of an exact type in
-``values.UNTAGGED`` (ids and paths too), or of an int or str subclass,
-is its own key; bools, lists, maps and other values go through ``canon``.
-A row whose every cell is of an exact type in ``UNTAGGED`` is its own key.
-A table made with ``ids`` holds only exact interned ids and nulls (its
-maker proves it from the clause), so it keys each row by the row itself
-without looking at the cells; tuples compare ``True == 1``, so no other
-table may.
+``values.UNTAGGED`` (ids and paths too), or of an int or str subclass, is
+its own key, and a list of values of exact types in ``values.ID_MADE``
+(ids and paths) keys as the tuple of them, which no other key is (a
+``canon`` key is a tuple led by a kind); bools, other lists, maps and other
+values go through ``canon``.  A row whose every cell is of an exact type
+in ``UNTAGGED`` is its own key.  A table made with ``ids`` (every match
+bag, and what a clause builds from such tables alone) holds only nulls and
+values made of ids, so it keys each row by the row itself without looking
+at the cells; tuples compare ``True == 1``, so no other table may.
 
 A table keeps its rows and their counts in two parallel lists, in
 insertion order; the key index, from row key to position, is built at
@@ -40,7 +42,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatch
-from .values import UNTAGGED, Value, canon
+from .values import ID_MADE, UNTAGGED, Value, canon
 
 Record = dict[str, Value]
 Row = tuple  # a record's values in its table's field order
@@ -56,6 +58,8 @@ def getter(keys: Sequence) -> Callable[[Any], tuple]:
 
 
 def _tagged_key(v: Value):
+    if isinstance(v, tuple) and ID_MADE.issuperset(map(type, v)):
+        return tuple(v)  # a list of ids and paths, a namedtuple too
     # an int or str subclass instance (an IntEnum member) keys as itself,
     # which == and hash make one key with the exact value it equals
     c = canon(v)
@@ -74,7 +78,7 @@ class Table:
     ``fields`` is stored sorted (the field *set* is what matters).  Row i
     is ``_records[i]`` with multiplicity ``_counts[i]``; the index from row
     key to position makes equality of tables decidable and exact.  ``ids``
-    promises that every cell is an exact interned id or null.
+    promises that each cell is null or made of ids: each row is its own key.
     """
 
     __slots__ = ("fields", "ids", "_names", "_records", "_counts", "_index")

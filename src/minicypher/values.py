@@ -229,7 +229,9 @@ _KIND_OF_TYPE = dict(KINDS)
 
 # Exact types whose values are their own row key (tables.py): equal exactly
 # when their canon forms are.  Not bool, as True == 1, nor lists and maps.
-UNTAGGED = frozenset({type(None), int, str, NodeId, RelId, Path})
+# Of these, those made of the graph's ids also key a list of them (ID_MADE).
+ID_MADE = frozenset({NodeId, RelId, Path})
+UNTAGGED = ID_MADE | {type(None), int, str}
 
 
 def kind(v: Value) -> str:

@@ -505,10 +505,28 @@ def test_ids_are_proved_by_the_clause(teachers):
 
     assert ids("MATCH (a)-[r:KNOWS]->(b) RETURN 1 AS one")
     assert ids("MATCH (a) OPTIONAL MATCH (a)-[:KNOWS]->(b) WITH a, b RETURN 1 AS one")
-    assert not ids("MATCH (a)-[r*]->(b) RETURN 1 AS one")  # a list of relationships
-    assert not ids("MATCH p = (a)-[]->(b) RETURN 1 AS one")
+    assert ids("MATCH (a)-[r*]->(b) RETURN 1 AS one")  # a list of relationships is made of ids
+    assert ids("MATCH p = (a)-[]->(b) RETURN 1 AS one")  # and so is a path
     assert not ids("MATCH (a) WITH a, a.name AS n RETURN 1 AS one")
     assert not ids("MATCH (a) UNWIND [1] AS x RETURN 1 AS one")
+
+
+# true and 1 are two values, though the tuples (true,) and (1,) are equal:
+# a table that may hold both (UNWIND makes them here) is no table of ids,
+# whatever MATCH or UNION takes it in
+TRUE_AND_ONE = [
+    ("UNWIND [true, 1] AS x MATCH (a) RETURN x", [True, 1]),
+    ("MATCH (a) RETURN a AS x UNION ALL UNWIND [true, 1] AS x RETURN x", [n(1), True, 1]),
+    ("MATCH (a) RETURN a AS x UNION UNWIND [true, 1, true] AS x RETURN x", [n(1), True, 1]),
+]
+
+
+@pytest.mark.parametrize("text,xs", TRUE_AND_ONE, ids=[t for t, _ in TRUE_AND_ONE])
+def test_true_and_one_stay_two_rows_through_match_and_union(text, xs):
+    g, q = load_graph(ONE_NODE), parse_query(text)
+    got = output(q, g)
+    assert got == oracle_output(q, g)
+    assert got == Table(["x"], [{"x": x} for x in xs]) and got.total_rows() == len(xs)
 
 
 def _plant_join_swapping_two_fields(monkeypatch):

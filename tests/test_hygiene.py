@@ -252,10 +252,46 @@ def test_rows_enter_the_match_bag_through_emit_alone():
     assert found == {"matcher._Search._emit"}
 
 
-def test_unkeyed_sites_are_named_in_the_notes():
+# Each site that makes a table with ids, which keys each row by the row
+# itself, rests on a reason that the table holds only nulls and values made
+# of ids, stated in the notes: a match bag and the unit table by what they
+# hold, every other table by being built from such tables alone.
+IDS_SITES = {
+    "engine._match_rows": "t.ids",
+    "engine._project": "t.ids and not exprs",
+    "engine.run_clause": "out.ids",
+    "matcher.match_tuple": "True",
+    "tables.bag_union": "t1.ids and t2.ids",
+    "tables.distinct": "t.ids",
+    "tables.unit_table": "True",
+}
+
+
+def test_ids_sites_are_pinned():
+    found = {}
+    for path in MODULES:
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            for expr in (ast.unparse(k.value) for n in ast.walk(fn) if isinstance(n, ast.Call)
+                         for k in n.keywords if k.arg == "ids"):
+                assert name not in found, f"{name} makes two tables with ids"
+                found[name] = expr
+    assert found == {name: ast.unparse(ast.parse(expr, mode="eval")) for name, expr in IDS_SITES.items()}
+
+
+def _determinism():
     notes = (SRC.parent.parent / "docs" / "semantics-notes.md").read_text(encoding="utf-8")
-    determinism = notes.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+    return notes.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+
+
+def test_unkeyed_sites_are_named_in_the_notes():
+    determinism = _determinism()
     missing = sorted(site for site in UNKEYED_SITES.keys() | {"Table.add_among"} if f"`{site}`" not in determinism)
+    assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"
+
+
+def test_ids_sites_are_named_in_the_notes():
+    determinism = _determinism()
+    missing = sorted(site for site in IDS_SITES if f"`{site}`" not in determinism)
     assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"
 
 
@@ -340,7 +376,7 @@ def test_every_plan_field_is_read():
 
 def test_a_plan_field_left_without_readers_is_caught():
     sources = _plan_sources()
-    declared = "    ids: bool  # every field is bound"
+    declared = "    unkeyed: bool  # witnesses enter unkeyed"
     assert sources["matcher"].count(declared) == 1
     sources["matcher"] = sources["matcher"].replace(declared, "    twins: bool\n" + declared)
     assert _unread_plan_fields(sources) == ["MatchPlan.twins"]

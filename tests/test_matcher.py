@@ -6,6 +6,7 @@ only Student); most expectations here can be checked by hand on paper.
 
 import random
 import sys
+from enum import IntEnum
 
 import pytest
 
@@ -27,7 +28,11 @@ from minicypher.oracle import (
 )
 from minicypher.parser import parse_expr, parse_pattern, parse_pattern_tuple, parse_query
 from minicypher.tables import Table
-from minicypher.values import NodeId, Path, RelId
+from minicypher.values import Map, NodeId, Path, RelId
+
+
+class One(IntEnum):
+    ONE = 1
 
 
 def n(i):
@@ -253,6 +258,19 @@ class TestBoundVariables:
         pats = parse_pattern_tuple("(x)-[q*1..3]->(y)")
         got = match_tuple(pats, teachers, {"q": (r(1), r(2))})
         assert got == table(["x", "y"], {"x": n(1), "y": n(3)})
+
+    # A bound name meets the value the walk would bind (an id, a relationship
+    # list or a path) through ==: a list or path built apart from the walk's
+    # but equal to it matches, and a bool, int, map or null never does.
+    @pytest.mark.parametrize("pattern, walked", [
+        ("(a)-[q:KNOWS]->(b)", 0), ("(a)-[q:KNOWS*1..2]->(b)", 1), ("q = (a)-[:KNOWS]->(b)", 2)])
+    def test_a_bound_name_meets_the_walk_through_equality(self, teachers, pattern, walked):
+        pats = parse_pattern_tuple(pattern)
+        walks = [r(1), tuple([RelId("r1"), RelId("r2")]), Path((NodeId("n1"), NodeId("n2")), (RelId("r1"),))]
+        for i, value in enumerate([True, 1, One.ONE, None, Map((("k", 1),)), *walks]):
+            got = match_tuple(pats, teachers, {"q": value})
+            assert got == oracle_match(pats, teachers, {"q": value}), value
+            assert got.total_rows() == (i == 5 + walked), value
 
     def test_repeated_variable_within_tuple(self, teachers):
         # (x)->(y) and (y)->(z) must share the middle node

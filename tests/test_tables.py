@@ -1,4 +1,5 @@
 import pickle
+from collections import namedtuple
 from enum import IntEnum
 
 import pytest
@@ -177,11 +178,17 @@ def test_new_rows_match_equal_values_under_eq_and_multiplicity(a, b):
     assert t == Table(["x"], [{"x": b}, {"x": b}])
 
 
+RelList = namedtuple("RelList", "first second")
+
+
 def test_keys_are_equal_exactly_when_canon_is():
     pool = [None, True, False, 0, 1, One.ONE, "", "x", Name("x"), NodeId("x"), RelId("x"),
             (), (1,), (True,), (One.ONE,), Map(()), Map((("a", 1),)), Map((("a", True),)),
             _path("x"), _path("x", "r", "y"), _path("y", "r", "x"), _canon_cached(_path("x")),
-            (NodeId("x"),), (_path("x"),)]
+            (NodeId("x"),), (_path("x"),),
+            # lists made of ids, which key as the tuple of them
+            (RelId("r"), RelId("s")), RelList(RelId("r"), RelId("s")), (RelId("s"), RelId("r")),
+            (RelId("x"),), (_path("x"), _path("x", "r", "y")), (NodeId("x"), 1), (NodeId("x"), True)]
     for a in pool:
         for b in pool:
             t = Table(["x"], [{"x": a}, {"x": b}])
@@ -245,6 +252,19 @@ def test_a_table_of_ids_keys_each_row_by_itself():
     ids, plain = Table(["a", "b"], records, ids=True), Table(["a", "b"], records)
     assert ids == plain and [c for _, c in ids.rows()] == [2, 1]
     assert ids.multiplicity({"a": NodeId("x"), "b": None}) == 2
+    assert list(ids._keyed()) == list(plain._keyed()) == [row for row, _ in ids.tuples()]
+
+
+def test_a_table_of_ids_keys_relationship_lists_and_paths_by_themselves():
+    # a list of ids and a path are their own keys, as in every match bag
+    rels, p = (RelId("r"), RelId("s")), _path("x", "r", "y")
+    records = [{"a": rels, "p": p}, {"a": (), "p": _path("x")}, {"a": tuple([RelId("r"), RelId("s")]), "p": p}]
+    ids, plain = Table(["a", "p"], records, ids=True), Table(["a", "p"], records)
+    assert ids == plain and plain == ids and [c for _, c in ids.rows()] == [2, 1]
+    for t in (ids, plain):
+        assert t.multiplicity({"a": RelList(RelId("r"), RelId("s")), "p": _path("x", "r", "y")}) == 2
+        assert t.multiplicity({"a": (), "p": _path("x")}) == 1
+        assert t.multiplicity({"a": (RelId("s"), RelId("r")), "p": p}) == 0
     assert list(ids._keyed()) == list(plain._keyed()) == [row for row, _ in ids.tuples()]
 
 
