@@ -17,7 +17,7 @@ from .evaluator import eval_expr, is_true
 from .graph import PropertyGraph
 from .matcher import match_tuple, plan_match
 from .parser import unparse_expr
-from .tables import Record, Row, Table, bag_union, distinct, getter, unit_table
+from .tables import Record, Row, Table, bag_union, distinct, getter, tally, unit_table
 from .values import FunctionRegistry, canon
 
 
@@ -151,9 +151,9 @@ def run_clause(
         for u, count in t.tuples():
             v = eval_expr(c.expr, g, read(u), functions)
             head, tail = u[:at], u[at:]
-            among: dict[tuple, int] = {}  # this row's elements alone can equal each other
-            for x in v if isinstance(v, tuple) else (v,):  # a non-list value unwinds to itself
-                out.add_among(head + (x,) + tail, count, among, at)
+            # rows of distinct input rows, or of distinct elements, differ in a cell
+            for x, n in tally(v if isinstance(v, tuple) else (v,)):  # a non-list value unwinds to itself
+                out.add_new(head + (x,) + tail, count * n)
         return out
 
     raise TypeError(f"not a clause: {c!r}")

@@ -31,9 +31,9 @@ at the cells; tuples compare ``True == 1``, so no other table may.
 A table keeps its rows and their counts in two parallel lists, in
 insertion order; the key index, from row key to position, is built at
 most once, when identity is first observed (``add``, ``multiplicity``,
-``==``), and until then ``add_new`` appends rows known to be new unkeyed
-and ``add_among`` merges a row into the first equal row of the caller's
-own map.  Row keys and the layout are read in this module alone.
+``==``), and until then ``add_new`` appends rows known to be new unkeyed;
+:func:`tally` counts a list's values by the key of a cell.  Row keys and
+the layout are read in this module alone.
 """
 
 from __future__ import annotations
@@ -57,7 +57,10 @@ def getter(keys: Sequence) -> Callable[[Any], tuple]:
     return itemgetter(*keys) if keys else lambda u: ()
 
 
-def _tagged_key(v: Value):
+def _key(v: Value):
+    """The key of a cell: equal to another's exactly when their canon forms are."""
+    if type(v) in UNTAGGED:
+        return v
     if isinstance(v, tuple) and ID_MADE.issuperset(map(type, v)):
         return tuple(v)  # a list of ids and paths, a namedtuple too
     # an int or str subclass instance (an IntEnum member) keys as itself,
@@ -69,7 +72,20 @@ def _tagged_key(v: Value):
 def row_key(u: Row) -> tuple:
     if UNTAGGED.issuperset(map(type, u)):
         return u
-    return tuple([v if type(v) in UNTAGGED else _tagged_key(v) for v in u])
+    return tuple(map(_key, u))
+
+
+def tally(values: Iterable[Value]) -> Iterable[list]:
+    """Each distinct value of values with its count, as [value, count] in
+    first-occurrence order; the first occurrence stands for its equals."""
+    seen: dict = {}  # key -> [the first value with it, its count]
+    for v in values:
+        k = _key(v)
+        if k in seen:
+            seen[k][1] += 1
+        else:
+            seen[k] = [v, 1]
+    return seen.values()
 
 
 class Table:
@@ -77,16 +93,16 @@ class Table:
 
     ``fields`` is stored sorted (the field *set* is what matters).  Row i
     is ``_records[i]`` with multiplicity ``_counts[i]``; the index from row
-    key to position makes equality of tables decidable and exact.  ``ids``
+    key to position makes equality of tables decidable and exact.  Rows
+    enter keyed (``add``) or, known to be new, unkeyed (``add_new``); ``ids``
     promises that each cell is null or made of ids: each row is its own key.
     """
 
-    __slots__ = ("fields", "ids", "_names", "_records", "_counts", "_index")
+    __slots__ = ("fields", "ids", "_records", "_counts", "_index")
 
     def __init__(self, fields: Iterable[str], records: Iterable[Record] = (), ids: bool = False):
         self.fields: tuple[str, ...] = tuple(sorted(set(fields)))
         self.ids = ids
-        self._names = frozenset(self.fields)
         self._records: list[Row] = []  # in insertion order
         self._counts: list[int] = []  # parallel to _records
         self._index: dict[tuple, int] | None = None  # row key -> position, once built
@@ -95,7 +111,7 @@ class Table:
 
     def _row(self, u: Record) -> Row:
         """The row of a record over the table's fields."""
-        if u.keys() != self._names:
+        if u.keys() != set(self.fields):
             raise AssertionError(
                 f"non-uniform record: has {sorted(u)}, table fields are {list(self.fields)}"
             )
@@ -130,23 +146,6 @@ class Table:
             return self.add(u, count)
         self._records.append(u if type(u) is tuple else self._row(u))
         self._counts.append(count)
-
-    def add_among(self, u: Row | Record, count: int, among: dict[tuple, int], at: int) -> None:
-        """Add count copies of u, a row or a record, which can equal only rows
-        entered with the same ``among`` (the caller's map, empty at first)
-        and differs from them only in the cell at position ``at``: u merges
-        into the first it equals."""
-        if type(u) is not tuple:
-            u = self._row(u)
-        n = len(self._counts)
-        i = among.setdefault(row_key((u[at],)), n)
-        if i != n:
-            self._counts[i] += count
-        elif self._index is not None:
-            self.add(u, count)
-        else:
-            self._records.append(u)
-            self._counts.append(count)
 
     # -- inspection ---------------------------------------------------------
 

@@ -203,14 +203,13 @@ def test_tables_names_no_id_or_path_class():
     assert "canon" in named and not named & {"NodeId", "RelId", "Path"}
 
 
-# Each site that enters rows unkeyed, with Table.add_new or Table.add_among,
-# rests on a reason that its rows are distinct by construction, or can equal
-# only each other, stated in the notes.  UNWIND, in run_clause, is the one
-# merge of rows that can equal only each other.
+# Each site that enters rows unkeyed, with Table.add_new, rests on a reason
+# that its rows are distinct by construction, stated in the notes.  UNWIND,
+# in run_clause, makes them so by tallying each list first (tables.tally).
 UNKEYED_SITES = {
     "engine._match_rows": {"add_new"},
     "engine._project": {"add_new"},
-    "engine.run_clause": {"add_new", "add_among"},
+    "engine.run_clause": {"add_new"},
     "matcher._Search._emit": {"add_new"},
     "tables.distinct": {"add_new"},
 }
@@ -231,7 +230,7 @@ def test_unkeyed_sites_are_pinned():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, fn in _functions(tree, path.stem):
-            methods = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)} & {"add_new", "add_among"}
+            methods = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)} & {"add_new"}
             if methods:
                 found[name] = methods
     assert found == UNKEYED_SITES
@@ -243,7 +242,7 @@ def test_rows_enter_the_match_bag_through_emit_alone():
     # relationships used, is the one other receiver of an `add`.)
     def adds_rows(fn):
         return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                   and n.func.attr in {"add", "add_new", "add_among"}
+                   and n.func.attr in {"add", "add_new"}
                    and getattr(n.func.value, "id", None) != "used" for n in ast.walk(fn))
 
     tree = ast.parse((SRC / "matcher.py").read_text(encoding="utf-8"))
@@ -285,7 +284,7 @@ def _determinism():
 
 def test_unkeyed_sites_are_named_in_the_notes():
     determinism = _determinism()
-    missing = sorted(site for site in UNKEYED_SITES.keys() | {"Table.add_among"} if f"`{site}`" not in determinism)
+    missing = sorted(site for site in UNKEYED_SITES.keys() | {"tables.tally"} if f"`{site}`" not in determinism)
     assert not missing, f"docs/semantics-notes.md, Determinism, does not name {missing}"
 
 

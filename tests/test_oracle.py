@@ -474,15 +474,15 @@ def _plant_unkeyed_projection_dropping_a_field(monkeypatch):
     monkeypatch.setattr(engine, "_project", planted)
 
 
-def _plant_add_among_never_merging(monkeypatch):
-    """Table.add_among enters every row as new: equal elements of one UNWIND
-    list no longer merge."""
-    monkeypatch.setattr(Table, "add_among", lambda self, u, count, among, fields: self.add_new(u, count))
+def _plant_a_tally_never_merging(monkeypatch):
+    """The tally gives every element of a list count 1: equal elements of
+    one UNWIND list no longer merge."""
+    monkeypatch.setattr(engine, "tally", lambda values: [(x, 1) for x in values])
 
 
 UNSOUND_UNKEYED = [_plant_unkeyed_witnesses_with_an_anonymous_relationship,
                    _plant_unkeyed_projection_dropping_a_field,
-                   _plant_add_among_never_merging]
+                   _plant_a_tally_never_merging]
 
 
 @pytest.mark.parametrize("plant", UNSOUND_UNKEYED, ids=lambda p: p.__name__[len("_plant_"):])
@@ -567,7 +567,7 @@ def test_the_clause_guard_catches_unkeyed_anonymous_one_hop_witnesses(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# Table.add_among ablated: merging among a caller's rows is keying them
+# The UNWIND tally ablated: counting a list's elements is keying their rows
 # ---------------------------------------------------------------------------
 
 
@@ -606,18 +606,19 @@ def _merge_cases():
     return [(g, parse_query(q)) for q in MERGE_SHAPES] + [gen_case(GenConfig(seed=s)) for s in range(2000)]
 
 
-def test_add_among_merges_as_keying_every_row_does(monkeypatch):
+def test_a_tally_and_add_new_give_what_keying_every_row_gives(monkeypatch):
     cases = _merge_cases()
     want = [_outcome(g, q) for g, q in cases]
-    monkeypatch.setattr(Table, "add_among", lambda self, u, count, among, fields: self.add(u, count))
+    _plant_a_tally_never_merging(monkeypatch)
+    monkeypatch.setattr(Table, "add_new", Table.add)
     assert [_outcome(g, q) for g, q in cases] == want
 
 
 @pytest.mark.parametrize("query", [MERGE_SHAPES[3]], ids=["unwind"])
-def test_the_ablation_graph_catches_an_add_among_that_never_merges(monkeypatch, query):
+def test_the_ablation_graph_catches_a_tally_that_never_merges(monkeypatch, query):
     g, q = _ablation_graph(), parse_query(query)
     want = _outcome(g, q)
-    _plant_add_among_never_merging(monkeypatch)
+    _plant_a_tally_never_merging(monkeypatch)
     assert _outcome(g, q) != want
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from minicypher import tables
 from minicypher.errors import FieldMismatch
-from minicypher.tables import Table, bag_union, distinct, unit_table
+from minicypher.tables import Table, bag_union, distinct, tally, unit_table
 from minicypher.values import Map, NodeId, Path, RelId, canon
 
 
@@ -193,6 +193,14 @@ def test_keys_are_equal_exactly_when_canon_is():
         for b in pool:
             t = Table(["x"], [{"x": a}, {"x": b}])
             assert (len(list(t.rows())) == 1) == (canon(a) == canon(b)), (a, b)
+            assert (len(tally([a, b])) == 1) == (canon(a) == canon(b)), (a, b)
+
+
+def test_a_tally_keeps_the_first_occurrence():
+    ((x, n),) = tally([One.ONE, 1])
+    assert x is One.ONE and n == 2
+    ((x, n),) = tally([1, One.ONE])
+    assert type(x) is int and n == 2
 
 
 def test_mixed_insertions_build_the_index_once(monkeypatch):
@@ -218,13 +226,9 @@ def test_uniformity_is_checked_on_the_new_row_path():
     t = Table(["a"])
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
-    with pytest.raises(AssertionError):
-        t.add_among({"b": 1}, 1, {}, 0)
     t.add({"a": 1})
     with pytest.raises(AssertionError):
         t.add_new({"b": 1})
-    with pytest.raises(AssertionError):
-        t.add_among({"b": 1}, 1, {}, 0)
 
 
 def test_a_repeated_new_row_is_caught_when_the_index_is_built():
@@ -270,30 +274,11 @@ def test_a_table_of_ids_keys_relationship_lists_and_paths_by_themselves():
 
 def test_positions():
     t = Table(["a"])
-    among = {}
-    t.add_among({"a": 1}, 1, among, 0)
-    t.add_among({"a": 2}, 3, among, 0)
+    t.add_new({"a": 1})
+    t.add_new({"a": 2}, 3)
     assert list(t.rows()) == [({"a": 1}, 1), ({"a": 2}, 3)]
-    t.add_among({"a": 1}, 1, among, 0)  # merged at the first, as an equal UNWIND element is
-    t.add_among({"a": 2}, 2, among, 0)
-    assert list(t.rows()) == [({"a": 1}, 2), ({"a": 2}, 5)]
     t.add({"a": 3})
     t.add({"a": 1}, 4)
     t.add_new({"a": 4})  # keyed, once there is an index
-    assert list(t.rows()) == [({"a": 1}, 6), ({"a": 2}, 5), ({"a": 3}, 1), ({"a": 4}, 1)]
-    t.add_among({"a": 5}, 1, among, 0)  # keyed too, and its position entered in among
-    t.add_among({"a": 5}, 2, among, 0)
-    assert list(t.rows())[-1] == ({"a": 5}, 3)
-    assert t == Table(["a"], [{"a": 1}] * 6 + [{"a": 2}] * 5 + [{"a": 3}, {"a": 4}] + [{"a": 5}] * 3)
-
-
-def test_add_among_merges_only_within_its_map():
-    # rows entered through another map are not looked at
-    t = Table(["a", "x"])
-    first, second = {}, {}
-    for among in (first, second, first):
-        t.add_among({"a": 1, "x": True}, 1, among, 1)
-    t.add_among({"a": 1, "x": 1}, 1, first, 1)  # true and 1 stay two rows
-    assert [c for _, c in t.rows()] == [2, 1, 1]
-    with pytest.raises(AssertionError, match="already in the table"):
-        t.multiplicity({"a": 1, "x": True})  # the caller broke add_among's contract
+    assert list(t.rows()) == [({"a": 1}, 5), ({"a": 2}, 3), ({"a": 3}, 1), ({"a": 4}, 1)]
+    assert t == Table(["a"], [{"a": 1}] * 5 + [{"a": 2}] * 3 + [{"a": 3}, {"a": 4}])
