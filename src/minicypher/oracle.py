@@ -1,14 +1,16 @@
 """Brute-force reference implementation and the differential harness.
 
 The functions here recompute pattern matching and clause semantics from
-the definitions with no shortcuts, no pruning beyond the hop bound forced
-by relationship distinctness, and no shared code with the optimized
-matcher/engine: `oracle_match` literally enumerates every (rigid pattern,
-path tuple) pair and counts the witnesses, and `oracle_run_query` re-states
-the table transformations row by row.  Expressions are evaluated by the
-ordinary evaluator in both implementations — the differential target is
-the matching and table algebra, and the evaluator is verified separately
-by its own exhaustive suites.
+the definitions with no shortcuts, no pruning beyond the tuple's hop bound
+(a rigid pattern of h hops is satisfied only by paths of exactly h hops,
+so a trail longer than any rigid pattern of the tuple is never a witness),
+and no shared code with the optimized matcher/engine: `oracle_match`
+literally enumerates every (rigid pattern, path tuple) pair and counts the
+witnesses, and `oracle_run_query` re-states the table transformations row
+by row.  Expressions are evaluated by the ordinary evaluator in both
+implementations — the differential target is the matching and table
+algebra, and the evaluator is verified separately by its own exhaustive
+suites.
 
 The slot rules are stated once, in `_read`: one pass over a path under a
 rigid choice, in pattern order, checks labels, relationship types and
@@ -96,16 +98,19 @@ def _normal_form(t) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _all_walks(g: PropertyGraph) -> dict[int, list[Walk]]:
-    """Every path over g, grouped by hop count.
+def _all_walks(g: PropertyGraph, most: int) -> dict[int, list[Walk]]:
+    """Every path over g of at most `most` hops, grouped by hop count.
 
     A path may traverse each relationship in either orientation but never
-    twice, so |R| bounds the length and the enumeration is finite.
+    twice, so |R| bounds the length and the enumeration is finite; `most`
+    cuts it shorter, to the hops a pattern tuple can use (`_hop_bound`).
     """
-    by_len: dict[int, list[Walk]] = {h: [] for h in range(len(g.rels) + 1)}
+    by_len: dict[int, list[Walk]] = {h: [] for h in range(most + 1)}
 
     def extend(nodes: list[NodeId], rels: list[RelId]) -> None:
         by_len[len(rels)].append((tuple(nodes), tuple(rels)))
+        if len(rels) == most:
+            return
         cur = nodes[-1]
         for r in g.incident(cur, BOTH):
             if r in rels:
@@ -119,6 +124,15 @@ def _all_walks(g: PropertyGraph) -> dict[int, list[Walk]]:
     for n in g.nodes:
         extend([n], [])
     return by_len
+
+
+def _hop_bound(pats: ast.PatternTuple, g: PropertyGraph) -> int:
+    """The most hops any rigid pattern of pats can have on g: per path, the
+    sum of its slots' upper bounds, an unbounded slot counting |R|, and
+    never more than |R|, since a path uses each relationship once."""
+    most = len(g.rels)
+    his = [[ast.range_of(rho)[1] for rho in pat.rel_patterns()] for pat in pats.paths]
+    return max((min(most, sum(most if hi is None else hi for hi in path)) for path in his), default=0)
 
 
 def _seg_choices(rel_pats: tuple[ast.RelPattern, ...], max_total: int) -> list[tuple[int, ...]]:
@@ -310,9 +324,21 @@ def oracle_match(
     relationships; each satisfied pair forces exactly one binding extension
     and contributes one to its multiplicity.
     """
+    return _match(pats, g, u, _all_walks(g, _hop_bound(pats, g)), functions)
+
+
+def _match(
+    pats: ast.PatternTuple,
+    g: PropertyGraph,
+    u: Record,
+    walks: dict[int, list[Walk]],
+    functions: FunctionRegistry | None,
+) -> Bag:
+    """`oracle_match` over walks, the trails up to the tuple's hop bound,
+    which a MATCH clause lists once for all its input rows."""
     new_fields = tuple(sorted(free_vars(pats) - set(u.keys())))
     found = [({f: v[f] for f in new_fields}, 1)
-             for v, checks in _witnesses(pats, g, u, _all_walks(g))
+             for v, checks in _witnesses(pats, g, u, walks)
              if _eval_checks(checks, g, v, functions)]
     return Bag(new_fields, found)
 
@@ -332,7 +358,7 @@ def exhaustive_match(
     `oracle_match`'s derivation step; exponential in everything.
     """
     new_fields = tuple(sorted(free_vars(pats) - set(u.keys())))
-    walks = _all_walks(g)
+    walks = _all_walks(g, len(g.rels))  # every path is a candidate value
     pool: list = [*g.nodes, *g.rels]
     pool += [Path(nodes, rels) for ws in walks.values() for nodes, rels in ws]
     pool += [seq for k in range(len(g.rels) + 1) for seq in itertools.permutations(g.rels, k)]
@@ -382,8 +408,10 @@ def oracle_run_clause(
 ) -> Bag:
     if isinstance(c, ast.Match):
         fields, rows = sorted(set(t.fields) | free_vars(c.patterns)), []
-        for u, count in t.rows():
-            kept = [({**u, **u2}, count * n) for u2, n in oracle_match(c.patterns, g, u, functions).rows()]
+        inputs = list(t.rows())  # the trails are listed once, and not for an empty table
+        walks = _all_walks(g, _hop_bound(c.patterns, g)) if inputs else {}
+        for u, count in inputs:
+            kept = [({**u, **u2}, count * n) for u2, n in _match(c.patterns, g, u, walks, functions).rows()]
             if c.where is not None:
                 kept = [(row, n) for row, n in kept if is_true(eval_expr(c.where, g, row, functions))]
             if not kept and c.optional:

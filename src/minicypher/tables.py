@@ -72,7 +72,7 @@ def _key(v: Value):
 def row_key(u: Row) -> tuple:
     if UNTAGGED.issuperset(map(type, u)):
         return u
-    return tuple(map(_key, u))
+    return tuple([v if type(v) in UNTAGGED else _key(v) for v in u])  # own-key cells skip the call
 
 
 def tally(values: Iterable[Value]) -> Iterable[list]:

@@ -18,6 +18,8 @@ from minicypher.parser import parse_query, unparse_query
 from minicypher.tables import Table
 from minicypher.values import MAX_CELLS, MAX_DEPTH, Map, NodeId, RelId
 
+from test_oracle import reach_graph
+
 FIXTURES = Path(__file__).parent / "fixtures"
 CITATION = str(FIXTURES / "citation.json")
 TEACHERS = str(FIXTURES / "teachers.json")
@@ -633,6 +635,18 @@ def test_oracle_flag_checks_and_passes(capsys):
     checked = run(capsys, "--graph", CITATION, "--query", AUTHORS, "--oracle")
     assert checked[0] == 0
     assert checked[1] == plain[1]
+
+
+def test_oracle_flag_reaches_a_graph_of_forty_relationships(capsys, tmp_path):
+    # The graph has millions of trails; the oracle lists those of at most 2 hops.
+    doc = reach_graph()
+    path = tmp_path / "reach.json"
+    path.write_text(json.dumps(doc))
+    q = "MATCH (a)-[:X]->(b)-[:X]->(c) RETURN a, c"
+    rc, out, err = run(capsys, "--graph", str(path), "--query", q, "--oracle")
+    assert (rc, err) == (0, "")
+    assert out == render_tsv(output(parse_query(q), load_graph(doc)))
+    assert len(doc["relationships"]) == 40 and out.count("\n") > 10
 
 
 def _planted_error(q, g):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from minicypher import ast, engine, tables
+from minicypher import ast, engine, oracle, tables
 from minicypher.errors import CypherError
 from minicypher.evaluator import eval_expr
 from minicypher.graph import BOTH, load_graph
@@ -16,6 +16,9 @@ from minicypher.matcher import match_tuple
 from minicypher.oracle import (
     Bag,
     GenConfig,
+    _all_walks,
+    _describe,
+    _hop_bound,
     _normal_form,
     agree,
     case_document,
@@ -138,6 +141,95 @@ def every_path(g):
     for n in g.nodes:
         extend([n], [])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the trail enumeration, cut at the tuple's hop bound
+# ---------------------------------------------------------------------------
+
+
+def test_walks_are_every_path_cut_at_the_bound():
+    for seed in range(500):
+        g, _ = gen_case(GenConfig(seed=seed))
+        full = [(p.nodes, p.rels) for p in every_path(g)]
+        for most in range(len(g.rels) + 1):
+            want = {h: [w for w in full if len(w[1]) == h] for h in range(most + 1)}
+            assert _all_walks(g, most) == want, (seed, most)
+
+
+def _four_rels():
+    return load_graph({
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "relationships": [{"id": f"r{i}", "type": "X", "src": "a", "tgt": "b"} for i in range(4)],
+    })
+
+
+@pytest.mark.parametrize("source,bound", [
+    ("(x)-[q]->(y)", 1),
+    ("(x)-[*2..3]->(y)", 3),
+    ("(x)-[*]->(y)", 4),  # unbounded: |R|
+    ("(x)-[*..2]->(y)", 2),
+    ("(x)-[*2..1]->(y)", 1),  # an empty range allows no path at all
+    ("(x)-[q]->(y), (y)-[*2..3]-(z)", 3),  # the larger of the two paths
+    ("(x)-[]->(y)-[]->(z), (y)-[*..1]-(z)", 2),
+    ("(x), (y)", 0),
+    ("(x)-[*3..5]->(y)-[]->(z)", 4),  # 6 hops, capped at |R|
+])
+def test_the_hop_bound_of_a_tuple(source, bound):
+    assert _hop_bound(parse_pattern_tuple(source), _four_rels()) == bound
+
+
+def reach_graph(seed=1, nodes=20, out_degree=2):
+    """A seeded graph of 20 nodes and 40 relationships, as the bench draws
+    them: labels A/B/C, a name and a k on each node, and out_degree
+    relationships typed X or Y leaving each node for a random one.  It has
+    millions of trails, so only a bounded enumeration gets through it."""
+    rng = random.Random(seed)
+    node_docs = [{"id": f"n{i}", "labels": [rng.choice("ABC")],
+                  "properties": {"name": f"v{i}", "k": rng.randrange(10)}}
+                 for i in range(nodes)]
+    rel_docs = [{"id": f"r{j}", "type": rng.choice("XY"), "src": f"n{j // out_degree}",
+                 "tgt": f"n{rng.randrange(nodes)}", "properties": {"w": rng.randrange(100)}}
+                for j in range(nodes * out_degree)]
+    return {"nodes": node_docs, "relationships": rel_docs}
+
+
+def _asked(monkeypatch):
+    """The `most` of every trail listing the oracle makes, in order."""
+    asked = []
+
+    def listed(g, most):
+        asked.append(most)
+        return _all_walks(g, most)
+
+    monkeypatch.setattr(oracle, "_all_walks", listed)
+    return asked
+
+
+@pytest.mark.parametrize("query,bound", [
+    ("MATCH (a)-[:X]->(b)-[:X]->(c) RETURN a, c", 2),
+    ("MATCH (a)-[*1..3]->(b) RETURN a, b", 3),
+])
+def test_the_oracle_lists_trails_up_to_the_bound_only(monkeypatch, query, bound):
+    g, q = load_graph(reach_graph()), parse_query(query)
+    assert len(g.rels) == 40
+    asked = _asked(monkeypatch)
+    assert oracle_output(q, g) == engine.output(q, g)
+    assert asked == [bound]
+
+
+def test_a_match_clause_lists_the_trails_once_for_all_its_rows(monkeypatch):
+    g, q = load_graph(reach_graph()), parse_query("UNWIND [1, 2, 3] AS i MATCH (a)-[]->(b) RETURN a, b, i")
+    asked = _asked(monkeypatch)
+    assert sorted(c for _, c in oracle_output(q, g).rows()) == [1] * 120
+    assert asked == [1]
+
+
+def test_a_match_on_no_rows_lists_no_trails(monkeypatch):
+    g, q = load_graph(reach_graph()), parse_query("UNWIND [] AS i MATCH (a)-[]->(b) RETURN a, b, i")
+    asked = _asked(monkeypatch)
+    assert list(oracle_output(q, g).rows()) == []
+    assert asked == []
 
 
 SINGLE_PATH_PATTERNS = [
@@ -331,6 +423,16 @@ def test_both_sides_raise_each_clause_error(teachers, query, error):
     agree, detail = differential_case(teachers, parse_query(query))
     assert agree
     assert detail["engine"] == detail["oracle"] == f"error:{error}"
+
+
+def test_oracle_outcomes_are_pinned():
+    # sha256 of the oracle's described outcome on gen_case seeds 0-1999,
+    # each a line: a faster oracle must give the same tables and errors.
+    h = hashlib.sha256()
+    for seed in range(2000):
+        g, q = gen_case(GenConfig(seed=seed))
+        h.update(repr(_describe(outcome(oracle_output, q, g))).encode() + b"\n")
+    assert h.hexdigest() == "3230c3e7691aef49838419aac09ee99947cd00a58a185efc14603f5a7f5a1065"
 
 
 def test_oracle_output_on_a_full_query(teachers):
