@@ -170,14 +170,14 @@ def _caret_diagnostic(text: str, span: Optional[tuple[int, int]]) -> str:
         return ""
     start, end = span
     start = max(0, min(start, len(text)))
-    line_start = text.rfind("\n", 0, start) + 1
-    line_end = text.find("\n", start)
-    if line_end == -1:
-        line_end = len(text)
+    # a CR ends a line as LF does; --query-file keeps both
+    line_start = max(text.rfind("\n", 0, start), text.rfind("\r", 0, start)) + 1
+    line_end = min((i for i in (text.find("\n", start), text.find("\r", start)) if i != -1), default=len(text))
     line = text[line_start:line_end]
-    col = start - line_start
+    # a tab before the culprit stays a tab, so the caret lines up under it
+    indent = "".join(ch if ch == "\t" else " " for ch in line[:start - line_start])
     width = max(1, min(end, line_end) - start)
-    return f"  {line}\n  {' ' * col}{'^' * width}\n"
+    return f"  {line}\n  {indent}{'^' * width}\n"
 
 
 # ---------------------------------------------------------------------------

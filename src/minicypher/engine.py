@@ -66,7 +66,7 @@ def _match_rows(
         if count == 1 and not t.fields and not (c.optional and sub.is_empty()):
             return sub  # the one empty row joins its match bag as it is
         if out is None:
-            out = Table(t.fields + plan.fields, ids=t.ids)
+            out = Table(t.fields + plan.fields)
             joined, padding = _joined(t.fields + plan.fields, out.fields), (None,) * len(plan.fields)
         for u2, c2 in sub.tuples():  # distinct rows joined with distinct extensions
             out.add_new(joined(u + u2), count * c2)
@@ -108,19 +108,16 @@ def _project(
     cells = [t.fields.index(c) if type(c) is str else c for _, c in pairs]
     exprs = [c for c in cells if type(c) is not int]
     out = Table(names, ids=t.ids and not exprs)
-    # When every input field is read into some output name, distinct input
-    # rows project to distinct rows.
-    add = out.add_new if len({c for c in cells if type(c) is int}) == len(fields) else out.add
     at = [names.index(f) for f in out.fields]  # the items in the output's field order
     if not exprs:  # one getter per row
         get = getter([cells[i] for i in at])
         for u, count in t.tuples():
-            add(get(u), count)
+            out.add(get(u), count)
         return out
     order, read = getter(at), _reader(exprs, t)
     for u, count in t.tuples():
         record = read(u)
-        add(order([u[c] if type(c) is int else eval_expr(c, g, record, functions) for c in cells]), count)
+        out.add(order([u[c] if type(c) is int else eval_expr(c, g, record, functions) for c in cells]), count)
     return out
 
 
@@ -137,7 +134,7 @@ def run_clause(
         out = _project(c.star, c.items, g, t, functions)
         if c.where is None:
             return out
-        kept, read = Table(out.fields, ids=out.ids), _reader([c.where], out)
+        kept, read = Table(out.fields), _reader([c.where], out)
         for u, count in out.tuples():  # a subset of distinct rows
             if is_true(eval_expr(c.where, g, read(u), functions)):
                 kept.add_new(u, count)

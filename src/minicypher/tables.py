@@ -24,7 +24,7 @@ its own key, and a list of values of exact types in ``values.ID_MADE``
 ``canon`` key is a tuple led by a kind); bools, other lists, maps and other
 values go through ``canon``.  A row whose every cell is of an exact type
 in ``UNTAGGED`` is its own key.  A table made with ``ids`` (every match
-bag, and what a clause builds from such tables alone) holds only nulls and
+bag, and the projections and unions of tables of ids) holds only nulls and
 values made of ids, so it keys each row by the row itself without looking
 at the cells; tuples compare ``True == 1``, so no other table may.
 
@@ -95,7 +95,8 @@ class Table:
     is ``_records[i]`` with multiplicity ``_counts[i]``; the index from row
     key to position makes equality of tables decidable and exact.  Rows
     enter keyed (``add``) or, known to be new, unkeyed (``add_new``); ``ids``
-    promises that each cell is null or made of ids: each row is its own key.
+    promises that each cell is null or made of ids, so each row is its own
+    key: every match bag, and the projections and unions of tables of ids.
     """
 
     __slots__ = ("fields", "ids", "_records", "_counts", "_index")
@@ -186,7 +187,7 @@ class Table:
 
 def unit_table() -> Table:
     """The table with no fields containing a single empty record."""
-    return Table((), [()], ids=True)
+    return Table((), [()])
 
 
 def bag_union(t1: Table, t2: Table) -> Table:
@@ -202,7 +203,7 @@ def bag_union(t1: Table, t2: Table) -> Table:
 
 def distinct(t: Table) -> Table:
     """Same support, all multiplicities 1."""
-    out = Table(t.fields, ids=t.ids)
+    out = Table(t.fields)
     for u in t._records:  # t lists each record once
         out.add_new(u, 1)
     return out

@@ -619,6 +619,21 @@ def test_query_file_keeps_line_breaks_in_a_literal(capsys, tmp_path, brk, cell):
     assert from_file == run(capsys, "--query", query) == (0, f"x\n{cell}\n", "")
 
 
+@pytest.mark.parametrize("query,line,indent", [
+    ("RETURN\t\t1 < 'x' AS y", "RETURN\t\t1 < 'x' AS y", "      \t\t"),
+    ("RETURN\r1 < 'x' AS y", "1 < 'x' AS y", ""),
+    ("RETURN 1 < 'x'\r\nAS y", "RETURN 1 < 'x'", " " * 7),
+], ids=["tabs", "cr", "crlf"])
+def test_caret_sits_under_the_culprit_on_its_own_line(capsys, tmp_path, query, line, indent):
+    # the line holds no line break, and the caret's indent keeps its tabs
+    f = tmp_path / "q.cypher"
+    f.write_bytes(query.encode("utf-8"))
+    rc, out, err = run(capsys, "--query-file", str(f))
+    assert (rc, out) == (2, "")
+    carets = "^" * len("1 < 'x'")
+    assert err.split("\n")[1:] == [f"  {line}", f"  {indent}{carets}", ""]
+
+
 def test_help_exits_0(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0

@@ -509,7 +509,7 @@ def test_ids_are_proved_by_the_clause(teachers):
         return t.ids
 
     assert ids("MATCH (a)-[r:KNOWS]->(b) RETURN 1 AS one")
-    assert ids("MATCH (a) OPTIONAL MATCH (a)-[:KNOWS]->(b) WITH a, b RETURN 1 AS one")
+    assert not ids("MATCH (a) OPTIONAL MATCH (a)-[:KNOWS]->(b) WITH a, b RETURN 1 AS one")
     assert ids("MATCH (a)-[r*]->(b) RETURN 1 AS one")  # a list of relationships is made of ids
     assert ids("MATCH p = (a)-[]->(b) RETURN 1 AS one")  # and so is a path
     assert not ids("MATCH (a) WITH a, a.name AS n RETURN 1 AS one")
@@ -518,11 +518,14 @@ def test_ids_are_proved_by_the_clause(teachers):
 
 # true and 1 are two values, though the tuples (true,) and (1,) are equal:
 # a table that may hold both (UNWIND makes them here) is no table of ids,
-# whatever MATCH or UNION takes it in
+# whatever MATCH, WITH … WHERE, UNION or its DISTINCT takes it in
 TRUE_AND_ONE = [
     ("UNWIND [true, 1] AS x MATCH (a) RETURN x", [True, 1]),
+    ("UNWIND [true, 1] AS x WITH x, 1 AS y WHERE true RETURN x", [True, 1]),
     ("MATCH (a) RETURN a AS x UNION ALL UNWIND [true, 1] AS x RETURN x", [n(1), True, 1]),
     ("MATCH (a) RETURN a AS x UNION UNWIND [true, 1, true] AS x RETURN x", [n(1), True, 1]),
+    ("UNWIND [true, 1] AS x RETURN x UNION UNWIND [1] AS x RETURN x UNION ALL MATCH (a) RETURN a AS x",
+     [True, 1, n(1)]),
 ]
 
 
