@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import unicodedata
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -165,6 +166,11 @@ _RENDERERS = {"tsv": render_tsv, "json": render_json, "counted-json": render_cou
 # ---------------------------------------------------------------------------
 
 
+def _columns(ch: str) -> int:
+    """The terminal columns a character takes: two when it is wide or fullwidth."""
+    return 2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1
+
+
 def _caret_diagnostic(text: str, span: Optional[tuple[int, int]]) -> str:
     if span is None:
         return ""
@@ -175,8 +181,8 @@ def _caret_diagnostic(text: str, span: Optional[tuple[int, int]]) -> str:
     line_end = min((i for i in (text.find("\n", start), text.find("\r", start)) if i != -1), default=len(text))
     line = text[line_start:line_end]
     # a tab before the culprit stays a tab, so the caret lines up under it
-    indent = "".join(ch if ch == "\t" else " " for ch in line[:start - line_start])
-    width = max(1, min(end, line_end) - start)
+    indent = "".join(ch if ch == "\t" else " " * _columns(ch) for ch in line[:start - line_start])
+    width = max(1, sum(map(_columns, text[start:min(end, line_end)])))
     return f"  {line}\n  {indent}{'^' * width}\n"
 
 

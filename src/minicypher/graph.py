@@ -223,9 +223,6 @@ class PropertyGraph:
         graph handed out (``incident``, ...): they need no unknown-id check."""
         return self._src, self._tgt, self._types, self._labels
 
-    def other_end(self, r: RelId, n: NodeId) -> NodeId:
-        return self._tgt[r] if self._src[r] == n else self._src[r]
-
     def _check_rel(self, r: RelId) -> None:
         if r not in self._types:
             raise UnknownId(f"unknown relationship id {r.key}")

@@ -63,17 +63,15 @@ match bag's fields and the input fields it depends on (the engine's memo
 key); for each path its walk end, its anchor's kind (bound, seek, label
 index or scan) with the check a seek stands for, and its slots in walk
 order, each with its direction, range, names, next-node labels and check
-groups; the check groups in pattern order; whether witnesses enter
-unkeyed; and how a row is built.  A search holds only one row's state: the
-bindings, the relationships used, the placed elements and the check cursor.
+groups; the check groups in pattern order; and how a row is built.  A
+search holds only one row's state: the bindings, the relationships used,
+the placed elements and the check cursor.
 
 A row of the match bag is a tuple of the bindings in the bag's field
 order, which the plan fixes.  Each binding is made of ids (an id, a
-relationship list or a path), so the match bag is a table of ``ids``.  A
-witness enters it unkeyed when its row fixes it: every element of the
-tuple is named, or every path is named, each with a fresh name, and no
-path has more than one ranged slot (the path values fix the witness).
-Otherwise it enters keyed, which merges each row at its first witness.
+relationship list or a path), so the match bag is a table of ``ids``.
+Every witness enters it keyed, which merges each row at its first
+witness, so a row's count is the number of its witnesses.
 
 The plan marks a hop as a *leaf* when its slot is rigid and is the last of
 the tuple's last path, which is unnamed; neither the slot nor the node
@@ -83,9 +81,8 @@ other's name.  Where a frame would start a leaf hop while the check cursor
 is past every group (no check is left and no error is held), one plain
 loop runs it instead: it places each usable relationship and the node
 after it as the frame would and emits the row.  Every row, the leaf's or a
-completed witness's, enters the match bag through ``_Search._emit``,
-keyed or unkeyed, so rows, their order, counts and counters are the
-generic frame's.
+completed witness's, enters the match bag through ``_Search._emit``, so
+rows, their order, counts and counters are the generic frame's.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, NamedTuple, Optional
 
 from . import ast
-from .ast import PathPattern, PatternTuple, RelPattern, expr_names, range_of
+from .ast import PathPattern, PatternTuple, expr_names, range_of
 from .errors import EvalError
 from .evaluator import eq_values, eval_expr
 from .graph import PropertyGraph
@@ -158,7 +155,6 @@ class MatchPlan(NamedTuple):
     groups: tuple[tuple, ...]  # the checks of each element with a property map, then the WHERE's:
     # each (key or None, e, the names e waits for)
     placed: tuple  # the search's first ``placed``
-    unkeyed: bool  # witnesses enter unkeyed: every element is named, or by the named-path rule
     row: Callable[[Record], tuple]  # the match bag's row, in field order, from the bindings
 
 
@@ -188,19 +184,13 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
                 where_seeks.setdefault(side.base.name, (side.key, e, expr_names(e)))
     groups: list[tuple] = []
     walks: list[Walk] = []
-    named = True  # every element is named: the bindings tell the witnesses apart
-    paths_fix = True  # every path is named and has at most one ranged slot (see the module docstring)
     bound, free, read = set(fields), set(), set()
-    every_name: list[str] = []  # each name, once for each element or path it names
     for pi, pat in enumerate(pats.paths):
         far = _far_end_first(pat, bound, where_seeks)
-        steps, names, ranged = [], [] if pat.name is None else [pat.name], 0
+        steps, names = [], [] if pat.name is None else [pat.name]
         for el in pat.elements:
             gid = -1
-            ranged += isinstance(el, RelPattern) and el.range_ is not None  # a ranged slot
-            if el.name is None:
-                named = False
-            else:
+            if el.name is not None:
                 names.append(el.name)
             if el.props:
                 gid = len(groups)
@@ -234,8 +224,6 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
                 rel.name, rgid, rel.name is not None or rgid >= 0, rgid >= 0 and not far and not rigid,
                 nel.name, nel.labels, ngid, more, complete, leaf))
         walks.append(Walk(pat.name, far, anchor, el.name, el.labels, gid, seek, tuple(hops)))
-        paths_fix &= pat.name is not None and ranged <= 1
-        every_name += names
         bound.update(names)
         free.update(names)
     placed = (None,) * len(groups)
@@ -247,10 +235,9 @@ def plan_match(c: PatternTuple | ast.Match, fields: Collection[str]) -> MatchPla
     # a check waits only for the names the input or the pattern binds: reading any other raises
     waits = tuple(tuple([(key, e, names & bound) for key, e, names in checks]) for checks in groups)
     out = tuple(sorted(free.difference(fields)))
-    unkeyed = named or paths_fix and all(every_name.count(w.path) == 1 and w.path not in fields for w in walks)
     return MatchPlan(
         out, tuple(f for f in fields if f in read or f in free), tuple(walks), waits,
-        placed + (None,), unkeyed, getter(out))  # placed[-1]
+        placed + (None,), getter(out))  # placed[-1]
 
 
 class _Search:
@@ -476,10 +463,7 @@ class _Search:
     def _emit(self, row: tuple) -> None:
         """Enter a witness's row, a tuple in the match bag's field order."""
         self.stats.witnesses += 1
-        if self.plan.unkeyed:  # no other witness binds this row
-            self.out.add_new(row)
-        else:
-            self.out.add(row)
+        self.out.add(row)
 
     def _checks_pass(self) -> bool:
         """Run the checks that can run now; False when one prunes the prefix."""

@@ -52,7 +52,7 @@ from .engine import output as engine_output
 from .errors import AliasClash, CypherError, EvalError, FieldMismatch, NameClash, StarOnEmptyFields
 from .evaluator import eq_values, eval_expr, is_true
 from .gen import GenConfig, graph_document, query
-from .graph import BOTH, PropertyGraph, load_graph
+from .graph import PropertyGraph, load_graph
 from .parser import parse_query, unparse_expr, unparse_query
 from .tables import Record
 from .values import FunctionRegistry, NodeId, Path, RelId, canon, same_value
@@ -104,18 +104,26 @@ def _all_walks(g: PropertyGraph, most: int) -> dict[int, list[Walk]]:
     A path may traverse each relationship in either orientation but never
     twice, so |R| bounds the length and the enumeration is finite; `most`
     cuts it shorter, to the hops a pattern tuple can use (`_hop_bound`).
+    The steps from a node are read off R, src and tgt: its outgoing
+    relationships, then its incoming ones that are not self-loops, each in
+    document order.
     """
     by_len: dict[int, list[Walk]] = {h: [] for h in range(most + 1)}
+    steps: dict[NodeId, list[tuple[RelId, NodeId]]] = {n: [] for n in g.nodes}
+    for r in g.rels:
+        steps[g.src(r)].append((r, g.tgt(r)))
+    for r in g.rels:
+        if g.src(r) != g.tgt(r):
+            steps[g.tgt(r)].append((r, g.src(r)))
 
     def extend(nodes: list[NodeId], rels: list[RelId]) -> None:
         by_len[len(rels)].append((tuple(nodes), tuple(rels)))
         if len(rels) == most:
             return
-        cur = nodes[-1]
-        for r in g.incident(cur, BOTH):
+        for r, n in steps[nodes[-1]]:
             if r in rels:
                 continue
-            nodes.append(g.other_end(r, cur))
+            nodes.append(n)
             rels.append(r)
             extend(nodes, rels)
             nodes.pop()

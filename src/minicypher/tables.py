@@ -24,9 +24,10 @@ its own key, and a list of values of exact types in ``values.ID_MADE``
 ``canon`` key is a tuple led by a kind); bools, other lists, maps and other
 values go through ``canon``.  A row whose every cell is of an exact type
 in ``UNTAGGED`` is its own key.  A table made with ``ids`` (every match
-bag, and the projections and unions of tables of ids) holds only nulls and
-values made of ids, so it keys each row by the row itself without looking
-at the cells; tuples compare ``True == 1``, so no other table may.
+bag, and the projections of tables of ids that read fields alone) holds
+only nulls and values made of ids, so it keys each row by the row itself
+without looking at the cells; tuples compare ``True == 1``, so no other
+table may.
 
 A table keeps its rows and their counts in two parallel lists, in
 insertion order; the key index, from row key to position, is built at
@@ -96,7 +97,8 @@ class Table:
     key to position makes equality of tables decidable and exact.  Rows
     enter keyed (``add``) or, known to be new, unkeyed (``add_new``); ``ids``
     promises that each cell is null or made of ids, so each row is its own
-    key: every match bag, and the projections and unions of tables of ids.
+    key: every match bag, and the projections of tables of ids that read
+    fields alone.
     """
 
     __slots__ = ("fields", "ids", "_records", "_counts", "_index")
@@ -194,7 +196,7 @@ def bag_union(t1: Table, t2: Table) -> Table:
     """Multiplicity of every record is the sum of its multiplicities."""
     if t1.fields != t2.fields:
         raise FieldMismatch(f"field sets differ: {list(t1.fields)} vs {list(t2.fields)}")
-    out = Table(t1.fields, ids=t1.ids and t2.ids)
+    out = Table(t1.fields)
     for t in (t1, t2):
         for u, count in zip(t._records, t._counts):
             out.add(u, count)

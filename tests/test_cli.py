@@ -623,9 +623,11 @@ def test_query_file_keeps_line_breaks_in_a_literal(capsys, tmp_path, brk, cell):
     ("RETURN\t\t1 < 'x' AS y", "RETURN\t\t1 < 'x' AS y", "      \t\t"),
     ("RETURN\r1 < 'x' AS y", "1 < 'x' AS y", ""),
     ("RETURN 1 < 'x'\r\nAS y", "RETURN 1 < 'x'", " " * 7),
-], ids=["tabs", "cr", "crlf"])
+    ("RETURN '日本語' AS s, 1 < 'x' AS y", "RETURN '日本語' AS s, 1 < 'x' AS y", " " * 22),
+], ids=["tabs", "cr", "crlf", "wide"])
 def test_caret_sits_under_the_culprit_on_its_own_line(capsys, tmp_path, query, line, indent):
-    # the line holds no line break, and the caret's indent keeps its tabs
+    # the line holds no line break, the caret's indent keeps its tabs, and
+    # a wide character before the culprit takes two columns
     f = tmp_path / "q.cypher"
     f.write_bytes(query.encode("utf-8"))
     rc, out, err = run(capsys, "--query-file", str(f))

@@ -166,12 +166,6 @@ def test_property_index_answers_only_where_equality_cannot_raise():
     assert h2.nodes_with_prop("f", 1) is None
 
 
-def test_other_end(g):
-    assert g.other_end(RelId("r1"), NodeId("n1")) == NodeId("n2")
-    assert g.other_end(RelId("r1"), NodeId("n2")) == NodeId("n1")
-    assert g.other_end(RelId("r3"), NodeId("n3")) == NodeId("n3")
-
-
 def test_to_document_round_trips(g):
     g2 = load_graph(g.to_document())
     assert g2.to_document() == g.to_document()

@@ -11,6 +11,7 @@ from minicypher import values
 from minicypher.ast import LEFT_OPERAND, OPERATORS, Cmp, Not
 from minicypher.errors import EvalError
 from minicypher.evaluator import _CHAIN_RULES
+from minicypher.graph import PropertyGraph
 from minicypher.values import NodeId, RelId
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minicypher"
@@ -65,6 +66,29 @@ def test_oracle_is_independent_of_matcher_and_engine():
     tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
     assert _ties(tree, {"matcher", "engine"}) == [("engine.output", "engine_output")]
     assert _reads_only_in(tree, {"engine_output"}, "differential_case")
+
+
+# The oracle walks the paper's graph, the tuple (N, R, src, tgt, ι, λ, τ),
+# and no index of the engine's, so a fault in an index shows as a
+# disagreement: of PropertyGraph's members it reads exactly these, and
+# to_document for case documents.
+ORACLE_GRAPH_READS = {"nodes", "rels", "src", "tgt", "labels", "rel_type", "prop", "to_document"}
+
+
+def _graph_members_read(source):
+    """The members of PropertyGraph that source reads as an attribute."""
+    members = {name for name in dir(PropertyGraph) if not name.startswith("__")}
+    return {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and n.attr in members}
+
+
+def test_the_oracle_reads_only_the_papers_graph():
+    assert _graph_members_read((SRC / "oracle.py").read_text(encoding="utf-8")) == ORACLE_GRAPH_READS
+
+
+def test_an_oracle_reading_the_adjacency_index_is_caught():
+    planted = (SRC / "oracle.py").read_text(encoding="utf-8") + (
+        "\n\ndef _steps(g, n):\n    return g.incident(n, UNDIRECTED)\n")
+    assert _graph_members_read(planted) - ORACLE_GRAPH_READS == {"incident"}
 
 
 def test_the_generator_is_independent_of_both_sides():
@@ -209,7 +233,6 @@ def test_tables_names_no_id_or_path_class():
 UNKEYED_SITES = {
     "engine._match_rows": {"add_new"},
     "engine.run_clause": {"add_new"},
-    "matcher._Search._emit": {"add_new"},
     "tables.distinct": {"add_new"},
 }
 
@@ -236,9 +259,9 @@ def test_unkeyed_sites_are_pinned():
 
 
 def test_rows_enter_the_match_bag_through_emit_alone():
-    # _emit holds the choice between keyed and unkeyed rows, so
-    # the leaf loop and _complete enter rows alike.  (`used`, the set of
-    # relationships used, is the one other receiver of an `add`.)
+    # _emit is the match bag's one door, keyed, so the leaf loop and
+    # _complete enter rows alike and count each witness.  (`used`, the set
+    # of relationships used, is the one other receiver of an `add`.)
     def adds_rows(fn):
         return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                    and n.func.attr in {"add", "add_new"}
@@ -253,11 +276,10 @@ def test_rows_enter_the_match_bag_through_emit_alone():
 # Each site that makes a table with ids, which keys each row by the row
 # itself, rests on a reason that the table holds only nulls and values made
 # of ids, stated in the notes: a match bag by what it holds, a projection
-# and a union by being built from such tables alone.
+# by reading the cells of such a table alone.
 IDS_SITES = {
     "engine._project": "t.ids and not exprs",
     "matcher.match_tuple": "True",
-    "tables.bag_union": "t1.ids and t2.ids",
 }
 
 
@@ -378,7 +400,7 @@ def test_every_plan_field_is_read():
 
 def test_a_plan_field_left_without_readers_is_caught():
     sources = _plan_sources()
-    declared = "    unkeyed: bool  # witnesses enter unkeyed"
+    declared = "    placed: tuple  # the search's first ``placed``"
     assert sources["matcher"].count(declared) == 1
     sources["matcher"] = sources["matcher"].replace(declared, "    twins: bool\n" + declared)
     assert _unread_plan_fields(sources) == ["MatchPlan.twins"]

@@ -708,17 +708,15 @@ def _rows_are_keyed_rows():
             and two_hops == _keyed(two_hops))
 
 
-def _plant_unkeyed_ranged_slots(monkeypatch):
-    plan_match = matcher.plan_match
+def _plant_unkeyed_witnesses(monkeypatch):
+    """Every witness enters the match bag unkeyed, so the witnesses of one
+    row (over parallel relationships, through an anonymous element, or two
+    splits of one named path) list it more than once."""
+    def emit(self, row):
+        self.stats.witnesses += 1
+        self.out.add_new(row)
 
-    def planted(c, fields):
-        plan = plan_match(c, fields)
-        if all(walk.node is not None and all(hop.node is not None for hop in walk.hops)
-               for walk in plan.walks):
-            plan = plan._replace(unkeyed=True)
-        return plan
-
-    monkeypatch.setattr(matcher, "plan_match", planted)
+    monkeypatch.setattr(matcher._Search, "_emit", emit)
 
 
 class TestOneHop:
@@ -750,61 +748,52 @@ class TestOneHop:
             ({"a": NodeId("m1"), "b": NodeId("m2")}, 2), ({"a": NodeId("m2"), "b": NodeId("m1")}, 1),
             ({"a": NodeId("m2"), "b": NodeId("m3")}, 1), ({"a": NodeId("m3"), "b": NodeId("m3")}, 1)]
 
-    @pytest.mark.parametrize("plant", [_plant_unkeyed_ranged_slots], ids=lambda p: p.__name__[len("_plant_"):])
+    @pytest.mark.parametrize("plant", [_plant_unkeyed_witnesses], ids=lambda p: p.__name__[len("_plant_"):])
     def test_each_unsound_twin_rule_is_caught(self, monkeypatch, plant):
         plant(monkeypatch)
         assert not _rows_are_keyed_rows()
 
 
 # Named paths on a chain m0 -> m1 -> ... -> m5 with a parallel copy of its first
-# relationship: every named path with one ranged slot lists distinct rows.
+# relationship
 CHAIN = load_graph({
     "nodes": [{"id": f"m{i}"} for i in range(6)],
     "relationships": [_rel(f"e{i}", "N", f"m{i}", f"m{i + 1}") for i in range(5)] + [_rel("t0", "N", "m0", "m1")],
 })
 NAMED_PATHS = [
-    ("p = (a)-[*]->(b)", True),
-    ("p = (a)-[]->()-[*0..2]->(b)", True),
-    ("p = ()-[]->(), q = ()-[*1..2]->()", True),
-    ("p = (a)-[*1..2]->()-[*1..2]->(b)", False),  # two ranged slots: a path splits two ways
-    ("p = (a)-[*]->(b), (b)-[]->(c)", False),  # an unnamed path
-    ("p = (a)-[]->(b), p = (c)", False),  # a name used twice
-    ("p = (p)-[]->(b)", False),
+    "p = (a)-[*]->(b)",
+    "p = (a)-[]->()-[*0..2]->(b)",
+    "p = ()-[]->(), q = ()-[*1..2]->()",
+    "p = (a)-[*1..2]->()-[*1..2]->(b)",  # two ranged slots: a path splits two ways
+    "p = (a)-[*]->(b), (b)-[]->(c)",  # an unnamed path
+    "p = (a)-[]->(b), p = (c)",  # a name used twice
+    "p = (p)-[]->(b)",
 ]
-
-
-def _named_paths_are_keyed_rows():
-    return all(_rows(text, CHAIN) == _keyed(_rows(text, CHAIN)) for text, _ in NAMED_PATHS if _rows(text, CHAIN))
-
-
-def _plant_named_paths_with_two_ranged_slots(monkeypatch):
-    plan_match = matcher.plan_match
-
-    def planted(c, fields):
-        plan = plan_match(c, fields)
-        if all(walk.path is not None for walk in plan.walks):
-            plan = plan._replace(unkeyed=True)
-        return plan
-
-    monkeypatch.setattr(matcher, "plan_match", planted)
+# one relationship a -> b
+ONE_REL = load_graph({"nodes": [{"id": "a"}, {"id": "b"}], "relationships": [_rel("r", "X", "a", "b")]})
 
 
 class TestNamedPaths:
-    """A tuple of named paths, each with fresh names and at most one ranged
-    slot, enters its witnesses unkeyed: its path values fix the witness."""
+    """Named paths enter the match bag keyed, like every witness: with two
+    ranged slots, two splits of one path are two witnesses of one row."""
 
-    @pytest.mark.parametrize("text,unkeyed", NAMED_PATHS, ids=[text for text, _ in NAMED_PATHS])
-    def test_the_rule_is_read_off_the_plan(self, text, unkeyed):
-        plan = matcher.plan_match(parse_pattern_tuple(text), ())
-        assert plan.unkeyed is unkeyed
+    @pytest.mark.parametrize("text", NAMED_PATHS)
+    def test_rows_agree_with_the_oracle(self, text):
+        pats = parse_pattern_tuple(text)
+        assert match_tuple(pats, CHAIN, {}) == oracle_match(pats, CHAIN, {})
 
     def test_rows_are_keyed_rows(self):
-        assert _named_paths_are_keyed_rows()
-        assert any(count > 1 for _, count in _rows(NAMED_PATHS[3][0], CHAIN))
+        assert all(_rows(text, CHAIN) == _keyed(_rows(text, CHAIN)) for text in NAMED_PATHS if _rows(text, CHAIN))
+        assert any(count > 1 for _, count in _rows(NAMED_PATHS[3], CHAIN))
 
-    def test_a_path_with_two_ranged_slots_entered_unkeyed_is_caught(self, monkeypatch):
-        _plant_named_paths_with_two_ranged_slots(monkeypatch)
-        assert not _named_paths_are_keyed_rows()
+    def test_two_splits_of_one_path_are_one_row_counted_twice(self, monkeypatch):
+        q = parse_query("MATCH p = ()-[*0..1]->()-[*0..1]->() RETURN p")
+        a, b = NodeId("a"), NodeId("b")
+        assert list(output(q, ONE_REL).rows()) == [
+            ({"p": Path((a,), ())}, 1), ({"p": Path((a, b), (RelId("r"),))}, 2), ({"p": Path((b,), ())}, 1)]
+        assert differential_case(ONE_REL, q)[0]
+        _plant_unkeyed_witnesses(monkeypatch)
+        assert not differential_case(ONE_REL, q)[0]
 
 
 def _plan(text, fields=()):

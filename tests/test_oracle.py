@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from minicypher import ast, engine, oracle, tables
+from minicypher import ast, engine, matcher, oracle, tables
 from minicypher.errors import CypherError
 from minicypher.evaluator import eval_expr
 from minicypher.graph import BOTH, load_graph
@@ -37,7 +37,7 @@ from minicypher.parser import parse_pattern_tuple, parse_query, unparse_query
 from minicypher.tables import Table
 from minicypher.values import NodeId, Path, RelId, canon
 
-from test_matcher import TWINS
+from test_matcher import TWINS, _plant_unkeyed_witnesses
 
 PATTERNS = [
     "(x)",
@@ -132,7 +132,7 @@ def every_path(g):
         cur = nodes[-1]
         for r in g.incident(cur, BOTH):
             if r not in rels:
-                nodes.append(g.other_end(r, cur))
+                nodes.append(g.tgt(r) if g.src(r) is cur else g.src(r))
                 rels.append(r)
                 extend(nodes, rels)
                 nodes.pop()
@@ -547,19 +547,6 @@ def test_the_clause_guard_catches_an_unwind_on_the_new_row_path(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _plant_unkeyed_witnesses_with_an_anonymous_relationship(monkeypatch):
-    """Witnesses enter the match bag unkeyed once every node is named."""
-    plan_match = engine.plan_match
-
-    def planted(c, fields):
-        plan = plan_match(c, fields)
-        named = all(walk.node is not None and all(hop.node is not None for hop in walk.hops)
-                    for walk in plan.walks)
-        return plan._replace(unkeyed=named)
-
-    monkeypatch.setattr(engine, "plan_match", planted)
-
-
 def _plant_unkeyed_projection_dropping_a_field(monkeypatch):
     """Each input row is projected alone and enters the output unkeyed."""
     project = engine._project
@@ -582,7 +569,7 @@ def _plant_a_tally_never_merging(monkeypatch):
     monkeypatch.setattr(engine, "tally", lambda values: [(x, 1) for x in values])
 
 
-UNSOUND_UNKEYED = [_plant_unkeyed_witnesses_with_an_anonymous_relationship,
+UNSOUND_UNKEYED = [_plant_unkeyed_witnesses,
                    _plant_unkeyed_projection_dropping_a_field,
                    _plant_a_tally_never_merging]
 
@@ -625,28 +612,12 @@ def test_unkeyed_sites_keep_multiplicities(query, rows):
 
 
 @pytest.mark.parametrize("plant,query", [
-    (_plant_unkeyed_witnesses_with_an_anonymous_relationship, UNKEYED_CASES[0][0]),
+    (_plant_unkeyed_witnesses, UNKEYED_CASES[0][0]),
     (_plant_unkeyed_projection_dropping_a_field, UNKEYED_CASES[1][0]),
 ], ids=["witnesses", "projection"])
 def test_parallel_relationships_catch_each_unsound_unkeyed_site(monkeypatch, plant, query):
     plant(monkeypatch)
     assert list(engine.output(parse_query(query), PARALLEL).rows()) == [({"a": N1, "b": N2}, 1)] * 2
-
-
-def _plant_unkeyed_anonymous_one_hop_slots(monkeypatch):
-    """Witnesses enter the match bag unkeyed when every node is named and
-    every anonymous slot is one hop, though parallel relationships give
-    two witnesses one row."""
-    plan_match = engine.plan_match
-
-    def planted(c, fields):
-        plan = plan_match(c, fields)
-        one_hop = all(walk.node is not None and all(
-            hop.node is not None and (hop.name is not None or hop.rigid) for hop in walk.hops)
-            for walk in plan.walks)
-        return plan._replace(unkeyed=plan.unkeyed or one_hop)
-
-    monkeypatch.setattr(engine, "plan_match", planted)
 
 
 # parallel and antiparallel relationships, and two self-loops on one node
@@ -663,7 +634,7 @@ def test_the_clause_guard_catches_unkeyed_anonymous_one_hop_witnesses(monkeypatc
     monkeypatch.setattr(engine, "run_clause", _in_normal_form(engine.run_clause))
     q = parse_query(query)
     assert differential_case(g, q)[0]
-    _plant_unkeyed_anonymous_one_hop_slots(monkeypatch)
+    _plant_unkeyed_witnesses(monkeypatch)
     with pytest.raises(AssertionError, match="repeats a record"):
         engine.output(q, g)
 
@@ -765,15 +736,14 @@ SCALE_QUERIES = [
     "MATCH (a)-[:X]->(b) RETURN b AS n UNION ALL MATCH (a)-[:Y]->(b) RETURN a AS n",
     "MATCH (a:C)-[:N*]->(b) RETURN a, b",
     "MATCH p = (a:C)-[:N*]->(b) RETURN p",
-    # two ranged slots split one path two ways: its witnesses stay keyed
+    # two ranged slots split one path two ways: two witnesses of one row
     "MATCH p = (a:C)-[:N*1..2]->()-[:N*1..2]->(b) RETURN p",
 ]
 
 
 def _keyed_plans(monkeypatch):
-    """Every witness keyed: the plans' unkeyed switched off."""
-    plan_match = engine.plan_match
-    monkeypatch.setattr(engine, "plan_match", lambda c, fields: plan_match(c, fields)._replace(unkeyed=False))
+    """Every row keyed, at every unkeyed site: Table.add_new made Table.add."""
+    monkeypatch.setattr(Table, "add_new", Table.add)
 
 
 def _scale_outcomes(g):
@@ -794,21 +764,37 @@ def test_every_clause_table_lists_each_record_once_at_scale(monkeypatch):
     assert _scale_outcomes(g) == got
 
 
+def _plant_witnesses_unkeyed_where(monkeypatch, unkeyed):
+    """Witnesses enter the match bag unkeyed under the plans that
+    ``unkeyed`` picks, keyed under the rest."""
+    emit = matcher._Search._emit
+
+    def planted(self, row):
+        if unkeyed(self.plan):
+            self.stats.witnesses += 1
+            self.out.add_new(row)
+        else:
+            emit(self, row)
+
+    monkeypatch.setattr(matcher._Search, "_emit", planted)
+
+
+def _plant_unkeyed_witnesses_with_an_anonymous_relationship(monkeypatch):
+    """Witnesses enter the match bag unkeyed once every node is named."""
+    _plant_witnesses_unkeyed_where(monkeypatch, lambda plan: all(
+        walk.node is not None and all(hop.node is not None for hop in walk.hops) for walk in plan.walks))
+
+
 def _plant_unkeyed_named_paths_with_two_ranged_slots(monkeypatch):
     """Witnesses enter unkeyed whenever every path is named, however many
     ranged slots a path has."""
-    plan_match = engine.plan_match
-
-    def planted(c, fields):
-        plan = plan_match(c, fields)
-        if all(walk.path is not None for walk in plan.walks):
-            plan = plan._replace(unkeyed=True)
-        return plan
-
-    monkeypatch.setattr(engine, "plan_match", planted)
+    _plant_witnesses_unkeyed_where(monkeypatch, lambda plan: all(walk.path is not None for walk in plan.walks))
 
 
-@pytest.mark.parametrize("plant", UNSOUND_UNKEYED + [_plant_unkeyed_named_paths_with_two_ranged_slots],
+@pytest.mark.parametrize("plant", [_plant_unkeyed_witnesses_with_an_anonymous_relationship,
+                                   _plant_unkeyed_projection_dropping_a_field,
+                                   _plant_a_tally_never_merging,
+                                   _plant_unkeyed_named_paths_with_two_ranged_slots],
                          ids=lambda p: p.__name__[len("_plant_"):])
 def test_the_check_at_scale_catches_each_unsound_unkeyed_site(monkeypatch, plant):
     g = _scale_graph()
